@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench
+.PHONY: check fmt vet lint build test race benchcheck bench
 
 # check is the full gate: formatting, static analysis (vet + the repo's
-# own analyzers), build, and the race-enabled test suite. CI and
-# pre-commit both run this one target.
-check: fmt vet lint build race
+# own analyzers), build, the race-enabled test suite, and the benchmark
+# module's own vet/tests/smoke run. CI and pre-commit both run this one
+# target.
+check: fmt vet lint build race benchcheck
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -16,8 +17,8 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint runs the project-specific analyzers (simclock, wrapcheck,
-# ctxfirst, testsleep); see `go run ./cmd/repolint -list`.
+# lint runs the project-specific analyzers; `go run ./cmd/repolint -list`
+# prints all nine with their docs.
 lint:
 	$(GO) run ./cmd/repolint ./...
 
@@ -30,7 +31,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench snapshots the root benchmark suite to a JSON file; see
-# scripts/bench.sh for the BENCH_TIME/BENCH_FILTER/BENCH_LABEL knobs.
+# benchcheck vets, tests and smoke-runs bench/, which is its own module
+# and so is invisible to the root vet/test targets.
+benchcheck:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+	bash bench/run.sh -smoke | tail -n 1 | grep -q '"correct":true'
+
+# bench runs the repo benchmark BENCHMARK.json declares; see
+# bench/README.md for --workload/--seed/--seconds/--trace.
 bench:
-	sh scripts/bench.sh
+	bash bench/run.sh

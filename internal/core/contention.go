@@ -108,15 +108,3 @@ func RunStreamingContention(epoch time.Time, beamlines, gpus, scansPer int, cade
 	}
 	return res
 }
-
-// ContentionSweep runs the shared-vs-reserved comparison across a range of
-// beamline counts against a fixed GPU pool and returns both policies per
-// point — the policy-crossover figure for the §6 discussion.
-func ContentionSweep(epoch time.Time, gpus, scansPer int, cadence time.Duration, beamlineCounts []int) []ContentionResult {
-	var out []ContentionResult
-	for _, n := range beamlineCounts {
-		out = append(out, *RunStreamingContention(epoch, n, gpus, scansPer, cadence, false))
-		out = append(out, *RunStreamingContention(epoch, n, gpus, scansPer, cadence, true))
-	}
-	return out
-}

@@ -74,20 +74,9 @@ func TestContentionSaturationOnlyReservationHolds(t *testing.T) {
 func TestContentionSweepShape(t *testing.T) {
 	// 12-second cadence: 8 beamlines generate 8×7.5 s = 60 s of GPU work
 	// per 12 s against 48 s of shared capacity — past saturation.
-	pts := ContentionSweep(epoch, 4, 6, 12*time.Second, []int{2, 8})
-	if len(pts) != 4 {
-		t.Fatalf("sweep points = %d", len(pts))
-	}
 	// The shared pool's tail must be worse at 8 beamlines than at 2.
-	var shared2, shared8 ContentionResult
-	for _, p := range pts {
-		if !p.Reserved && p.Beamlines == 2 {
-			shared2 = p
-		}
-		if !p.Reserved && p.Beamlines == 8 {
-			shared8 = p
-		}
-	}
+	shared2 := RunStreamingContention(epoch, 2, 4, 6, 12*time.Second, false)
+	shared8 := RunStreamingContention(epoch, 8, 4, 6, 12*time.Second, false)
 	if shared8.Latency.Max <= shared2.Latency.Max {
 		t.Errorf("shared tail should grow with beamlines: %.1f vs %.1f",
 			shared8.Latency.Max, shared2.Latency.Max)

@@ -23,7 +23,6 @@ import (
 type SFAPI struct {
 	token    string
 	commands map[string]Command
-	env      flow.Env
 
 	mu     sync.Mutex
 	jobs   map[int]*SFJob // guarded by mu
@@ -49,16 +48,7 @@ type SFJob struct {
 
 // NewSFAPI creates a facade requiring the given bearer token.
 func NewSFAPI(token string) *SFAPI {
-	return &SFAPI{token: token, commands: map[string]Command{}, jobs: map[int]*SFJob{},
-		env: flow.RealEnv{}}
-}
-
-// SetEnv replaces the clock used for Submitted/Ended stamps (tests inject
-// a fixed or virtual clock). Call before submitting any jobs.
-func (s *SFAPI) SetEnv(env flow.Env) {
-	if env != nil {
-		s.env = env
-	}
+	return &SFAPI{token: token, commands: map[string]Command{}, jobs: map[int]*SFJob{}}
 }
 
 // Register installs a named command.
@@ -89,7 +79,7 @@ func (s *SFAPI) SubmitCtx(ctx context.Context, command string, args map[string]s
 	s.nextID++
 	job := &SFJob{
 		ID: s.nextID, Command: command, Args: args,
-		State: Running, Submitted: s.env.Now(),
+		State: Running, Submitted: flow.RealEnv{}.Now(),
 		cancel: cancel, done: make(chan struct{}),
 	}
 	s.jobs[job.ID] = job
@@ -104,7 +94,7 @@ func (s *SFAPI) SubmitCtx(ctx context.Context, command string, args map[string]s
 	go func() {
 		err := cmd(ctx, args)
 		s.mu.Lock()
-		job.Ended = s.env.Now()
+		job.Ended = flow.RealEnv{}.Now()
 		switch {
 		case ctx.Err() != nil:
 			job.State = Cancelled

@@ -33,48 +33,78 @@ func IsPow2(n int) bool {
 	return n > 0 && n&(n-1) == 0
 }
 
-// Plan holds the precomputed state for transforms of one length: the
-// bit-reversal swap list and twiddle tables for both directions. A Plan is
-// immutable after construction and safe for concurrent use by any number
-// of goroutines; per-call state lives entirely in the caller's buffer.
-type Plan struct {
+// cplx is the pair of complex widths a plan is instantiated at.
+type cplx interface{ complex64 | complex128 }
+
+// plan holds the precomputed state for transforms of one length at one
+// complex width: the bit-reversal swap list and twiddle tables for both
+// directions. A plan is immutable after construction and safe for
+// concurrent use by any number of goroutines; per-call state lives
+// entirely in the caller's buffer.
+type plan[C cplx] struct {
 	n   int
-	rev []int32      // flattened (i, j) swap pairs, i < j
-	twF []complex128 // twF[k] = exp(-2πik/n), k < n/2
-	twI []complex128 // twI[k] = exp(+2πik/n), k < n/2
+	rev []int32 // flattened (i, j) swap pairs, i < j
+	twF []C     // twF[k] = exp(-2πik/n), k < n/2
+	twI []C     // twI[k] = exp(+2πik/n), k < n/2
+}
+
+// Plan is the double-precision plan.
+type Plan = plan[complex128]
+
+// Plan32 is the single-precision plan: the same source instantiated over
+// complex64 buffers. It backs the float32 reconstruction kernel tier,
+// where the halved memory traffic matters more than the last digits.
+// Twiddles are evaluated in float64 and rounded once, so each factor
+// carries only the single rounding of the final conversion.
+type Plan32 = plan[complex64]
+
+// planCache maps transform length to its plan, one cache per width: the
+// two tiers key on the same lengths, and a shared map would need an
+// interface-typed value plus a type assertion on every hot lookup.
+type planCache[C cplx] struct {
+	mu sync.RWMutex
+	m  map[int]*plan[C]
 }
 
 var (
-	planMu    sync.RWMutex
-	planCache = map[int]*Plan{}
+	plans   = planCache[complex128]{m: map[int]*plan[complex128]{}}
+	plans32 = planCache[complex64]{m: map[int]*plan[complex64]{}}
 )
 
 // PlanFor returns the cached transform plan for power-of-two length n,
 // building it on first use. It panics when n is not a positive power of
 // two.
-func PlanFor(n int) *Plan {
+func PlanFor(n int) *Plan { return plans.get(n) }
+
+// PlanFor32 returns the cached single-precision plan for power-of-two
+// length n, building it on first use. It panics when n is not a positive
+// power of two. PlanFor32(n) and PlanFor(n) are independent cache entries:
+// requesting one tier never builds or evicts the other.
+func PlanFor32(n int) *Plan32 { return plans32.get(n) }
+
+func (c *planCache[C]) get(n int) *plan[C] {
 	if !IsPow2(n) {
 		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
 	}
-	planMu.RLock()
-	p := planCache[n]
-	planMu.RUnlock()
+	c.mu.RLock()
+	p := c.m[n]
+	c.mu.RUnlock()
 	if p != nil {
 		return p
 	}
-	p = newPlan(n)
-	planMu.Lock()
-	if q, ok := planCache[n]; ok {
+	p = newPlan[C](n)
+	c.mu.Lock()
+	if q, ok := c.m[n]; ok {
 		p = q // another goroutine won the race; share its plan
 	} else {
-		planCache[n] = p
+		c.m[n] = p
 	}
-	planMu.Unlock()
+	c.mu.Unlock()
 	return p
 }
 
-func newPlan(n int) *Plan {
-	p := &Plan{n: n}
+func newPlan[C cplx](n int) *plan[C] {
+	p := &plan[C]{n: n}
 	if n <= 1 {
 		return p
 	}
@@ -86,26 +116,25 @@ func newPlan(n int) *Plan {
 		}
 	}
 	half := n / 2
-	p.twF = make([]complex128, half)
-	p.twI = make([]complex128, half)
+	p.twF = make([]C, half)
+	p.twI = make([]C, half)
 	for k := 0; k < half; k++ {
-		// Each twiddle is evaluated exactly at its own angle, so no
-		// rounding error accumulates across the table.
+		// Each twiddle is evaluated exactly at its own angle in float64
+		// and converted once, so no rounding error accumulates across
+		// the table at either width.
 		s, c := math.Sincos(2 * math.Pi * float64(k) / float64(n))
-		p.twF[k] = complex(c, -s)
-		p.twI[k] = complex(c, s)
+		p.twF[k] = C(complex(c, -s))
+		p.twI[k] = C(complex(c, s))
 	}
 	return p
 }
 
-// Len returns the transform length the plan was built for.
-func (p *Plan) Len() int { return p.n }
-
 // Forward computes the in-place forward DFT of x. len(x) must equal the
-// plan length. The transform is unnormalized: Inverse(Forward(x)) == x.
+// plan length. The transform is unnormalized: Inverse(Forward(x)) == x
+// (up to float32 rounding on a Plan32).
 //
 //perf:hot
-func (p *Plan) Forward(x []complex128) {
+func (p *plan[C]) Forward(x []C) {
 	p.checkLen(x)
 	p.scramble(x)
 	p.butterflies(x, p.twF)
@@ -115,18 +144,34 @@ func (p *Plan) Forward(x []complex128) {
 // normalization. len(x) must equal the plan length.
 //
 //perf:hot
-func (p *Plan) Inverse(x []complex128) {
+func (p *plan[C]) Inverse(x []C) {
 	p.checkLen(x)
 	p.scramble(x)
 	p.butterflies(x, p.twI)
-	if p.n <= 1 {
-		return
+	if p.n > 1 {
+		scale(x, p.n)
 	}
-	// 1/n is exact for power-of-two n, so this componentwise scale is
-	// bit-identical to dividing by complex(n, 0).
-	s := 1 / float64(p.n)
-	for i := range x {
-		x[i] = complex(real(x[i])*s, imag(x[i])*s)
+}
+
+// scale multiplies x componentwise by 1/n, which is exact for
+// power-of-two n and so bit-identical to dividing by complex(n, 0). It is
+// written per width because real, imag and complex are not defined on
+// type parameters, and a generic x[i] *= C(complex(1/n, 0)) is a full
+// complex multiply that is measurably slower and perturbs signed zeros.
+// The any(x) in the switch does not escape, so it does not allocate (the
+// AllocsPerRun tests on the tomo plans hold that at zero).
+func scale[C cplx](x []C, n int) {
+	switch x := any(x).(type) {
+	case []complex128:
+		s := 1 / float64(n)
+		for i := range x {
+			x[i] = complex(real(x[i])*s, imag(x[i])*s)
+		}
+	case []complex64:
+		s := float32(1) / float32(n)
+		for i := range x {
+			x[i] = complex(real(x[i])*s, imag(x[i])*s)
+		}
 	}
 }
 
@@ -136,7 +181,7 @@ func (p *Plan) Inverse(x []complex128) {
 // every call; the operation performs no allocations.
 //
 //perf:hot
-func (p *Plan) ConvolveInto(x, spec []complex128) {
+func (p *plan[C]) ConvolveInto(x, spec []C) {
 	p.checkLen(x)
 	p.checkLen(spec)
 	p.Forward(x)
@@ -155,7 +200,7 @@ func (p *Plan) ConvolveInto(x, spec []complex128) {
 // ConvolveInto row by row.
 //
 //perf:hot
-func (p *Plan) ConvolveBatchInto(x, spec []complex128) {
+func (p *plan[C]) ConvolveBatchInto(x, spec []C) {
 	p.checkLen(spec)
 	n := p.n
 	if n == 0 || len(x)%n != 0 {
@@ -179,17 +224,17 @@ func (p *Plan) ConvolveBatchInto(x, spec []complex128) {
 // Forward2D computes the forward DFT of the square n×n row-major image
 // img (n being the plan length) using col as column scratch (len ≥ n).
 // No allocations are performed.
-func (p *Plan) Forward2D(img, col []complex128) {
+func (p *plan[C]) Forward2D(img, col []C) {
 	p.transform2D(img, col, false)
 }
 
 // Inverse2D computes the normalized inverse DFT of the square n×n image
 // img using col as column scratch (len ≥ n). No allocations are performed.
-func (p *Plan) Inverse2D(img, col []complex128) {
+func (p *plan[C]) Inverse2D(img, col []C) {
 	p.transform2D(img, col, true)
 }
 
-func (p *Plan) transform2D(img, col []complex128, inverse bool) {
+func (p *plan[C]) transform2D(img, col []C, inverse bool) {
 	n := p.n
 	if len(img) != n*n {
 		panic("fft: transform2D size mismatch")
@@ -221,7 +266,7 @@ func (p *Plan) transform2D(img, col []complex128, inverse bool) {
 	}
 }
 
-func (p *Plan) checkLen(x []complex128) {
+func (p *plan[C]) checkLen(x []C) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: buffer length %d does not match plan length %d", len(x), p.n))
 	}
@@ -229,14 +274,14 @@ func (p *Plan) checkLen(x []complex128) {
 
 // badBatch is the cold panic path of ConvolveBatchInto, kept out of the
 // hot function so its formatting does not allocate there.
-func (p *Plan) badBatch(got int) {
+func (p *plan[C]) badBatch(got int) {
 	panic(fmt.Sprintf("fft: batch length %d is not a multiple of plan length %d", got, p.n))
 }
 
 // scramble applies the precomputed bit-reversal permutation.
 //
 //perf:hot
-func (p *Plan) scramble(x []complex128) {
+func (p *plan[C]) scramble(x []C) {
 	rev := p.rev
 	for i := 0; i < len(rev); i += 2 {
 		a, b := rev[i], rev[i+1]
@@ -248,7 +293,7 @@ func (p *Plan) scramble(x []complex128) {
 // table (forward or inverse).
 //
 //perf:hot
-func (p *Plan) butterflies(x []complex128, tw []complex128) {
+func (p *plan[C]) butterflies(x []C, tw []C) {
 	n := p.n
 	if n <= 1 {
 		return
@@ -311,29 +356,6 @@ func InverseReal(c []complex128) []float64 {
 	Inverse(c)
 	out := make([]float64, len(c))
 	for i, v := range c {
-		out[i] = real(v)
-	}
-	return out
-}
-
-// Convolve returns the circular convolution of a and b via the frequency
-// domain. Both must have the same power-of-two length.
-func Convolve(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("fft: Convolve length mismatch")
-	}
-	if len(a) == 0 {
-		return nil
-	}
-	p := PlanFor(len(a))
-	x := make([]complex128, len(a))
-	for i, v := range a {
-		x[i] = complex(v, 0)
-	}
-	spec := ForwardReal(b)
-	p.ConvolveInto(x, spec)
-	out := make([]float64, len(x))
-	for i, v := range x {
 		out[i] = real(v)
 	}
 	return out

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -60,24 +61,78 @@ func TestForwardKnownCosine(t *testing.T) {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 4, 64, 512} {
-		x := make([]complex128, n)
-		orig := make([]complex128, n)
+// randComplex returns n seeded normal samples at either width.
+func randComplex[C cplx](n int, seed int64) []C {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([]C, n)
+	for i := range x {
+		x[i] = C(complex(rng.NormFloat64(), rng.NormFloat64()))
+	}
+	return x
+}
+
+func cabs[C cplx](c C) float64 { return cmplx.Abs(complex128(c)) }
+
+func testRoundTrip[C cplx](t *testing.T, planFor func(int) *plan[C], tol float64) {
+	for _, n := range []int{1, 2, 4, 8, 64, 256, 512} {
+		x := randComplex[C](n, int64(n))
+		orig := append([]C(nil), x...)
+		p := planFor(n)
+		p.Forward(x)
+		p.Inverse(x)
 		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			orig[i] = x[i]
-		}
-		Forward(x)
-		Inverse(x)
-		for i := range x {
-			if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
-				t.Fatalf("n=%d: roundtrip mismatch at %d: %v vs %v", n, i, x[i], orig[i])
+			if d := cabs(x[i] - orig[i]); d > tol {
+				t.Fatalf("n=%d round trip: |Δ[%d]| = %g > %g", n, i, d, tol)
 			}
 		}
 	}
 }
+
+func TestRoundTrip(t *testing.T) {
+	testRoundTrip(t, PlanFor, 1e-9)
+	// The package-level wrappers reach the same plans.
+	x := randComplex[complex128](64, 1)
+	orig := append([]complex128(nil), x...)
+	Forward(x)
+	Inverse(x)
+	for i := range x {
+		if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
+			t.Fatalf("Forward/Inverse roundtrip mismatch at %d: %v vs %v", i, x[i], orig[i])
+		}
+	}
+}
+
+func TestPlan32RoundTrip(t *testing.T) { testRoundTrip(t, PlanFor32, 1e-5) }
+
+// testSizeOneTwo pins the degenerate transform lengths the plan builder
+// special-cases: length 1 is the identity, length 2 is the butterfly
+// [a+b, a−b] (and halved back by Inverse).
+func testSizeOneTwo[C cplx](t *testing.T, planFor func(int) *plan[C]) {
+	p1 := planFor(1)
+	x1 := []C{complex(3, -2)}
+	p1.Forward(x1)
+	if x1[0] != complex(3, -2) {
+		t.Errorf("size-1 forward changed the sample: %v", x1[0])
+	}
+	p1.Inverse(x1)
+	if x1[0] != complex(3, -2) {
+		t.Errorf("size-1 inverse changed the sample: %v", x1[0])
+	}
+
+	p2 := planFor(2)
+	x2 := []C{complex(1, 0), complex(2, 0)}
+	p2.Forward(x2)
+	if x2[0] != complex(3, 0) || x2[1] != complex(-1, 0) {
+		t.Errorf("size-2 forward = %v, want [(3+0i) (-1+0i)]", x2)
+	}
+	p2.Inverse(x2)
+	if x2[0] != complex(1, 0) || x2[1] != complex(2, 0) {
+		t.Errorf("size-2 round trip = %v, want [(1+0i) (2+0i)]", x2)
+	}
+}
+
+func TestPlanSizeOneTwo(t *testing.T)   { testSizeOneTwo(t, PlanFor) }
+func TestPlan32SizeOneTwo(t *testing.T) { testSizeOneTwo(t, PlanFor32) }
 
 func TestParsevalProperty(t *testing.T) {
 	// Energy in time domain equals energy in frequency domain / N.
@@ -123,14 +178,28 @@ func TestLinearityProperty(t *testing.T) {
 	}
 }
 
-func TestForwardPanicsOnNonPow2(t *testing.T) {
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for non-power-of-two length")
+			t.Errorf("%s did not panic", what)
 		}
 	}()
-	Forward(make([]complex128, 3))
+	f()
 }
+
+func testPanicsOnNonPow2[C cplx](t *testing.T, planFor func(int) *plan[C]) {
+	for _, n := range []int{0, -1, 3, 12, 100} {
+		mustPanic(t, fmt.Sprintf("plan for length %d", n), func() { planFor(n) })
+	}
+}
+
+func TestForwardPanicsOnNonPow2(t *testing.T) {
+	testPanicsOnNonPow2(t, PlanFor)
+	mustPanic(t, "Forward on length 3", func() { Forward(make([]complex128, 3)) })
+}
+
+func TestPlanFor32PanicsOnNonPow2(t *testing.T) { testPanicsOnNonPow2(t, PlanFor32) }
 
 func TestForwardRealMatchesComplex(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -146,45 +215,139 @@ func TestForwardRealMatchesComplex(t *testing.T) {
 	}
 }
 
-func TestConvolveIdentity(t *testing.T) {
-	// Convolution with a unit impulse is the identity.
-	n := 16
-	a := make([]float64, n)
-	d := make([]float64, n)
-	d[0] = 1
-	for i := range a {
-		a[i] = float64(i) - 3.5
-	}
-	got := Convolve(a, d)
-	for i := range a {
-		if math.Abs(got[i]-a[i]) > 1e-10 {
-			t.Fatalf("identity convolution mismatch at %d", i)
+// impulseSpec is the frequency response of a unit impulse at index at:
+// convolving with it circularly shifts the signal by at samples.
+func impulseSpec[C cplx](p *plan[C], at int) []C {
+	spec := make([]C, p.n)
+	spec[at] = 1
+	p.Forward(spec)
+	return spec
+}
+
+// testConvolveImpulse checks that convolving with an impulse at index
+// shift circularly shifts the signal by shift (0: the identity).
+func testConvolveImpulse[C cplx](t *testing.T, planFor func(int) *plan[C], shift int, tol float64) {
+	const n = 16
+	p := planFor(n)
+	x := randComplex[C](n, 3)
+	orig := append([]C(nil), x...)
+	p.ConvolveInto(x, impulseSpec(p, shift))
+	for i := range x {
+		if d := cabs(x[i] - orig[(i-shift+n)%n]); d > tol {
+			t.Fatalf("impulse at %d moved sample %d off its shifted source by %g", shift, i, d)
 		}
 	}
 }
 
+func TestConvolveIdentity(t *testing.T)       { testConvolveImpulse(t, PlanFor, 0, 1e-10) }
+func TestPlan32ConvolveIdentity(t *testing.T) { testConvolveImpulse(t, PlanFor32, 0, 1e-5) }
+
 func TestConvolveShift(t *testing.T) {
-	// Convolution with a shifted impulse circularly shifts the signal.
-	n := 8
-	a := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	d := make([]float64, n)
-	d[2] = 1
-	got := Convolve(a, d)
-	for i := range a {
-		want := a[(i-2+n)%n]
-		if math.Abs(got[i]-want) > 1e-10 {
-			t.Fatalf("shift convolution mismatch at %d: got %v want %v", i, got[i], want)
-		}
-	}
+	testConvolveImpulse(t, PlanFor, 2, 1e-10)
+	testConvolveImpulse(t, PlanFor32, 2, 1e-5)
+}
+
+func testConvolvePanicsOnMismatch[C cplx](t *testing.T, planFor func(int) *plan[C]) {
+	mustPanic(t, "spectrum longer than the plan", func() {
+		planFor(4).ConvolveInto(make([]C, 4), make([]C, 8))
+	})
 }
 
 func TestConvolvePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	testConvolvePanicsOnMismatch(t, PlanFor)
+	testConvolvePanicsOnMismatch(t, PlanFor32)
+}
+
+// testConvolveBatchMatchesPerRow proves the batch entry point's claim:
+// stage-reordered batch convolution is bit-identical to convolving row by
+// row.
+func testConvolveBatchMatchesPerRow[C cplx](t *testing.T, planFor func(int) *plan[C]) {
+	const n, rows = 64, 7
+	spec := randComplex[C](n, 11)
+	batch := randComplex[C](rows*n, 13)
+	serial := append([]C(nil), batch...)
+	p := planFor(n)
+	p.ConvolveBatchInto(batch, spec)
+	for r := 0; r < rows; r++ {
+		p.ConvolveInto(serial[r*n:(r+1)*n], spec)
+	}
+	for i := range batch {
+		if batch[i] != serial[i] {
+			t.Fatalf("batch[%d] = %v, per-row = %v (must be bit-identical)", i, batch[i], serial[i])
 		}
-	}()
-	Convolve(make([]float64, 4), make([]float64, 8))
+	}
+}
+
+func TestConvolveBatchMatchesPerRow(t *testing.T) {
+	testConvolveBatchMatchesPerRow(t, PlanFor)
+	testConvolveBatchMatchesPerRow(t, PlanFor32)
+}
+
+func testConvolveBatchPanicsOnRaggedLength[C cplx](t *testing.T, planFor func(int) *plan[C]) {
+	mustPanic(t, "batch with non-multiple length", func() {
+		planFor(8).ConvolveBatchInto(make([]C, 12), make([]C, 8))
+	})
+}
+
+func TestConvolveBatchPanicsOnRaggedLength(t *testing.T) {
+	testConvolveBatchPanicsOnRaggedLength(t, PlanFor)
+	testConvolveBatchPanicsOnRaggedLength(t, PlanFor32)
+}
+
+// TestPlan32CacheIndependentOfFloat64 guards the deliberate decision to
+// keep the two precision tiers in separate caches keyed on the same
+// lengths: requesting one tier returns a stable cached instance and never
+// aliases or perturbs the other tier's plan for the same n.
+func TestPlan32CacheIndependentOfFloat64(t *testing.T) {
+	const n = 32
+	p64 := PlanFor(n)
+	p32a := PlanFor32(n)
+	p32b := PlanFor32(n)
+	if p32a != p32b {
+		t.Error("PlanFor32 did not return the cached instance on the second call")
+	}
+	if PlanFor(n) != p64 {
+		t.Error("building the float32 plan evicted or replaced the float64 plan")
+	}
+	if p64.n != n || p32a.n != n {
+		t.Errorf("tier lengths diverge from %d: %d vs %d", n, p64.n, p32a.n)
+	}
+}
+
+// TestPlan32MatchesFloat64 cross-checks the single-precision transform
+// against the double-precision one on identical data: agreement to
+// float32 rounding, for both directions.
+func TestPlan32MatchesFloat64(t *testing.T) {
+	const n = 128
+	x64 := randComplex[complex128](n, 7)
+	x32 := make([]complex64, n)
+	for i := range x64 {
+		x32[i] = complex64(x64[i])
+	}
+	PlanFor(n).Forward(x64)
+	PlanFor32(n).Forward(x32)
+	for i := range x64 {
+		if d := cmplx.Abs(x64[i] - complex128(x32[i])); d > 1e-3 { // spectra have magnitude ~√n ≈ 11; 1e-3 ≈ 100× f32 eps headroom
+			t.Fatalf("forward bin %d: |Δ| = %g > 1e-3", i, d)
+		}
+	}
+}
+
+// TestPlan32TwiddlesAreRoundedFloat64 pins what the one generic plan
+// source promises the float32 tier: every Plan32 twiddle is the float64
+// table entry rounded once, not a value computed in single precision.
+func TestPlan32TwiddlesAreRoundedFloat64(t *testing.T) {
+	for _, n := range []int{2, 8, 1024} {
+		p64, p32 := PlanFor(n), PlanFor32(n)
+		if len(p32.twF) != len(p64.twF) || len(p32.twI) != len(p64.twI) {
+			t.Fatalf("n=%d: table lengths differ", n)
+		}
+		for k := range p64.twF {
+			if p32.twF[k] != complex64(p64.twF[k]) || p32.twI[k] != complex64(p64.twI[k]) {
+				t.Fatalf("n=%d: twiddle %d is not complex64 of the float64 entry", n, k)
+			}
+		}
+	}
 }
 
 func TestFreqIndex(t *testing.T) {

@@ -247,9 +247,6 @@ type Ctx struct {
 	server *Server
 }
 
-// Context returns the cancellation context the flow was started with.
-func (c *Ctx) Context() context.Context { return c.ctx }
-
 // Start begins a flow run on the given environment. ctx bounds the whole
 // run: tasks stop retrying once it is done (nil means context.Background).
 func (s *Server) Start(ctx context.Context, flowName string, env Env) *Ctx {
@@ -277,10 +274,6 @@ func (s *Server) Start(ctx context.Context, flowName string, env Env) *Ctx {
 	}
 	return &Ctx{Env: env, Run: run, ctx: ctx, server: s}
 }
-
-// Span returns the run's root span, for flow bodies that want to record
-// stages outside any task.
-func (c *Ctx) Span() *trace.Span { return c.Run.Trace }
 
 // Outcome labels under the fault taxonomy, as exported to the metrics
 // registry.

@@ -59,10 +59,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module path the loader resolves internal imports
-// against.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 func modulePath(gomod string) (string, error) {
 	raw, err := os.ReadFile(gomod)
 	if err != nil {

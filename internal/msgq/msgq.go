@@ -1,7 +1,6 @@
 // Package msgq implements the messaging patterns the paper wires its
 // streaming results and control plane with (ZeroMQ's role): PUSH/PULL
-// pipelines, PUB/SUB fan-out with a high-water mark that drops rather than
-// blocks, and REQ/REP round trips — all over plain TCP with 4-byte
+// pipelines and REQ/REP round trips — all over plain TCP with 4-byte
 // length-prefixed frames.
 package msgq
 
@@ -221,169 +220,6 @@ func (p *Pull) Close() error {
 	p.mu.Unlock()
 	return p.ln.Close()
 }
-
-// Pub is a fan-out publisher with per-subscriber high-water marks:
-// a slow subscriber loses frames instead of stalling the beamline.
-type Pub struct {
-	ln  net.Listener
-	hwm int
-
-	mu      sync.Mutex
-	subs    map[int]*subscriber // guarded by mu
-	nextID  int                 // guarded by mu
-	dropped int                 // guarded by mu
-	closed  bool                // guarded by mu
-}
-
-type subscriber struct {
-	ch chan []byte
-}
-
-// NewPub listens on addr with the given per-subscriber buffer (high-water
-// mark; minimum 1).
-func NewPub(addr string, hwm int) (*Pub, error) {
-	if hwm < 1 {
-		hwm = 1
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	p := &Pub{ln: ln, hwm: hwm, subs: map[int]*subscriber{}}
-	go p.acceptLoop()
-	return p, nil
-}
-
-// Addr returns the bound address.
-func (p *Pub) Addr() string { return p.ln.Addr().String() }
-
-func (p *Pub) acceptLoop() {
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		sub := &subscriber{ch: make(chan []byte, p.hwm)}
-		p.mu.Lock()
-		p.nextID++
-		id := p.nextID
-		p.subs[id] = sub
-		p.mu.Unlock()
-		go func() {
-			defer func() {
-				conn.Close()
-				p.mu.Lock()
-				delete(p.subs, id)
-				p.mu.Unlock()
-			}()
-			for frame := range sub.ch {
-				if err := writeFrame(conn, frame); err != nil {
-					return
-				}
-			}
-		}()
-	}
-}
-
-// Publish sends a topic-tagged frame to every subscriber, dropping for
-// those at their high-water mark.
-func (p *Pub) Publish(topic string, payload []byte) error {
-	frame := make([]byte, 0, len(topic)+1+len(payload))
-	frame = append(frame, topic...)
-	frame = append(frame, 0)
-	frame = append(frame, payload...)
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	for _, sub := range p.subs {
-		select {
-		case sub.ch <- frame:
-		default:
-			p.dropped++ // HWM reached: drop, never block
-		}
-	}
-	return nil
-}
-
-// Subscribers returns the current subscriber count.
-func (p *Pub) Subscribers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.subs)
-}
-
-// Dropped returns the number of frames dropped at high-water marks.
-func (p *Pub) Dropped() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dropped
-}
-
-// Close shuts down the publisher and all subscriber channels.
-func (p *Pub) Close() error {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		for id, sub := range p.subs {
-			close(sub.ch)
-			delete(p.subs, id)
-		}
-	}
-	p.mu.Unlock()
-	return p.ln.Close()
-}
-
-// Sub is a subscriber filtering on a topic prefix.
-type Sub struct {
-	conn   net.Conn
-	prefix string
-}
-
-// NewSub connects to a Pub and filters to topics with the given prefix
-// (empty subscribes to everything).
-func NewSub(addr, topicPrefix string) (*Sub, error) {
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	return &Sub{conn: conn, prefix: topicPrefix}, nil
-}
-
-// Recv returns the next (topic, payload) matching the subscription,
-// blocking up to timeout (0 = forever).
-func (s *Sub) Recv(timeout time.Duration) (string, []byte, error) {
-	for {
-		if timeout > 0 {
-			s.conn.SetReadDeadline(time.Now().Add(timeout))
-		} else {
-			s.conn.SetReadDeadline(time.Time{})
-		}
-		frame, err := readFrame(s.conn)
-		if err != nil {
-			return "", nil, err
-		}
-		sep := -1
-		for i, b := range frame {
-			if b == 0 {
-				sep = i
-				break
-			}
-		}
-		if sep < 0 {
-			continue // malformed frame; skip
-		}
-		topic := string(frame[:sep])
-		if len(topic) >= len(s.prefix) && topic[:len(s.prefix)] == s.prefix {
-			return topic, frame[sep+1:], nil
-		}
-	}
-}
-
-// Close closes the subscription.
-func (s *Sub) Close() error { return s.conn.Close() }
 
 // Rep serves request/reply: handler is invoked per request frame and its
 // return value is sent back on the same connection.

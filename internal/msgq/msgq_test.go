@@ -202,77 +202,6 @@ func TestPushReconnects(t *testing.T) {
 	}
 }
 
-func TestPubSubTopicFilter(t *testing.T) {
-	pub, err := NewPub("127.0.0.1:0", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	subAll, _ := NewSub(pub.Addr(), "")
-	defer subAll.Close()
-	subPrev, _ := NewSub(pub.Addr(), "preview")
-	defer subPrev.Close()
-	waitSubs(t, pub, 2)
-
-	pub.Publish("status", []byte("s1"))
-	pub.Publish("preview/xy", []byte("p1"))
-
-	// subAll sees both.
-	tp, _, err := subAll.Recv(2 * time.Second)
-	if err != nil || tp != "status" {
-		t.Fatalf("subAll first: %v %v", tp, err)
-	}
-	tp, body, err := subAll.Recv(2 * time.Second)
-	if err != nil || tp != "preview/xy" || string(body) != "p1" {
-		t.Fatalf("subAll second: %v %q %v", tp, body, err)
-	}
-	// subPrev sees only the preview.
-	tp, body, err = subPrev.Recv(2 * time.Second)
-	if err != nil || tp != "preview/xy" || string(body) != "p1" {
-		t.Fatalf("subPrev: %v %q %v", tp, body, err)
-	}
-}
-
-func waitSubs(t *testing.T, pub *Pub, n int) {
-	t.Helper()
-	waitFor(t, 2*time.Second, fmt.Sprintf("%d subscribers", n), func() bool {
-		return pub.Subscribers() >= n
-	})
-}
-
-func TestPubHWMDropsNotBlocks(t *testing.T) {
-	pub, _ := NewPub("127.0.0.1:0", 1)
-	defer pub.Close()
-	sub, _ := NewSub(pub.Addr(), "")
-	defer sub.Close()
-	waitSubs(t, pub, 1)
-
-	// Publish a burst without the subscriber reading: must not block.
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 100; i++ {
-			pub.Publish("t", []byte{byte(i)})
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("publish blocked on slow subscriber")
-	}
-	if pub.Dropped() == 0 {
-		t.Fatal("expected drops at HWM")
-	}
-}
-
-func TestPublishAfterClose(t *testing.T) {
-	pub, _ := NewPub("127.0.0.1:0", 1)
-	pub.Close()
-	if err := pub.Publish("t", nil); err != ErrClosed {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestReqRep(t *testing.T) {
 	rep, err := NewRep("127.0.0.1:0", func(req []byte) []byte {
 		return append([]byte("echo:"), req...)

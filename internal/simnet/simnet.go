@@ -14,11 +14,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Bandwidth constants in bytes per second.
-const (
-	Gbps = 1e9 / 8
-	Mbps = 1e6 / 8
-)
+// Gbps is one gigabit per second in bytes per second.
+const Gbps = 1e9 / 8
 
 // DefaultChunkBytes is the granularity at which concurrent transfers
 // interleave on a link.

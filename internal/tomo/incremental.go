@@ -225,14 +225,6 @@ func NewIncrementalPreview(nrows, ncols, size int, filter Filter) (*IncrementalP
 	return ip, nil
 }
 
-// Reset clears every accumulator for the next scan.
-func (ip *IncrementalPreview) Reset() {
-	ip.full.Reset()
-	for _, ir := range ip.rows {
-		ir.Reset()
-	}
-}
-
 // Angles reports how many projections have been accumulated.
 func (ip *IncrementalPreview) Angles() int { return ip.full.Angles() }
 

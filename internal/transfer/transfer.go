@@ -56,15 +56,6 @@ type Task struct {
 // Duration returns the task's wall-clock (virtual) duration.
 func (t *Task) Duration() time.Duration { return t.Completed.Sub(t.Submitted) }
 
-// EffectiveBandwidth returns achieved bytes/second (0 for instant tasks).
-func (t *Task) EffectiveBandwidth() float64 {
-	d := t.Duration().Seconds()
-	if d <= 0 {
-		return 0
-	}
-	return float64(t.Bytes) / d
-}
-
 // FaultFunc may return an error to inject a failure for a path; nil means
 // no fault. It is consulted once per file per attempt.
 type FaultFunc func(task *Task, path string, attempt int) error

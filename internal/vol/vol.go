@@ -201,23 +201,6 @@ func (v *Volume) OrthoSlices() (xy, xz, yz *Image) {
 	return xy, xz, yz
 }
 
-// MinMax returns the minimum and maximum voxel values.
-func (v *Volume) MinMax() (lo, hi float64) {
-	if len(v.Data) == 0 {
-		return 0, 0
-	}
-	lo, hi = v.Data[0], v.Data[0]
-	for _, x := range v.Data {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // Downsample2 box-averages the volume by 2 in every axis, producing the
 // next level of a multiscale pyramid.
 func (v *Volume) Downsample2() *Volume {

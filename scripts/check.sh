@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the same gate as `make check`, for environments without make:
-# formatting, static analysis, build, the race-enabled test suite, a fuzz
-# smoke pass over the codec round-trip targets, and per-package coverage
-# floors on the layers the tracing work leans on.
+# formatting, static analysis, build, the race-enabled test suite, the
+# benchmark module's own vet/tests/smoke run, a fuzz smoke pass over the
+# codec round-trip targets, and per-package coverage floors on the layers
+# the tracing work leans on.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -47,22 +48,25 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== bench module (vet, tests, smoke run) =="
+# bench/ is its own module, so the root vet/test above never compile it.
+# Its parity tests and smoke run are the only steps that notice an
+# internal/ change breaking the benchmark BENCHMARK.json declares.
+go -C bench vet ./...
+go -C bench test ./...
+# The smoke run exits 0 whatever it measured; its last line is the result
+# record, and "correct" is false when any operation's output check failed.
+if ! bash bench/run.sh -smoke | tail -n 1 | grep -q '"correct":true'; then
+	echo "bench smoke did not end in a correct result record"
+	exit 1
+fi
+echo "bench smoke: every driver ran, outputs correct"
+
 echo "== smoke bench (1 iteration per benchmark) =="
 # One untimed pass over the root benchmark suite: catches benchmarks that
-# panic, allocate unexpectedly, or regress API without paying for a real
-# measurement run (scripts/bench.sh does that).
+# panic or regress API without paying for a measurement run (bench/run.sh
+# does that).
 go test -run '^$' -bench . -benchtime 1x -short .
-
-echo "== bench compare smoke (guarded benchmarks vs BENCH_PR6.json) =="
-# A quick timed pass over just the regression-guarded benchmarks, compared
-# against the committed snapshot with a loose tolerance: catches gross
-# perf regressions (2x-style) without the noise sensitivity of the tight
-# 15% gate that perf PRs run via scripts/bench.sh --compare.
-bdir=$(mktemp -d)
-BENCH_TIME=200ms BENCH_FILTER='BenchmarkStreamingPreview$|BenchmarkReconAlgorithms/^fbp$' \
-	BENCH_COMPARE_PCT=${BENCH_COMPARE_PCT:-60} \
-	scripts/bench.sh --compare BENCH_PR6.json "$bdir/bench_smoke.json"
-rm -rf "$bdir"
 
 echo "== obslog determinism (two campaign runs, byte-identical journals) =="
 # The event journal is stamped purely from the sim clock, so two runs of
