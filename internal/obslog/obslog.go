@@ -152,20 +152,26 @@ type Sink interface {
 // All methods are nil-safe: a nil *Journal accepts and drops everything,
 // so instrumented layers log unconditionally.
 type Journal struct {
-	mu      sync.Mutex
-	clock   Clock
-	min     Level   // guarded by mu
-	ring    []Event // guarded by mu
-	next    uint64  // guarded by mu; next sequence number (first event is 1)
-	head    int     // guarded by mu; ring index of the oldest retained event
-	count   int     // guarded by mu; retained events
-	evicted uint64  // guarded by mu
-	sinks   []Sink  // guarded by mu
+	mu       sync.Mutex
+	clock    Clock
+	capacity int
+	min      Level     // guarded by mu
+	ring     [][]Event // guarded by mu; ringChunk-event chunks, added on demand up to capacity
+	next     uint64    // guarded by mu; next sequence number (first event is 1)
+	head     int       // guarded by mu; ring index of the oldest retained event
+	count    int       // guarded by mu; retained events
+	evicted  uint64    // guarded by mu
+	sinks    []Sink    // guarded by mu
 }
 
 // DefaultCapacity is the ring size New uses when given a non-positive
 // capacity: enough for a full simulated campaign.
 const DefaultCapacity = 1 << 16
+
+// ringChunk is how many events the ring grows by. Chunks are allocated as
+// events arrive and never move, so a journal costs what it retains rather
+// than its bound.
+const ringChunk = 1 << 10
 
 // New creates a journal stamping through clock with the given ring
 // capacity (DefaultCapacity when cap <= 0). The minimum level starts at
@@ -174,7 +180,24 @@ func New(clock Clock, capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Journal{clock: clock, ring: make([]Event, 0, capacity)}
+	return &Journal{clock: clock, capacity: capacity}
+}
+
+// slotLocked returns the i-th oldest retained event; every ring index
+// goes through it.
+func (j *Journal) slotLocked(i int) *Event {
+	if i += j.head; i >= j.capacity {
+		i -= j.capacity
+	}
+	return &j.ring[i/ringChunk][i%ringChunk]
+}
+
+// growLocked makes room for one more event while the ring is below its
+// capacity.
+func (j *Journal) growLocked() {
+	if have := len(j.ring) * ringChunk; j.count == have {
+		j.ring = append(j.ring, make([]Event, min(ringChunk, j.capacity-have)))
+	}
 }
 
 // SetLevel drops events below min from the journal and its sinks.
@@ -201,8 +224,8 @@ func (j *Journal) AddSink(s Sink) {
 // the run ID and active span from ctx. Events below the minimum level are
 // dropped. Nil journals drop everything.
 //
-// The ring never reallocates: the fill phase stores through a reslice of
-// the backing array New made, and the steady state overwrites in place.
+// A full ring overwrites in place; a filling one allocates only when it
+// starts a new chunk (growLocked).
 //
 //perf:hot
 func (j *Journal) Emit(ctx context.Context, level Level, component, msg string, fields ...Field) {
@@ -218,21 +241,22 @@ func (j *Journal) Emit(ctx context.Context, level Level, component, msg string, 
 		return
 	}
 	j.next++
-	e := Event{
+	if j.count < j.capacity {
+		j.growLocked()
+		j.count++
+	} else {
+		if j.head++; j.head == j.capacity {
+			j.head = 0
+		}
+		j.evicted++
+	}
+	e := j.slotLocked(j.count - 1)
+	*e = Event{
 		Seq: j.next, Time: j.clock.Now(), Level: level,
 		Component: component, Msg: msg, Run: run, Tenant: tenant, Span: span, Fields: fields,
 	}
-	if j.count < cap(j.ring) {
-		j.ring = j.ring[:j.count+1]
-		j.ring[j.count] = e
-		j.count++
-	} else {
-		j.ring[j.head] = e
-		j.head = (j.head + 1) % cap(j.ring)
-		j.evicted++
-	}
 	for _, s := range j.sinks {
-		s.Write(e)
+		s.Write(*e)
 	}
 }
 
@@ -252,7 +276,7 @@ type Filter struct {
 	Limit int
 }
 
-func (f Filter) match(e Event) bool {
+func (f Filter) match(e *Event) bool {
 	if e.Level < f.MinLevel {
 		return false
 	}
@@ -268,6 +292,42 @@ func (f Filter) match(e Event) bool {
 	return e.Seq > f.AfterSeq
 }
 
+// countLocked returns how many retained events match f, ignoring f.Limit.
+func (j *Journal) countLocked(f Filter) int {
+	if f == (Filter{}) {
+		return j.count
+	}
+	n := 0
+	for i := 0; i < j.count; i++ {
+		if f.match(j.slotLocked(i)) {
+			n++
+		}
+	}
+	return n
+}
+
+// visitLocked calls fn on the retained events matching f, oldest first —
+// only the newest f.Limit of them when a limit is set. Every reader of
+// the ring (Events, WriteJSONL, Digest) is this one walk; none copies the
+// ring to traverse it.
+func (j *Journal) visitLocked(f Filter, fn func(*Event)) {
+	skip := 0
+	if f.Limit > 0 {
+		skip = max(j.countLocked(f)-f.Limit, 0)
+	}
+	for i := 0; i < j.count; i++ {
+		e := j.slotLocked(i)
+		if !f.match(e) {
+			continue
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		fn(e)
+	}
+}
+
 // Events returns the retained events matching f, oldest first.
 func (j *Journal) Events(f Filter) []Event {
 	if j == nil {
@@ -275,16 +335,12 @@ func (j *Journal) Events(f Filter) []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Event, 0, j.count)
-	for i := 0; i < j.count; i++ {
-		e := j.ring[(j.head+i)%cap(j.ring)]
-		if f.match(e) {
-			out = append(out, e)
-		}
+	n := j.countLocked(f)
+	if f.Limit > 0 {
+		n = min(n, f.Limit)
 	}
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[len(out)-f.Limit:]
-	}
+	out := make([]Event, 0, n)
+	j.visitLocked(f, func(e *Event) { out = append(out, *e) })
 	return out
 }
 

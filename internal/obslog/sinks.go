@@ -1,7 +1,7 @@
 package obslog
 
 import (
-	"encoding/json"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"strings"
@@ -50,33 +50,90 @@ func (s *TextSink) Write(e Event) {
 // JSONLSink streams every accepted event as one JSON object per line —
 // the machine-readable form the determinism gate compares byte for byte.
 type JSONLSink struct {
-	enc *json.Encoder
+	enc lineEncoder
 }
 
 // NewJSONLSink returns a JSONL sink writing to w.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
+	return &JSONLSink{enc: lineEncoder{w: w}}
 }
 
-// Write encodes one event as a JSON line. Field order follows the Event
-// struct, so identical journals encode to identical bytes.
+// Write encodes one event as a JSON line and writes it through. Field
+// order follows the Event struct, so identical journals encode to
+// identical bytes.
 func (s *JSONLSink) Write(e Event) {
-	if s == nil || s.enc == nil {
+	if s == nil || s.enc.w == nil {
 		return
 	}
-	s.enc.Encode(e)
+	if s.enc.encode(&e) == nil {
+		s.enc.flush()
+	}
 }
 
 // WriteJSONL dumps the retained events matching f to w, one JSON object
 // per line, oldest first. Two journals with identical contents produce
 // identical bytes — the property scripts/check.sh's determinism stage
-// asserts across sim runs.
+// asserts across sim runs. Like a Sink, w is written with the journal
+// lock held and must not call back into the journal.
 func (j *Journal) WriteJSONL(w io.Writer, f Filter) error {
-	enc := json.NewEncoder(w)
-	for _, e := range j.Events(f) {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("obslog: encode event %d: %w", e.Seq, err)
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.writeJSONLLocked(w, f, nil)
+}
+
+// writeJSONLLocked is WriteJSONL under the lock; seen, when non-nil, is
+// also shown every event written.
+func (j *Journal) writeJSONLLocked(w io.Writer, f Filter, seen func(*Event)) error {
+	enc := lineEncoder{w: w}
+	var err error
+	j.visitLocked(f, func(e *Event) {
+		if err != nil {
+			return
 		}
+		if seen != nil {
+			seen(e)
+		}
+		if err = enc.encode(e); err != nil {
+			err = fmt.Errorf("obslog: encode event %d: %w", e.Seq, err)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if err := enc.flush(); err != nil {
+		return fmt.Errorf("obslog: write events: %w", err)
 	}
 	return nil
+}
+
+// Digest summarizes the retained events in one pass under one lock: how
+// many there are and per component, the sequence and eviction counters,
+// and the SHA-256 of the JSONL dump WriteJSONL(w, Filter{}) would write —
+// the fingerprint seeded replays are compared by.
+type Digest struct {
+	Events     int
+	LastSeq    uint64
+	Evicted    uint64
+	Components map[string]int
+	SHA256     [sha256.Size]byte
+}
+
+// Digest computes the journal's Digest. A nil journal digests as empty.
+func (j *Journal) Digest() (Digest, error) {
+	h := sha256.New()
+	d := Digest{Components: map[string]int{}}
+	if j != nil {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		d.Events, d.LastSeq, d.Evicted = j.count, j.next, j.evicted
+		err := j.writeJSONLLocked(h, Filter{}, func(e *Event) { d.Components[e.Component]++ })
+		if err != nil {
+			return d, err
+		}
+	}
+	h.Sum(d.SHA256[:0])
+	return d, nil
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -167,30 +166,22 @@ func parseLevel(s string) (obslog.Level, bool) {
 
 // digestJournal builds the journal digest over every retained event.
 func digestJournal(j *obslog.Journal) JournalDigest {
-	d := JournalDigest{
-		Events:  j.Len(),
-		LastSeq: j.LastSeq(),
-		Evicted: j.Evicted(),
-	}
-	counts := map[string]int{}
-	for _, e := range j.Events(obslog.Filter{}) {
-		counts[e.Component]++
-	}
-	names := make([]string, 0, len(counts))
-	for name := range counts {
+	jd, err := j.Digest()
+	d := JournalDigest{Events: jd.Events, LastSeq: jd.LastSeq, Evicted: jd.Evicted}
+	names := make([]string, 0, len(jd.Components))
+	for name := range jd.Components {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		d.Components = append(d.Components, ComponentCount{Component: name, Events: counts[name]})
+		d.Components = append(d.Components, ComponentCount{Component: name, Events: jd.Components[name]})
 	}
-	h := sha256.New()
-	if err := j.WriteJSONL(h, obslog.Filter{}); err != nil {
-		// Events marshal unconditionally; keep the digest honest anyway.
+	if err != nil {
+		// Events encode unconditionally; keep the digest honest anyway.
 		d.SHA256 = "error:" + err.Error()
 		return d
 	}
-	d.SHA256 = fmt.Sprintf("%x", h.Sum(nil))
+	d.SHA256 = fmt.Sprintf("%x", jd.SHA256)
 	return d
 }
 

@@ -9,53 +9,108 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
 
-// event is a scheduled wakeup in the virtual timeline.
+// event is a scheduled wakeup of one process. A process waits on at most
+// one thing at a time — a Sleep, a Signal or a Resource — so every Proc
+// owns exactly one event and reuses it for each wait.
 type event struct {
 	at   time.Time
-	seq  int64 // tie-break: FIFO among same-time events
-	wake chan struct{}
+	key  time.Duration // at as an offset from the engine's epoch: the heap key
+	seq  int64         // tie-break: FIFO among same-time events
+	proc *Proc
 }
 
+// before orders events by (time, scheduling order). Comparing the epoch
+// offsets is comparing the times: every event time is the epoch plus the
+// sleeps that led to it.
+func (ev *event) before(o *event) bool {
+	return ev.key < o.key || (ev.key == o.key && ev.seq < o.seq)
+}
+
+// eventQueue is a binary min-heap of events under before.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
-	}
-	return q[i].seq < q[j].seq
+func (q *eventQueue) push(ev *event) {
+	*q = append(*q, ev)
+	q.up(len(*q) - 1)
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// pop removes and returns the earliest event.
+//
+//perf:hot
+func (q *eventQueue) pop() *event {
+	h := *q
+	n := len(h) - 1
+	ev := h[0]
+	h[0], h[n] = h[n], nil
+	*q = h[:n]
+	q.down(0)
+	return ev
+}
+
+//perf:hot
+func (q eventQueue) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(q[parent]) {
+			return
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+//perf:hot
+func (q eventQueue) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			return
+		}
+		if c+1 < len(q) && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(q[i]) {
+			return
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
 }
 
 // Engine owns the virtual clock and the event queue. Create with New, add
 // processes with Go, then call Run.
+//
+// Exactly one goroutine at a time is "the sim thread": RunUntil's caller
+// until it dispatches the first event, then whichever process is running.
+// A process that blocks dispatches the next event itself and wakes that
+// event's process directly; control returns to RunUntil only when the run
+// stops. Each hand-off is a channel send, so everything the sim thread
+// wrote is visible to the next goroutine to hold the role.
 type Engine struct {
+	epoch time.Time
+	// The clock is kept twice: clock belongs to the sim thread like the
+	// rest of the engine, now is the copy Now hands to everyone else.
+	clock  time.Time
 	nowMu  sync.Mutex // guards now against readers outside the sim thread
 	now    time.Time  // guarded by nowMu
 	events eventQueue
 	seq    int64
-	yield  chan struct{} // the running process signals here when it blocks or ends
-	live   int           // processes started and not yet finished
+	limit  time.Duration // offset of RunUntil's deadline: events after it stay queued
+	// stopped is signalled by the process that finds nothing left to
+	// dispatch. Buffered so that process can finish without a rendezvous.
+	stopped chan struct{}
+	live    int // processes started and not yet finished
 }
 
 // New creates an engine whose clock starts at epoch.
 func New(epoch time.Time) *Engine {
-	return &Engine{now: epoch, yield: make(chan struct{})}
+	return &Engine{epoch: epoch, clock: epoch, now: epoch, stopped: make(chan struct{}, 1)}
 }
 
 // Now returns the current virtual time. Unlike the rest of the engine it
@@ -68,22 +123,37 @@ func (e *Engine) Now() time.Time {
 	return e.now
 }
 
-// setNow advances the clock under the lock that external Now readers take.
+// setNow advances the clock: the sim thread's copy, and under its lock the
+// copy external Now readers take.
 func (e *Engine) setNow(t time.Time) {
+	e.clock = t
 	e.nowMu.Lock()
 	e.now = t
 	e.nowMu.Unlock()
 }
 
-// schedule pushes a wakeup at time t and returns its channel.
-func (e *Engine) schedule(at time.Time) *event {
-	if now := e.Now(); at.Before(now) {
-		at = now
-	}
+// schedule queues ev for time at, behind every event already queued for
+// that time.
+//
+//perf:hot
+func (e *Engine) schedule(ev *event, at time.Time) {
 	e.seq++
-	ev := &event{at: at, seq: e.seq, wake: make(chan struct{})}
-	heap.Push(&e.events, ev)
-	return ev
+	ev.at, ev.key, ev.seq = at, at.Sub(e.epoch), e.seq
+	e.events.push(ev)
+}
+
+// dispatch pops the next event, advances the clock to it and returns its
+// process — or nil when the run must stop: the queue is empty or the next
+// event lies past RunUntil's deadline.
+//
+//perf:hot
+func (e *Engine) dispatch() *Proc {
+	if len(e.events) == 0 || e.events[0].key > e.limit {
+		return nil
+	}
+	ev := e.events.pop()
+	e.setNow(ev.at)
+	return ev.proc
 }
 
 // Proc is the handle a simulated process uses to interact with virtual
@@ -91,7 +161,11 @@ func (e *Engine) schedule(at time.Time) *event {
 type Proc struct {
 	e    *Engine
 	Name string
-	done *Signal
+	done Signal
+	ev   event
+	// wake receives one token each time ev is dispatched by another
+	// goroutine. Buffered: the waker never waits for this process to park.
+	wake chan struct{}
 }
 
 // Go starts a new simulated process. fn runs in its own goroutine but is
@@ -99,19 +173,32 @@ type Proc struct {
 // Resource/Signal, which use them). The returned Signal fires when fn
 // returns.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Signal {
-	p := &Proc{e: e, Name: name, done: NewSignal(e)}
+	p := &Proc{e: e, Name: name, done: Signal{e: e}, wake: make(chan struct{}, 1)}
+	p.ev.proc = p
 	e.live++
-	ev := e.schedule(e.Now())
+	e.schedule(&p.ev, e.clock)
 	go func() {
-		<-ev.wake
+		<-p.wake
 		defer func() {
 			e.live--
 			p.done.Fire()
-			e.yield <- struct{}{}
+			e.handOff(e.dispatch())
 		}()
 		fn(p)
 	}()
-	return p.done
+	return &p.done
+}
+
+// handOff passes the sim thread to next, or back to RunUntil when the run
+// has stopped. The caller must not touch engine state afterwards.
+//
+//perf:hot
+func (e *Engine) handOff(next *Proc) {
+	if next == nil {
+		e.stopped <- struct{}{}
+		return
+	}
+	next.wake <- struct{}{}
 }
 
 // Run executes events until the queue is empty, returning the final
@@ -122,18 +209,20 @@ func (e *Engine) Run() time.Time {
 
 // RunUntil executes events until the queue is empty or the next event is
 // after deadline (a zero deadline means run to completion). The clock is
-// left at the last executed event (or the deadline, if later).
+// left at the last executed event (or the deadline, if later). Events past
+// the deadline stay queued: a later RunUntil or Run resumes them.
 func (e *Engine) RunUntil(deadline time.Time) time.Time {
-	for e.events.Len() > 0 {
-		ev := e.events[0]
-		if !deadline.IsZero() && ev.at.After(deadline) {
-			e.setNow(deadline)
-			return e.Now()
-		}
-		heap.Pop(&e.events)
-		e.setNow(ev.at)
-		ev.wake <- struct{}{}
-		<-e.yield
+	e.limit = math.MaxInt64
+	if !deadline.IsZero() {
+		e.limit = deadline.Sub(e.epoch)
+	}
+	if first := e.dispatch(); first != nil {
+		first.wake <- struct{}{}
+		<-e.stopped
+	}
+	if len(e.events) > 0 {
+		e.setNow(deadline)
+		return deadline
 	}
 	if e.live > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d live processes with empty event queue", e.live))
@@ -142,20 +231,36 @@ func (e *Engine) RunUntil(deadline time.Time) time.Time {
 }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() time.Time { return p.e.Now() }
+func (p *Proc) Now() time.Time { return p.e.clock }
 
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.e }
 
+// park blocks the process until its event, which the caller has queued or
+// left with a Signal or Resource, is dispatched. The process gives the sim
+// thread to the next event's process first — and keeps it, without
+// touching a channel, when that event is its own.
+//
+//perf:hot
+func (p *Proc) park() {
+	next := p.e.dispatch()
+	if next == p {
+		return
+	}
+	p.e.handOff(next)
+	<-p.wake
+}
+
 // Sleep suspends the process for d of virtual time (non-positive d yields
 // the scheduler without advancing the clock).
+//
+//perf:hot
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	ev := p.e.schedule(p.e.Now().Add(d))
-	p.e.yield <- struct{}{}
-	<-ev.wake
+	p.e.schedule(&p.ev, p.e.clock.Add(d))
+	p.park()
 }
 
 // Signal is a one-shot level-triggered event: Wait blocks until Fire has
@@ -172,19 +277,15 @@ func NewSignal(e *Engine) *Signal {
 }
 
 // Fire triggers the signal, waking all current waiters at the current
-// virtual time. Firing twice is a no-op.
+// virtual time, in the order they began waiting. Firing twice is a no-op.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
-	now := s.e.Now()
+	now := s.e.clock
 	for _, w := range s.waiters {
-		// Reschedule each waiter as a fresh event at the fire time.
-		w.at = now
-		s.e.seq++
-		w.seq = s.e.seq
-		heap.Push(&s.e.events, w)
+		s.e.schedule(w, now)
 	}
 	s.waiters = nil
 }
@@ -197,11 +298,8 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	s.e.seq++
-	ev := &event{at: s.e.Now(), seq: s.e.seq, wake: make(chan struct{})}
-	s.waiters = append(s.waiters, ev)
-	p.e.yield <- struct{}{}
-	<-ev.wake
+	s.waiters = append(s.waiters, &p.ev)
+	p.park()
 }
 
 // WaitAll blocks until every signal has fired.
@@ -247,14 +345,11 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.e.seq++
-	ev := &event{at: r.e.Now(), seq: r.e.seq, wake: make(chan struct{})}
-	r.queue = append(r.queue, ev)
+	r.queue = append(r.queue, &p.ev)
 	if len(r.queue) > r.PeakQueue {
 		r.PeakQueue = len(r.queue)
 	}
-	p.e.yield <- struct{}{}
-	<-ev.wake
+	p.park()
 	// The releaser transferred its slot to us: inUse stays constant.
 }
 
@@ -263,10 +358,7 @@ func (r *Resource) Release() {
 	if len(r.queue) > 0 {
 		next := r.queue[0]
 		r.queue = r.queue[1:]
-		next.at = r.e.Now()
-		r.e.seq++
-		next.seq = r.e.seq
-		heap.Push(&r.e.events, next)
+		r.e.schedule(next, r.e.clock)
 		return // slot handed directly to the waiter
 	}
 	r.inUse--

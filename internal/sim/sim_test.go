@@ -289,6 +289,8 @@ func TestCapacityFloor(t *testing.T) {
 }
 
 func BenchmarkEngine10kEvents(b *testing.B) {
+	b.ReportAllocs()
+	defer func() { b.ReportMetric(1e4*float64(b.N)/b.Elapsed().Seconds(), "events/s") }()
 	for i := 0; i < b.N; i++ {
 		e := New(epoch)
 		for j := 0; j < 100; j++ {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"sort"
 	"time"
 
 	"repro/internal/obslog"
@@ -65,29 +66,69 @@ type Transition struct {
 // scenario produces, it only guards pathological flapping.
 const maxTransitions = 4096
 
+// boundRule is a declared rule with its window defaulted and its series
+// resolved, so evaluating it needs neither Config nor the store. series
+// is nil until the series exists; such a rule never fires.
+type boundRule struct {
+	Rule
+	series *series
+}
+
+// facilityRules is the scoring unit: one facility, its rules in
+// declaration order, and its current state.
+type facilityRules struct {
+	name   string
+	rules  []*boundRule
+	health *FacilityHealth // nil until the first scoring tick
+	// fired backs health.Reasons; its capacity is len(rules), so a tick
+	// reslices it and never grows it.
+	fired []string
+}
+
 // AddRules declares scoring clauses. Rule order is evaluation order, so
 // reasons come out in a stable, declared sequence.
 func (pl *Plane) AddRules(rules ...Rule) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	pl.rules = append(pl.rules, rules...)
+	for _, r := range rules {
+		fr := pl.facilityLocked(r.Facility)
+		fr.rules = append(fr.rules, pl.bindLocked(r))
+		fr.fired = make([]string, 0, len(fr.rules))
+	}
 }
 
-// evalRuleLocked reports whether the rule fires at now.
-func (pl *Plane) evalRuleLocked(r Rule, now time.Time) bool {
-	s := pl.store[seriesKey(r.Series, r.Facility)]
-	if s == nil {
+// bindLocked defaults the rule's window and resolves its series if it
+// already exists; ensureLocked resolves it later otherwise.
+func (pl *Plane) bindLocked(r Rule) *boundRule {
+	if r.Window <= 0 {
+		r.Window = pl.cfg.DefaultWindow
+	}
+	return &boundRule{Rule: r, series: pl.store[seriesKey(r.Series, r.Facility)]}
+}
+
+// facilityLocked returns the scoring unit for a facility, inserting it at
+// its sorted position on first use — scoring sweeps pl.scored in order.
+func (pl *Plane) facilityLocked(name string) *facilityRules {
+	i := sort.Search(len(pl.scored), func(i int) bool { return pl.scored[i].name >= name })
+	if i == len(pl.scored) || pl.scored[i].name != name {
+		pl.scored = append(pl.scored, nil)
+		copy(pl.scored[i+1:], pl.scored[i:])
+		pl.scored[i] = &facilityRules{name: name}
+	}
+	return pl.scored[i]
+}
+
+// evalRule reports whether the rule fires at now.
+//
+//perf:hot
+func evalRule(r *boundRule, now time.Time) bool {
+	if r.series == nil {
 		return false
 	}
-	w := r.Window
-	if w <= 0 {
-		w = pl.cfg.DefaultWindow
-	}
-	pts := s.window(now, w)
-	if len(pts) == 0 {
+	agg := r.series.reduce(now, r.Window)
+	if agg.Count == 0 {
 		return false
 	}
-	agg := aggregate(pts)
 	var v float64
 	switch r.Agg {
 	case "", "last":
@@ -122,16 +163,19 @@ func (pl *Plane) evalRuleLocked(r Rule, now time.Time) bool {
 // and journaling verdict transitions. Facilities are swept in sorted
 // order and rules in declaration order, keeping the timeline
 // deterministic.
+//
+//perf:hot
 func (pl *Plane) scoreLocked(ctx context.Context, now time.Time) {
-	for _, fac := range pl.sortedFacilitiesLocked() {
+	for _, fr := range pl.scored {
 		score := 100.0
-		var reasons []string
-		for _, r := range pl.rules {
-			if r.Facility != fac || !pl.evalRuleLocked(r, now) {
+		reasons := fr.fired[:0]
+		for _, r := range fr.rules {
+			if !evalRule(r, now) {
 				continue
 			}
 			score -= r.Penalty
-			reasons = append(reasons, r.Reason)
+			reasons = reasons[:len(reasons)+1]
+			reasons[len(reasons)-1] = r.Reason
 		}
 		if score < 0 {
 			score = 0
@@ -143,48 +187,56 @@ func (pl *Plane) scoreLocked(ctx context.Context, now time.Time) {
 		case score < pl.cfg.HealthyFloor:
 			verdict = VerdictDegraded
 		}
-		h := pl.health[fac]
-		if h == nil {
-			// Facilities begin Healthy: an unobserved facility has no
-			// evidence against it, and the first bad tick still records
-			// a transition.
-			h = &FacilityHealth{Facility: fac, Score: 100, Verdict: VerdictHealthy, Since: now}
-			pl.health[fac] = h
+		if fr.health == nil {
+			fr.health = newFacilityHealth(fr.name, now)
 		}
-		prev := h.Verdict
+		h := fr.health
 		h.Score, h.Reasons, h.At = score, reasons, now
-		if verdict == prev {
-			continue
+		if verdict != h.Verdict {
+			pl.transitionLocked(ctx, h, verdict, now)
 		}
-		h.Verdict = verdict
-		h.Since = now
-		if len(pl.trans) < maxTransitions {
-			pl.trans = append(pl.trans, Transition{
-				At: now, Facility: fac, From: prev, To: verdict, Score: score,
-				Reasons: append([]string(nil), reasons...),
-			})
-		}
-		level := obslog.LevelWarn
-		if verdict == VerdictHealthy {
-			level = obslog.LevelInfo
-		}
-		pl.journal.Emit(ctx, level, "telemetry", "facility verdict changed",
-			obslog.F("facility", fac),
-			obslog.F("from", string(prev)),
-			obslog.F("to", string(verdict)),
-			obslog.F("score", score),
-			obslog.F("reasons", len(reasons)),
-		)
 	}
+}
+
+// newFacilityHealth is the state a facility is first scored against.
+// Facilities begin Healthy: an unobserved facility has no evidence
+// against it, and the first bad tick still records a transition.
+func newFacilityHealth(facility string, now time.Time) *FacilityHealth {
+	return &FacilityHealth{Facility: facility, Score: 100, Verdict: VerdictHealthy, Since: now}
+}
+
+// transitionLocked moves h, already rescored at now, to verdict and
+// records the change in the timeline and the journal.
+func (pl *Plane) transitionLocked(ctx context.Context, h *FacilityHealth, verdict Verdict, now time.Time) {
+	prev := h.Verdict
+	h.Verdict = verdict
+	h.Since = now
+	if len(pl.trans) < maxTransitions {
+		pl.trans = append(pl.trans, Transition{
+			At: now, Facility: h.Facility, From: prev, To: verdict, Score: h.Score,
+			Reasons: append([]string(nil), h.Reasons...),
+		})
+	}
+	level := obslog.LevelWarn
+	if verdict == VerdictHealthy {
+		level = obslog.LevelInfo
+	}
+	pl.journal.Emit(ctx, level, "telemetry", "facility verdict changed",
+		obslog.F("facility", h.Facility),
+		obslog.F("from", string(prev)),
+		obslog.F("to", string(verdict)),
+		obslog.F("score", h.Score),
+		obslog.F("reasons", len(h.Reasons)),
+	)
 }
 
 // Health returns every scored facility, sorted by name.
 func (pl *Plane) Health() []FacilityHealth {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	out := make([]FacilityHealth, 0, len(pl.health))
-	for _, fac := range pl.sortedFacilitiesLocked() {
-		if h := pl.health[fac]; h != nil {
+	out := make([]FacilityHealth, 0, len(pl.scored))
+	for _, fr := range pl.scored {
+		if h := fr.health; h != nil {
 			c := *h
 			c.Reasons = append([]string(nil), h.Reasons...)
 			out = append(out, c)
@@ -197,13 +249,14 @@ func (pl *Plane) Health() []FacilityHealth {
 func (pl *Plane) HealthFor(facility string) (FacilityHealth, bool) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	h := pl.health[facility]
-	if h == nil {
-		return FacilityHealth{}, false
+	for _, fr := range pl.scored {
+		if h := fr.health; h != nil && fr.name == facility {
+			c := *h
+			c.Reasons = append([]string(nil), h.Reasons...)
+			return c, true
+		}
 	}
-	c := *h
-	c.Reasons = append([]string(nil), h.Reasons...)
-	return c, true
+	return FacilityHealth{}, false
 }
 
 // Transitions returns the verdict timeline, oldest first.
@@ -222,8 +275,8 @@ func (pl *Plane) Healthy() bool {
 	if pl.ticks == 0 {
 		return false
 	}
-	for _, h := range pl.health {
-		if h.Verdict != VerdictHealthy {
+	for _, fr := range pl.scored {
+		if fr.health != nil && fr.health.Verdict != VerdictHealthy {
 			return false
 		}
 	}

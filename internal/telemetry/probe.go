@@ -22,6 +22,9 @@ type Probe struct {
 	// virtual time it consumes is the probe latency.
 	Run func(ctx context.Context, p *sim.Proc) error
 
+	// The outcome series, resolved once by AddProbe.
+	seconds, ok *series
+
 	// runs and failures are mutated only under the owning Plane's mu
 	// (recordProbe / ProbeStats).
 	runs     int
@@ -48,11 +51,13 @@ func (pl *Plane) AddProbe(name, facility string, interval time.Duration, run fun
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	pl.probes = append(pl.probes, &Probe{Name: name, Facility: facility, Interval: interval, Run: run})
 	// Materialize both series up front so they list (and digest) even
 	// before the first run.
-	pl.ensureLocked("probe_"+name+"_seconds", facility)
-	pl.ensureLocked("probe_"+name+"_ok", facility)
+	pl.probes = append(pl.probes, &Probe{
+		Name: name, Facility: facility, Interval: interval, Run: run,
+		seconds: pl.ensureLocked("probe_"+name+"_seconds", facility),
+		ok:      pl.ensureLocked("probe_"+name+"_ok", facility),
+	})
 }
 
 // recordProbe stores one probe outcome at virtual time `at`.
@@ -65,9 +70,9 @@ func (pl *Plane) recordProbe(pr *Probe, at time.Time, latency time.Duration, err
 		pr.failures++
 		ok = 0
 	} else {
-		pl.ensureLocked("probe_"+pr.Name+"_seconds", pr.Facility).add(Point{At: at, Value: latency.Seconds()})
+		pr.seconds.add(Point{At: at, Value: latency.Seconds()})
 	}
-	pl.ensureLocked("probe_"+pr.Name+"_ok", pr.Facility).add(Point{At: at, Value: ok})
+	pr.ok.add(Point{At: at, Value: ok})
 	if pl.metrics == nil {
 		return
 	}
@@ -86,29 +91,26 @@ func (pl *Plane) ProbeStats() []ProbeStat {
 	out := make([]ProbeStat, 0, len(pl.probes))
 	for _, pr := range pl.probes {
 		st := ProbeStat{Name: pr.Name, Facility: pr.Facility, Runs: pr.runs, Failures: pr.failures}
-		if s := pl.store[seriesKey("probe_"+pr.Name+"_seconds", pr.Facility)]; s != nil {
-			vals := make([]float64, 0, len(s.pts))
-			for _, p := range s.window(time.Time{}, 0) {
-				vals = append(vals, p.Value)
-			}
-			st.P50 = exactQuantile(vals, 0.50)
-			st.P95 = exactQuantile(vals, 0.95)
-			st.P99 = exactQuantile(vals, 0.99)
+		sorted := make([]float64, len(pr.seconds.pts))
+		for i, p := range pr.seconds.pts {
+			sorted[i] = p.Value
 		}
+		sort.Float64s(sorted)
+		st.P50 = exactQuantile(sorted, 0.50)
+		st.P95 = exactQuantile(sorted, 0.95)
+		st.P99 = exactQuantile(sorted, 0.99)
 		out = append(out, st)
 	}
 	return out
 }
 
-// exactQuantile is the nearest-rank quantile of a sample set. Unlike the
-// bucketed monitor estimate it is exact, which is what scenario goldens
-// assert against.
-func exactQuantile(vals []float64, q float64) float64 {
-	if len(vals) == 0 {
+// exactQuantile is the nearest-rank quantile of an ascending sample set.
+// Unlike the bucketed monitor estimate it is exact, which is what scenario
+// goldens assert against.
+func exactQuantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
 	idx := int(q*float64(len(sorted))+0.5) - 1
 	if idx < 0 {
 		idx = 0

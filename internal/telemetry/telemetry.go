@@ -21,7 +21,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -76,7 +75,8 @@ type Point struct {
 	Value float64   `json:"value"`
 }
 
-// series is a bounded ring of points for one (name, facility) signal.
+// series is a bounded ring of points for one (name, facility) signal,
+// kept sorted by At: logical index 0 is the oldest retained point.
 type series struct {
 	name     string
 	facility string
@@ -85,28 +85,108 @@ type series struct {
 	capacity int
 }
 
-func (s *series) add(p Point) {
-	if len(s.pts) < s.capacity {
-		s.pts = append(s.pts, p)
-		return
+// phys maps a logical index (0 = oldest) to its position in pts.
+func (s *series) phys(i int) int {
+	if i += s.start; i >= len(s.pts) {
+		i -= len(s.pts)
 	}
-	s.pts[s.start] = p
-	s.start = (s.start + 1) % s.capacity
+	return i
+}
+
+// add stores p, evicting the oldest point once the ring is full. Points
+// arrive in non-decreasing At order — sampler ticks and probe outcomes are
+// stamped from the sim clock — and the ring relies on it: bounds walks back
+// from the newest point and stops at the first one outside the window. A
+// point older than the newest (only Record callers can produce one) is
+// moved back to its time-sorted position, behind any point with an equal
+// At, so the order holds for every caller.
+func (s *series) add(p Point) {
+	newest := s.start
+	if len(s.pts) < s.capacity {
+		newest = len(s.pts)
+		s.pts = append(s.pts, p)
+	} else {
+		s.pts[newest] = p
+		if s.start++; s.start == s.capacity {
+			s.start = 0
+		}
+	}
+	for i := len(s.pts) - 1; i > 0; i-- {
+		prev := s.phys(i - 1)
+		if !s.pts[prev].At.After(p.At) {
+			break
+		}
+		s.pts[newest], s.pts[prev] = s.pts[prev], s.pts[newest]
+		newest = prev
+	}
+}
+
+// bounds returns the logical index range [lo, hi) of the retained points
+// with At in (now-window, now]; a non-positive window covers every
+// retained point. It costs O(points in the window), not O(ring): the ring
+// is time-sorted, so the walk back from the newest point ends at the
+// window's edge.
+//
+//perf:hot
+func (s *series) bounds(now time.Time, window time.Duration) (lo, hi int) {
+	hi = len(s.pts)
+	if window <= 0 {
+		return 0, hi
+	}
+	for hi > 0 && s.pts[s.phys(hi-1)].At.After(now) {
+		hi--
+	}
+	cut := now.Add(-window)
+	lo = hi
+	for lo > 0 && s.pts[s.phys(lo-1)].At.After(cut) {
+		lo--
+	}
+	return lo, hi
 }
 
 // window returns the retained points with At in (now-window, now], oldest
 // first. A non-positive window returns every retained point.
 func (s *series) window(now time.Time, window time.Duration) []Point {
-	out := make([]Point, 0, len(s.pts))
-	cut := now.Add(-window)
-	for i := 0; i < len(s.pts); i++ {
-		p := s.pts[(s.start+i)%len(s.pts)]
-		if window > 0 && (!p.At.After(cut) || p.At.After(now)) {
-			continue
-		}
-		out = append(out, p)
+	lo, hi := s.bounds(now, window)
+	out := make([]Point, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, s.pts[s.phys(i)])
 	}
 	return out
+}
+
+// reduce aggregates the points window would return without materializing
+// them, summing oldest first so Mean and Rate come out bit-identical to a
+// reduction over the copied window. An empty window is all zeros with
+// Count 0.
+//
+//perf:hot
+func (s *series) reduce(now time.Time, window time.Duration) Aggregate {
+	lo, hi := s.bounds(now, window)
+	if lo == hi {
+		return Aggregate{}
+	}
+	first, last := s.pts[s.phys(lo)], s.pts[s.phys(hi-1)]
+	a := Aggregate{Count: hi - lo, Min: first.Value, Max: first.Value, Last: last.Value}
+	sum := 0.0
+	for i, j := lo, s.phys(lo); i < hi; i++ {
+		v := s.pts[j].Value
+		if v < a.Min {
+			a.Min = v
+		}
+		if v > a.Max {
+			a.Max = v
+		}
+		sum += v
+		if j++; j == len(s.pts) {
+			j = 0
+		}
+	}
+	a.Mean = sum / float64(a.Count)
+	if dt := last.At.Sub(first.At).Seconds(); dt > 0 {
+		a.Rate = (last.Value - first.Value) / dt
+	}
+	return a
 }
 
 // Aggregate summarizes one series window.
@@ -121,39 +201,11 @@ type Aggregate struct {
 	Rate float64 `json:"rate"`
 }
 
-// aggregate reduces a window of points. An empty window is all zeros
-// with Count 0.
-func aggregate(pts []Point) Aggregate {
-	var a Aggregate
-	if len(pts) == 0 {
-		return a
-	}
-	a.Count = len(pts)
-	a.Min, a.Max = pts[0].Value, pts[0].Value
-	sum := 0.0
-	for _, p := range pts {
-		if p.Value < a.Min {
-			a.Min = p.Value
-		}
-		if p.Value > a.Max {
-			a.Max = p.Value
-		}
-		sum += p.Value
-	}
-	a.Mean = sum / float64(len(pts))
-	a.Last = pts[len(pts)-1].Value
-	if dt := pts[len(pts)-1].At.Sub(pts[0].At).Seconds(); dt > 0 {
-		a.Rate = (pts[len(pts)-1].Value - pts[0].Value) / dt
-	}
-	return a
-}
-
-// Signal is a registered sampling source: each sampler tick calls Sample
-// and appends the value to the (Name, Facility) series when ok.
-type Signal struct {
-	Name     string
-	Facility string
-	Sample   func(now time.Time) (value float64, ok bool)
+// signal is a registered sampling source: each sampler tick calls sample
+// and appends the value to its series when ok.
+type signal struct {
+	series *series
+	sample func(now time.Time) (value float64, ok bool)
 }
 
 // SeriesKey identifies one stored series.
@@ -173,16 +225,15 @@ type Plane struct {
 	cfg     Config
 
 	mu      sync.Mutex
-	signals []Signal                   // guarded by mu
-	store   map[string]*series         // guarded by mu
-	order   []string                   // guarded by mu — store keys in registration order
-	rules   []Rule                     // guarded by mu
-	probes  []*Probe                   // guarded by mu
-	health  map[string]*FacilityHealth // guarded by mu
-	trans   []Transition               // guarded by mu
-	ticks   int                        // guarded by mu
-	stopped bool                       // guarded by mu
-	started bool                       // guarded by mu
+	signals []signal           // guarded by mu
+	store   map[string]*series // guarded by mu
+	order   []string           // guarded by mu — store keys in registration order
+	scored  []*facilityRules   // guarded by mu — sorted by facility name
+	probes  []*Probe           // guarded by mu
+	trans   []Transition       // guarded by mu
+	ticks   int                // guarded by mu
+	stopped bool               // guarded by mu
+	started bool               // guarded by mu
 }
 
 // New creates an empty plane. journal and metrics may be nil — verdict
@@ -194,7 +245,6 @@ func New(clock Clock, journal *obslog.Journal, metrics *monitor.Registry, cfg Co
 		metrics: metrics,
 		cfg:     cfg.withDefaults(),
 		store:   map[string]*series{},
-		health:  map[string]*FacilityHealth{},
 	}
 }
 
@@ -205,11 +255,11 @@ func seriesKey(name, facility string) string { return name + "\x00" + facility }
 func (pl *Plane) RegisterSignal(name, facility string, sample func(now time.Time) (float64, bool)) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	pl.signals = append(pl.signals, Signal{Name: name, Facility: facility, Sample: sample})
-	pl.ensureLocked(name, facility)
+	pl.signals = append(pl.signals, signal{series: pl.ensureLocked(name, facility), sample: sample})
 }
 
-// ensureLocked materializes the series ring for a key.
+// ensureLocked materializes the series ring for a key, handing it to any
+// rule declared before the series existed.
 func (pl *Plane) ensureLocked(name, facility string) *series {
 	k := seriesKey(name, facility)
 	s := pl.store[k]
@@ -217,6 +267,13 @@ func (pl *Plane) ensureLocked(name, facility string) *series {
 		s = &series{name: name, facility: facility, capacity: pl.cfg.SeriesCapacity}
 		pl.store[k] = s
 		pl.order = append(pl.order, k)
+		for _, fr := range pl.scored {
+			for _, r := range fr.rules {
+				if r.Facility == facility && r.Series == name {
+					r.series = s
+				}
+			}
+		}
 	}
 	return s
 }
@@ -250,8 +307,7 @@ func (pl *Plane) Query(name, facility string, now time.Time, window time.Duratio
 	if s == nil {
 		return Aggregate{}, nil, false
 	}
-	pts := s.window(now, window)
-	return aggregate(pts), pts, true
+	return s.reduce(now, window), s.window(now, window), true
 }
 
 // Start spawns the sampler and probe procs on the engine. The plane
@@ -321,13 +377,16 @@ func (pl *Plane) done(now, deadline time.Time) bool {
 
 // tick samples every signal in registration order, then rescores every
 // facility — one deterministic unit of telemetry work. ctx carries
-// journal correlation for verdict-transition emissions.
+// journal correlation for verdict-transition emissions. Signals and rules
+// hold their series, so a tick builds no key and looks nothing up.
+//
+//perf:hot
 func (pl *Plane) tick(ctx context.Context, now time.Time) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	for _, sg := range pl.signals {
-		if v, ok := sg.Sample(now); ok {
-			pl.ensureLocked(sg.Name, sg.Facility).add(Point{At: now, Value: v})
+		if v, ok := sg.sample(now); ok {
+			sg.series.add(Point{At: now, Value: v})
 		}
 	}
 	pl.scoreLocked(ctx, now)
@@ -404,19 +463,4 @@ func (pl *Plane) RegisterHistogramQuantile(name, facility string, q float64) {
 		}
 		return h.Quantile(q), true
 	})
-}
-
-// sortedFacilities returns the union of rule and health facilities in
-// sorted order, for deterministic scoring sweeps.
-func (pl *Plane) sortedFacilitiesLocked() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range pl.rules {
-		if !seen[r.Facility] {
-			seen[r.Facility] = true
-			out = append(out, r.Facility)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

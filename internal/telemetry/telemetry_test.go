@@ -183,15 +183,15 @@ func TestRuleAggregatesAndOps(t *testing.T) {
 	defer pl.mu.Unlock()
 	for _, c := range cases {
 		r := Rule{Facility: "f", Series: "s", Agg: c.agg, Op: c.op, Threshold: c.thr, Window: time.Hour}
-		if got := pl.evalRuleLocked(r, now); got != c.want {
+		if got := evalRule(pl.bindLocked(r), now); got != c.want {
 			t.Errorf("agg=%s op=%s thr=%v fired=%v, want %v", c.agg, c.op, c.thr, got, c.want)
 		}
 	}
 	// Missing series and empty windows never fire.
-	if pl.evalRuleLocked(Rule{Facility: "f", Series: "absent", Op: ">", Window: time.Hour}, now) {
+	if evalRule(pl.bindLocked(Rule{Facility: "f", Series: "absent", Op: ">", Window: time.Hour}), now) {
 		t.Error("missing series fired")
 	}
-	if pl.evalRuleLocked(Rule{Facility: "f", Series: "s", Op: ">", Threshold: -1, Window: time.Nanosecond}, now) {
+	if evalRule(pl.bindLocked(Rule{Facility: "f", Series: "s", Op: ">", Threshold: -1, Window: time.Nanosecond}), now) {
 		t.Error("empty window fired")
 	}
 }
@@ -300,7 +300,7 @@ func TestExactQuantile(t *testing.T) {
 	if exactQuantile(nil, 0.5) != 0 {
 		t.Fatal("empty sample quantile should be 0")
 	}
-	vals := []float64{5, 1, 3, 2, 4}
+	vals := []float64{1, 2, 3, 4, 5}
 	if got := exactQuantile(vals, 0.5); got != 3 {
 		t.Fatalf("p50 = %v", got)
 	}

@@ -73,7 +73,7 @@ func TestFloat32SARTMatchesFloat64(t *testing.T) {
 }
 
 // TestFloat32SIRT50BenchGeometry pins the acceptance bound of the
-// BENCH_PR9 headline number at its exact geometry: 50 SIRT iterations on
+// PR 9 headline number (EXPERIMENTS.md §P2) at its exact geometry: 50 SIRT iterations on
 // the 128×64 sinogram must land within 1e-3 RMSE of the float64 solver.
 func TestFloat32SIRT50BenchGeometry(t *testing.T) {
 	if testing.Short() {
