@@ -9,8 +9,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -23,46 +25,50 @@ import (
 	"repro/internal/zarr"
 )
 
+// errUsage marks a command line run could not act on; run has already
+// told the user what was wrong with it.
+var errUsage = errors.New("bad command line")
+
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "reconstruct:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
 	// Entry points run on real time; sim.WallClock is the sanctioned
 	// bridge for stamping their journals.
 	journal := obslog.New(sim.WallClock{}, 64)
-	journal.AddSink(obslog.NewTextSink(os.Stderr))
+	journal.AddSink(obslog.NewTextSink(stderr))
 	ctx := obslog.NewContext(context.Background(), journal)
-	fatal := func(msg string, fields ...obslog.Field) {
-		obslog.Error(ctx, "reconstruct", msg, fields...)
-		os.Exit(1)
+
+	fs := flag.NewFlagSet("reconstruct", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "input DXchange file (required)")
+	out := fs.String("out", "", "output Zarr directory (required)")
+	algorithm := fs.String("algorithm", "fbp", "fbp|gridrec|sirt|sart")
+	filter := fs.String("filter", "shepp", "FBP filter: ramlak|shepp|cosine|hamming|hann")
+	iterations := fs.Int("iterations", 30, "iterations for sirt/sart")
+	ring := fs.Int("ring", 9, "ring-removal window (0 = off)")
+	outlier := fs.Float64("outlier", 0.2, "zinger threshold in transmission units (0 = off)")
+	paganin := fs.Float64("paganin", 0, "phase-filter strength (0 = off)")
+	autocor := fs.Bool("autocor", true, "estimate center of rotation automatically")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel slice workers")
+	chunk := fs.Int("chunk", 32, "zarr chunk edge length")
+	tiffDir := fs.String("tiff", "", "also write an ImageJ TIFF stack to this directory")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-
-	in := flag.String("in", "", "input DXchange file (required)")
-	out := flag.String("out", "", "output Zarr directory (required)")
-	algorithm := flag.String("algorithm", "fbp", "fbp|gridrec|sirt|sart")
-	filter := flag.String("filter", "shepp", "FBP filter: ramlak|shepp|cosine|hamming|hann")
-	iterations := flag.Int("iterations", 30, "iterations for sirt/sart")
-	ring := flag.Int("ring", 9, "ring-removal window (0 = off)")
-	outlier := flag.Float64("outlier", 0.2, "zinger threshold in transmission units (0 = off)")
-	paganin := flag.Float64("paganin", 0, "phase-filter strength (0 = off)")
-	autocor := flag.Bool("autocor", true, "estimate center of rotation automatically")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel slice workers")
-	chunk := flag.Int("chunk", 32, "zarr chunk edge length")
-	tiffDir := flag.String("tiff", "", "also write an ImageJ TIFF stack to this directory")
-	flag.Parse()
-
 	if *in == "" || *out == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return fmt.Errorf("%w: -in and -out are required", errUsage)
 	}
-
-	acq, meta, err := dxfile.ReadDXchange(*in)
-	if err != nil {
-		fatal("read input", obslog.F("path", *in), obslog.F("err", err))
-	}
-	obslog.Info(ctx, "reconstruct", "scan loaded",
-		obslog.F("scan", meta.ScanID), obslog.F("sample", meta.Sample),
-		obslog.F("angles", acq.Raw.NAngles), obslog.F("rows", acq.Raw.NRows),
-		obslog.F("cols", acq.Raw.NCols))
-
-	li := tomo.MinusLog(tomo.Normalize(acq.Raw, acq.Flat, acq.Dark))
 
 	opts := tomo.ReconOptions{
 		Algorithm:  tomo.Algorithm(*algorithm),
@@ -77,20 +83,31 @@ func main() {
 	}
 	f, err := tomo.ParseFilter(*filter)
 	if err != nil {
-		fatal("parse filter", obslog.F("err", err))
+		return fmt.Errorf("parse filter: %w", err)
 	}
 	opts.Filter = f
-	// The preprocessing chain includes its own -log, so hand it
-	// transmission data instead of line integrals when enabled.
-	work := li
-	if opts.Preprocess != (tomo.PreprocessOptions{}) {
-		work = tomo.Normalize(acq.Raw, acq.Flat, acq.Dark)
+
+	acq, meta, err := dxfile.ReadDXchange(*in)
+	if err != nil {
+		return fmt.Errorf("read input %s: %w", *in, err)
+	}
+	obslog.Info(ctx, "reconstruct", "scan loaded",
+		obslog.F("scan", meta.ScanID), obslog.F("sample", meta.Sample),
+		obslog.F("angles", acq.Raw.NAngles), obslog.F("rows", acq.Raw.NRows),
+		obslog.F("cols", acq.Raw.NCols))
+
+	// The preprocessing chain includes its own -log, so it is handed
+	// transmission data; without it the reconstruction wants line
+	// integrals.
+	work := tomo.Normalize(acq.Raw, acq.Flat, acq.Dark)
+	if opts.Preprocess == (tomo.PreprocessOptions{}) {
+		work = tomo.MinusLog(work)
 	}
 
 	t0 := time.Now()
 	volume, err := tomo.ReconstructVolume(ctx, work, opts)
 	if err != nil {
-		fatal("reconstruct", obslog.F("err", err))
+		return fmt.Errorf("reconstruct volume: %w", err)
 	}
 	obslog.Info(ctx, "reconstruct", "volume reconstructed",
 		obslog.F("slices", volume.D),
@@ -99,14 +116,15 @@ func main() {
 
 	m, err := zarr.Write(*out, volume, *chunk, 0)
 	if err != nil {
-		fatal("write zarr", obslog.F("err", err))
+		return fmt.Errorf("write zarr: %w", err)
 	}
-	size, _ := zarr.SizeBytes(*out)
-	fmt.Printf("wrote %s: %d levels, %.1f MB\n", *out, m.Levels, float64(size)/1e6)
+	size, _ := zarr.SizeBytes(*out) // reporting only: the store was just written
+	fmt.Fprintf(stdout, "wrote %s: %d levels, %.1f MB\n", *out, m.Levels, float64(size)/1e6)
 	if *tiffDir != "" {
 		if err := tiff.WriteStack(*tiffDir, volume, tiff.F32); err != nil {
-			fatal("write tiff", obslog.F("err", err))
+			return fmt.Errorf("write tiff: %w", err)
 		}
-		fmt.Printf("wrote %s: %d TIFF slices\n", *tiffDir, volume.D)
+		fmt.Fprintf(stdout, "wrote %s: %d TIFF slices\n", *tiffDir, volume.D)
 	}
+	return nil
 }

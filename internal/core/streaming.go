@@ -175,6 +175,10 @@ func (s *StreamingService) Run(ctx context.Context) error {
 	parent := trace.FromContext(ctx)
 	var cache *scanCache
 	var cacheSpan *trace.Span
+	// mon.Missed counts over the monitor's lifetime; a scan reports what
+	// was lost since the previous scan reported, so every lost frame is
+	// reported once and the scans' figures add up to the monitor's.
+	reported := 0
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -193,9 +197,10 @@ func (s *StreamingService) Run(ctx context.Context) error {
 			}
 			cacheSpan.End(env.Now())
 			t0 := env.Now()
-			if err := s.reconstructAndSend(ctx, parent, push, cache, mon.Missed, t0); err != nil {
+			if err := s.reconstructAndSend(ctx, parent, push, cache, mon.Missed-reported, t0); err != nil {
 				return err
 			}
+			reported = mon.Missed
 			s.ScansDone++
 			cache = nil
 			cacheSpan = nil

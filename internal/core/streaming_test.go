@@ -326,6 +326,90 @@ func TestStreamingIncrementalLateReferenceFallsBack(t *testing.T) {
 	}
 }
 
+// TestStreamingMissedFramesArePerScan loses two frames of the first of two
+// scans on the way to the service: the first preview reports them, the
+// second reports none — the monitor's lifetime count must not leak into
+// later scans' headers.
+func TestStreamingMissedFramesArePerScan(t *testing.T) {
+	ioc, err := pva.NewServer("127.0.0.1:0", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ioc.Close()
+	edge, err := pva.NewServer("127.0.0.1:0", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close()
+	// A lossy hop between the two servers.
+	tap, err := pva.NewMonitor(ioc.Addr(), "det")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tap.Close()
+	hopDone := make(chan struct{})
+	go func() {
+		defer close(hopDone)
+		for {
+			f, err := tap.Next(0)
+			if err != nil {
+				return
+			}
+			if f.ScanID == "scan-1" && (f.Seq == 5 || f.Seq == 6) {
+				continue
+			}
+			if err := edge.Publish("det", f); err != nil {
+				return
+			}
+		}
+	}()
+
+	sink, err := msgq.NewPull("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	svc := &StreamingService{
+		PVAAddr: edge.Addr(), Channel: "det", PreviewAddr: sink.Addr(),
+		Recon: tomo.ReconOptions{Filter: tomo.SheppLoganFilter},
+	}
+	done := make(chan error, 1)
+	go func() { done <- svc.Run(context.Background()) }()
+	waitForMonitors(t, ioc, "det", 1)
+	waitForMonitors(t, edge, "det", 1)
+
+	acq := tomo.Acquire(phantom.SheppLogan3D(16, 4), tomo.UniformAngles(12), 16, tomo.AcquireOptions{I0: 2e4, Seed: 3})
+	for i, want := range []struct {
+		scan           string
+		angles, missed int
+	}{{"scan-1", 10, 2}, {"scan-2", 12, 0}} {
+		if err := PublishAcquisition(ioc, "det", want.scan, acq, 0); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := sink.Recv(30 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, _, err := DecodePreview(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.ScanID != want.scan || h.NAngles != want.angles || h.Missed != want.missed {
+			t.Fatalf("preview %d header %+v, want scan %s with %d angles and %d missed",
+				i+1, h, want.scan, want.angles, want.missed)
+		}
+	}
+	ioc.Close()
+	<-hopDone
+	edge.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("service exit: %v", err)
+	}
+	if svc.ScansDone != 2 || svc.LastMissed != 0 {
+		t.Fatalf("scans done = %d, last missed = %d, want 2 and 0", svc.ScansDone, svc.LastMissed)
+	}
+}
+
 func centerRegion(im *vol.Image) []float64 {
 	var out []float64
 	for y := im.H / 4; y < im.H*3/4; y++ {

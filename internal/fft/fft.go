@@ -266,6 +266,73 @@ func (p *plan[C]) transform2D(img, col []C, inverse bool) {
 	}
 }
 
+// BandCols is how many adjacent columns Inverse2DBand moves per sweep over
+// the image, and so how many columns of scratch it needs: four complex128
+// samples are one 64-byte cache line, which then feeds four transforms
+// instead of one, and four columns of scratch still sit in L1.
+const BandCols = 4
+
+// Inverse2DBand is Inverse2D for a caller that reads only the columns
+// within band of the wrapped origin (x ≤ band or x ≥ n-band): the row pass
+// runs in full, the column pass over those columns alone, and every other
+// column is left holding its row-pass intermediate. On the computed
+// columns every sample == Inverse2D's. A band that covers the image
+// computes all of it. col is column scratch of len ≥ BandCols·n. No
+// allocations are performed.
+//
+//perf:hot
+func (p *plan[C]) Inverse2DBand(img, col []C, band int) {
+	n := p.n
+	if len(img) != n*n {
+		panic("fft: Inverse2DBand size mismatch")
+	}
+	if len(col) < BandCols*n {
+		panic("fft: Inverse2DBand column scratch too short")
+	}
+	for y := 0; y < n; y++ {
+		p.Inverse(img[y*n : (y+1)*n])
+	}
+	if 2*band+1 >= n {
+		p.inverseCols(img, col, 0, n)
+		return
+	}
+	p.inverseCols(img, col, 0, band+1)
+	p.inverseCols(img, col, n-band, n)
+}
+
+// inverseCols inverse-transforms columns [x0, x1) of img in place, BandCols
+// at a time while that many remain.
+//
+//perf:hot
+func (p *plan[C]) inverseCols(img, col []C, x0, x1 int) {
+	n := p.n
+	c0, c1, c2, c3 := col[:n], col[n:2*n], col[2*n:3*n], col[3*n:4*n]
+	x := x0
+	for ; x+BandCols <= x1; x += BandCols {
+		for y := range c0 {
+			r := img[y*n+x : y*n+x+BandCols]
+			c0[y], c1[y], c2[y], c3[y] = r[0], r[1], r[2], r[3]
+		}
+		p.Inverse(c0)
+		p.Inverse(c1)
+		p.Inverse(c2)
+		p.Inverse(c3)
+		for y := range c0 {
+			r := img[y*n+x : y*n+x+BandCols]
+			r[0], r[1], r[2], r[3] = c0[y], c1[y], c2[y], c3[y]
+		}
+	}
+	for ; x < x1; x++ {
+		for y := range c0 {
+			c0[y] = img[y*n+x]
+		}
+		p.Inverse(c0)
+		for y := range c0 {
+			img[y*n+x] = c0[y]
+		}
+	}
+}
+
 func (p *plan[C]) checkLen(x []C) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: buffer length %d does not match plan length %d", len(x), p.n))

@@ -418,6 +418,39 @@ func TestForward2DDC(t *testing.T) {
 	}
 }
 
+// testInverse2DBand holds the banded inverse to its contract: on every
+// column within band of the wrapped origin, all rows == Inverse2D's, for
+// bands narrower than, equal to and wider than the image — and it
+// allocates nothing.
+func testInverse2DBand[C cplx](t *testing.T, planFor func(int) *plan[C]) {
+	for _, n := range []int{1, 2, 16} {
+		p := planFor(n)
+		src := randComplex[C](n*n, int64(n))
+		want := append([]C(nil), src...)
+		p.Inverse2D(want, make([]C, n))
+		col := make([]C, BandCols*n)
+		for _, band := range []int{0, 1, 3, 6, n/2 - 1, n / 2, n} {
+			got := append([]C(nil), src...)
+			p.Inverse2DBand(got, col, band)
+			full := 2*band+1 >= n
+			for y := 0; y < n; y++ {
+				for x := 0; x < n; x++ {
+					if (full || x <= band || x >= n-band) && got[y*n+x] != want[y*n+x] {
+						t.Fatalf("n=%d band=%d: (%d,%d) = %v, Inverse2D gives %v",
+							n, band, x, y, got[y*n+x], want[y*n+x])
+					}
+				}
+			}
+			if allocs := testing.AllocsPerRun(5, func() { p.Inverse2DBand(got, col, band) }); allocs != 0 {
+				t.Errorf("n=%d band=%d: %v allocs/op, want 0", n, band, allocs)
+			}
+		}
+	}
+}
+
+func TestInverse2DBandMatchesInverse2D(t *testing.T)       { testInverse2DBand(t, PlanFor) }
+func TestPlan32Inverse2DBandMatchesInverse2D(t *testing.T) { testInverse2DBand(t, PlanFor32) }
+
 func BenchmarkForward1K(b *testing.B) {
 	x := make([]complex128, 1024)
 	for i := range x {
@@ -438,5 +471,22 @@ func BenchmarkForward2D256(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Forward2D(img, n)
+	}
+}
+
+// BenchmarkInverse2DBand256 is gridrec's inverse at the file_gridrec
+// workload's size: a 256² grid of which the 129 columns nearest the
+// wrapped origin are read, moved four columns per sweep.
+func BenchmarkInverse2DBand256(b *testing.B) {
+	n := 256
+	p := PlanFor(n)
+	src := randComplex[complex128](n*n, 1)
+	img := make([]complex128, n*n)
+	col := make([]complex128, BandCols*n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(img, src) // each inverse divides by n²: reusing img would sink into denormals
+		p.Inverse2DBand(img, col, 64)
 	}
 }

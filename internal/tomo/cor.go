@@ -16,10 +16,6 @@ func FindCenter(s *Sinogram, maxShift int) float64 {
 	p0 := s.Row(0)
 	p180 := s.Row(s.NAngles - 1)
 	n := s.NCols
-	flipped := make([]float64, n)
-	for i := range flipped {
-		flipped[i] = p180[n-1-i]
-	}
 	if maxShift <= 0 {
 		maxShift = n / 4
 	}
@@ -27,13 +23,7 @@ func FindCenter(s *Sinogram, maxShift int) float64 {
 		maxShift = n/2 - 1
 	}
 
-	best := 0
-	bestCost := math.Inf(1)
-	costs := make(map[int]float64)
 	cost := func(shift int) float64 {
-		if c, ok := costs[shift]; ok {
-			return c
-		}
 		// Mirroring about center + offset δ maps column c of p0 to
 		// column c - 2δ of flipped(p180); integer shift approximates 2δ.
 		var ss float64
@@ -43,30 +33,36 @@ func FindCenter(s *Sinogram, maxShift int) float64 {
 			if j < 0 || j >= n {
 				continue
 			}
-			d := p0[c] - flipped[j]
+			d := p0[c] - p180[n-1-j]
 			ss += d * d
 			cnt++
 		}
 		if cnt == 0 {
 			return math.Inf(1)
 		}
-		c := ss / float64(cnt)
-		costs[shift] = c
-		return c
+		return ss / float64(cnt)
 	}
-	for shift := -2 * maxShift; shift <= 2*maxShift; shift++ {
-		if c := cost(shift); c < bestCost {
-			bestCost = c
-			best = shift
+	// One sweep evaluates every shift once, one step past each end of the
+	// candidate range so the minimum always has both neighbours: cm and cp
+	// trail and lead the running best.
+	best := 0
+	bestCost := math.Inf(1)
+	cm, cp := math.NaN(), math.NaN()
+	prev := cost(-2*maxShift - 1)
+	for shift := -2 * maxShift; shift <= 2*maxShift+1; shift++ {
+		c := cost(shift)
+		switch {
+		case shift <= 2*maxShift && c < bestCost:
+			best, bestCost, cm = shift, c, prev
+		case shift == best+1:
+			cp = c
 		}
+		prev = c
 	}
 	// Sub-pixel refinement: fit a parabola through the minimum and its
 	// neighbors.
 	delta := float64(best)
-	c0 := cost(best)
-	cm := cost(best - 1)
-	cp := cost(best + 1)
-	den := cm - 2*c0 + cp
+	den := cm - 2*bestCost + cp
 	if den > 1e-12 && !math.IsInf(cm, 0) && !math.IsInf(cp, 0) {
 		delta += 0.5 * (cm - cp) / den * -1
 	}

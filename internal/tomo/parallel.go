@@ -88,7 +88,7 @@ func ReconstructSlice(s *Sinogram, opts ReconOptions) (*vol.Image, error) {
 // fanning slices out over a bounded worker pool — the same decomposition
 // the paper's 128-core NERSC node exploits. One plan is built for the
 // whole volume; each worker holds one pooled scratch, so the steady-state
-// per-slice path performs no allocations beyond preprocessing. ctx
+// per-slice path — preprocessing included — performs no allocations. ctx
 // cancels outstanding work.
 func ReconstructVolume(ctx context.Context, ps *ProjectionSet, opts ReconOptions) (*vol.Volume, error) {
 	if err := ps.Validate(); err != nil {
@@ -97,8 +97,9 @@ func ReconstructVolume(ctx context.Context, ps *ProjectionSet, opts ReconOptions
 	if opts.Size == 0 {
 		opts.Size = ps.NCols
 	}
+	var mid *Sinogram // AutoCOR's middle row, ready to reconstruct
 	if opts.AutoCOR {
-		mid := ps.SinogramForRow(ps.NRows / 2)
+		mid = ps.SinogramForRow(ps.NRows / 2)
 		if opts.Preprocess != (PreprocessOptions{}) {
 			mid = Preprocess(mid, opts.Preprocess)
 		}
@@ -129,10 +130,13 @@ func ReconstructVolume(ctx context.Context, ps *ProjectionSet, opts ReconOptions
 			sc := plan.GetScratch()
 			defer plan.PutScratch(sc)
 			for r := range rows {
-				ps.SinogramForRowInto(sc.rowIn, r)
-				work := sc.rowIn
-				if opts.Preprocess != (PreprocessOptions{}) {
-					work = Preprocess(work, opts.Preprocess)
+				work := mid
+				if mid == nil || r != ps.NRows/2 {
+					ps.SinogramForRowInto(sc.rowIn, r)
+					work = sc.rowIn
+					if opts.Preprocess != (PreprocessOptions{}) {
+						work = sc.preprocessed(work, opts.Preprocess)
+					}
 				}
 				if err := plan.ReconstructInto(sc.out, work, sc); err != nil {
 					select {
@@ -265,7 +269,7 @@ func (pv *previewPass) run(ctx context.Context, start int) {
 		pv.ps.SinogramForRowInto(sc.rowIn, r)
 		work := sc.rowIn
 		if pv.pre != (PreprocessOptions{}) {
-			work = Preprocess(work, pv.pre)
+			work = sc.preprocessed(work, pv.pre)
 		}
 		if err := pv.plan.ReconstructInto(sc.out, work, sc); err != nil {
 			pv.mu.Lock()

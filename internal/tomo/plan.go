@@ -12,9 +12,9 @@ import (
 // ReconPlan is the precomputed, immutable state for reconstructing slices
 // of one acquisition geometry: trig tables for every projection angle,
 // per-row reconstruction-circle pixel bounds, the windowed ramp-filter
-// spectrum and its FFT plan (FBP), the oversampled-grid FFT plan and
-// half-sample phase table (gridrec), and the ray-weight normalizations
-// (SIRT/SART). Build one per volume — or let the package-level wrappers
+// spectrum and its FFT plan (FBP), the oversampled-grid FFT plan,
+// half-sample phase table and grid geometry (gridrec), and the ray-weight
+// normalizations (SIRT/SART). Build one per volume — or let the package-level wrappers
 // fetch a cached plan — and share it across any number of goroutines;
 // all per-call mutable state lives in a Scratch.
 //
@@ -58,11 +58,13 @@ type ReconPlan struct {
 	invD   []float64
 	stepOK bool
 
-	// Gridrec: oversampled grid side, its FFT plan, and the half-sample
-	// shift phase per frequency bin.
+	// Gridrec: oversampled grid side, its FFT plan, the half-sample shift
+	// phase per frequency bin, and the slice-independent grid geometry
+	// (splat weight sums, extraction tables, inverse-FFT band).
 	gm    int
 	gp    *fft.Plan
 	phase []complex128
+	gg    *gridGeom
 
 	// SIRT/SART ray-weight normalizations, computed once: rowSum ≈ A(1)
 	// for both; colSum ≈ Aᵀ(1) for SIRT.
@@ -97,14 +99,19 @@ type Scratch struct {
 	fbatch   []complex128 // FBP: all padded row-pairs, batch-filtered in one pass
 	cbuf     []complex128 // gridrec: radial line
 	grid     []complex128 // gridrec: accumulated spectrum
-	wsum     []float64    // gridrec: splat weights
-	gcol     []complex128 // gridrec: 2D FFT column scratch
+	gcol     []complex128 // gridrec: 2D FFT column-block scratch
 	ax       *Sinogram    // SIRT: forward projection of the iterate
 	res      *Sinogram    // SIRT: normalized residual
 	axOne    *Sinogram    // SART: single-angle forward projection
 	resOne   *Sinogram    // SART: single-angle residual
 	upd      *vol.Image   // SIRT/SART: backprojected update
 	out      *vol.Image   // volume/preview workers: per-slice output
+
+	// Preprocessing (sized on first use, see sizePreprocess).
+	pre   *Sinogram    // volume/preview workers: preprocessed rowIn
+	ring  []float64    // column sums → ring profile, then its moving average
+	pplan *fft.Plan    // Paganin: row transform plan
+	pbuf  []complex128 // Paganin: padded row
 
 	// Float32 tier buffers (allocated only for Float32 plans).
 	sino32  []float32   // single-precision copy of the input sinogram
@@ -277,6 +284,7 @@ func buildPlan(theta []float64, key planKey) *ReconPlan {
 			ph := math.Pi * k / float64(p.gm)
 			p.phase[i] = complex(math.Cos(ph), -math.Sin(ph))
 		}
+		p.gg = newGridGeom(p)
 	case AlgSIRT, AlgSART:
 		ones := vol.NewImage(p.Size, p.Size)
 		ones.Fill(1)
@@ -358,9 +366,8 @@ func (p *ReconPlan) NewScratch() *Scratch {
 		}
 	case AlgGridrec:
 		sc.grid = make([]complex128, p.gm*p.gm)
-		sc.wsum = make([]float64, p.gm*p.gm)
 		sc.cbuf = make([]complex128, p.gm)
-		sc.gcol = make([]complex128, p.gm)
+		sc.gcol = make([]complex128, fft.BandCols*p.gm)
 	case AlgSIRT:
 		if p.Precision == Float32 {
 			sc.sino32 = make([]float32, p.NAngles*p.NCols)

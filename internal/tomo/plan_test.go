@@ -213,6 +213,24 @@ func refGridrec(s *Sinogram, size int) *vol.Image {
 	return out
 }
 
+// gridBilinear samples the wrapped m×m complex grid's real part at
+// fractional coordinates (x, y) relative to the wrapped origin.
+func gridBilinear(grid []complex128, m int, x, y float64) float64 {
+	x0 := math.Floor(x)
+	y0 := math.Floor(y)
+	fx := x - x0
+	fy := y - y0
+	get := func(xi, yi int) float64 {
+		xi = ((xi % m) + m) % m
+		yi = ((yi % m) + m) % m
+		return real(grid[yi*m+xi])
+	}
+	return get(int(x0), int(y0))*(1-fx)*(1-fy) +
+		get(int(x0)+1, int(y0))*fx*(1-fy) +
+		get(int(x0), int(y0)+1)*(1-fx)*fy +
+		get(int(x0)+1, int(y0)+1)*fx*fy
+}
+
 // refSIRT is the pre-plan iterative solver (ReconstructSlice defaults:
 // positivity on, relaxation 1).
 func refSIRT(s *Sinogram, iters, n int) *vol.Image {
@@ -358,21 +376,44 @@ func TestPlanFBPMatchesNaive(t *testing.T) {
 }
 
 func TestPlanGridrecMatchesNaive(t *testing.T) {
-	geoms := []struct{ nangles, ncols, size int }{
-		{48, 32, 32},
-		{19, 33, 33}, // odd everything
-		{64, 32, 16},
+	// cover is how the inverse FFT's band (2·band+1 grid lines) compares
+	// with the grid side gm: the banded column pass, its exact-fit edge
+	// and the all-lines fallback must all be reached.
+	geoms := []struct {
+		nangles, ncols, size int
+		cor                  float64
+		cover                int // sign of (2·band+1) - (gm+1)
+	}{
+		{48, 32, 32, 0, -1},
+		{19, 33, 33, 0, -1},    // odd everything
+		{64, 32, 16, 0, 0},     // Size = NCols/2: the band is exactly the grid
+		{40, 40, 16, 0, +1},    // coarser still: the extraction wraps around
+		{180, 128, 128, 0, -1}, // the file_gridrec workload's geometry
+		{48, 32, 32, 1.25, -1},
 	}
 	for _, g := range geoms {
 		s := testSinogram(g.nangles, g.ncols)
-		got, err := ReconstructSlice(s, ReconOptions{Algorithm: AlgGridrec, Size: g.size})
+		opts := ReconOptions{Algorithm: AlgGridrec, Size: g.size, CORShift: g.cor}
+		got, err := ReconstructSlice(s, opts)
 		if err != nil {
 			t.Fatalf("gridrec %+v: %v", g, err)
 		}
-		want := refGridrec(s, g.size)
+		ref := s
+		if g.cor != 0 {
+			ref = ShiftSinogram(s, g.cor)
+		}
+		want := refGridrec(ref, g.size)
 		if d := maxAbsDiff(got.Pix, want.Pix); d > 1e-12 {
-			t.Errorf("gridrec %dx%d size %d: max |Δ| = %g > 1e-12",
-				g.nangles, g.ncols, g.size, d)
+			t.Errorf("gridrec %dx%d size %d cor %v: max |Δ| = %g > 1e-12",
+				g.nangles, g.ncols, g.size, g.cor, d)
+		}
+		p, err := PlanRecon(s.Theta, s.NCols, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := 2*p.gg.band + 1 - (p.gm + 1); (d > 0) != (g.cover > 0) || (d < 0) != (g.cover < 0) {
+			t.Errorf("gridrec %dx%d size %d: band %d on a %d grid, want cover sign %d",
+				g.nangles, g.ncols, g.size, p.gg.band, p.gm, g.cover)
 		}
 	}
 }
@@ -503,6 +544,13 @@ func TestPlanCacheReusesAndWithCORShares(t *testing.T) {
 	if p3.pool != p1.pool {
 		t.Error("WithCOR derivation must share the scratch pool")
 	}
+	g1, err := PlanRecon(theta, 16, ReconOptions{Algorithm: AlgGridrec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2 := g1.WithCOR(0.5); g2.gg != g1.gg {
+		t.Error("WithCOR derivation must share the gridrec geometry")
+	}
 	if &p3.taps[0] != &p1.taps[0] {
 		t.Error("WithCOR derivation must share the precomputed tables")
 	}
@@ -519,6 +567,7 @@ func TestPlanSteadyStateZeroAlloc(t *testing.T) {
 		{"fbp", ReconOptions{Algorithm: AlgFBP, Filter: SheppLoganFilter}},
 		{"fbp_cor", ReconOptions{Algorithm: AlgFBP, Filter: SheppLoganFilter, CORShift: 1.25}},
 		{"gridrec", ReconOptions{Algorithm: AlgGridrec}},
+		{"gridrec_cor", ReconOptions{Algorithm: AlgGridrec, CORShift: 1.25}},
 		{"sirt", ReconOptions{Algorithm: AlgSIRT, Iterations: 2}},
 		{"sart", ReconOptions{Algorithm: AlgSART, Iterations: 1}},
 	}
@@ -576,6 +625,26 @@ func BenchmarkFilterInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.filterInto(dst, s, sc.fbatch)
+	}
+}
+
+// BenchmarkGridrec128x180 is one slice at the file_gridrec workload's
+// geometry with a held scratch: what tomo.gridrec_ms_per_slice measures
+// from outside.
+func BenchmarkGridrec128x180(b *testing.B) {
+	s := testSinogram(180, 128)
+	p, err := PlanRecon(s.Theta, s.NCols, ReconOptions{Algorithm: AlgGridrec})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := p.NewScratch()
+	dst := vol.NewImage(p.Size, p.Size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.ReconstructInto(dst, s, sc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package tomo
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/fft"
 )
@@ -37,25 +36,27 @@ func Normalize(raw *ProjectionSet, flat, dark []float64) *ProjectionSet {
 // attenuation: out = -ln(in). Values are clamped below at a small floor.
 func MinusLog(p *ProjectionSet) *ProjectionSet {
 	out := NewProjectionSet(p.Theta, p.NRows, p.NCols)
-	for i, v := range p.Data {
-		if v < 1e-6 {
-			v = 1e-6
-		}
-		out.Data[i] = -math.Log(v)
-	}
+	minusLogRow(out.Data, p.Data)
 	return out
 }
 
 // MinusLogSinogram is MinusLog for a single sinogram.
 func MinusLogSinogram(s *Sinogram) *Sinogram {
-	out := s.Clone()
-	for i, v := range out.Data {
+	out := NewSinogram(s.Theta, s.NCols)
+	minusLogRow(out.Data, s.Data)
+	return out
+}
+
+// minusLogRow stores -ln(max(src, 1e-6)) into dst; the two may alias.
+//
+//perf:hot
+func minusLogRow(dst, src []float64) {
+	for i, v := range src {
 		if v < 1e-6 {
 			v = 1e-6
 		}
-		out.Data[i] = -math.Log(v)
+		dst[i] = -math.Log(v)
 	}
-	return out
 }
 
 // RemoveRings suppresses ring artifacts in a sinogram. Constant
@@ -67,85 +68,135 @@ func RemoveRings(s *Sinogram, window int) *Sinogram {
 	if window < 1 {
 		window = 9
 	}
-	colMean := make([]float64, s.NCols)
-	for a := 0; a < s.NAngles; a++ {
-		row := s.Row(a)
-		for c, v := range row {
-			colMean[c] += v
-		}
-	}
-	for c := range colMean {
-		colMean[c] /= float64(s.NAngles)
-	}
-	smooth := movingAverage(colMean, window)
 	out := s.Clone()
+	profile := make([]float64, 2*s.NCols)
+	sum, smooth := profile[:s.NCols], profile[s.NCols:]
 	for a := 0; a < s.NAngles; a++ {
-		row := out.Row(a)
-		for c := range row {
-			row[c] -= colMean[c] - smooth[c]
-		}
+		addRow(sum, s.Row(a))
+	}
+	ringProfile(sum, smooth, s.NAngles, window)
+	for a := 0; a < s.NAngles; a++ {
+		subtractRow(out.Row(a), sum)
 	}
 	return out
 }
 
-func movingAverage(xs []float64, window int) []float64 {
-	out := make([]float64, len(xs))
+//perf:hot
+func addRow(sum, row []float64) {
+	for c, v := range row {
+		sum[c] += v
+	}
+}
+
+//perf:hot
+func subtractRow(row, profile []float64) {
+	for c := range row {
+		row[c] -= profile[c]
+	}
+}
+
+// ringProfile turns per-column sums over nangles rows into the ring
+// correction, in place: each column's mean minus the moving average of the
+// means around it. smooth is scratch of the same length.
+//
+//perf:hot
+func ringProfile(sum, smooth []float64, nangles, window int) {
+	for c := range sum {
+		sum[c] /= float64(nangles)
+	}
 	half := window / 2
-	for i := range xs {
+	for i := range sum {
 		lo := i - half
 		hi := i + half
 		if lo < 0 {
 			lo = 0
 		}
-		if hi >= len(xs) {
-			hi = len(xs) - 1
+		if hi >= len(sum) {
+			hi = len(sum) - 1
 		}
-		var sum float64
+		var acc float64
 		for j := lo; j <= hi; j++ {
-			sum += xs[j]
+			acc += sum[j]
 		}
-		out[i] = sum / float64(hi-lo+1)
+		smooth[i] = acc / float64(hi-lo+1)
 	}
-	return out
+	for c := range sum {
+		sum[c] -= smooth[c]
+	}
 }
 
 // RemoveOutliers replaces "zingers" — isolated samples more than
 // threshold above the local median (from cosmic rays or hot pixels) — with
 // the median of their 1D neighborhood within each projection row.
 func RemoveOutliers(s *Sinogram, threshold float64) *Sinogram {
-	out := s.Clone()
-	const half = 2
-	win := make([]float64, 0, 2*half+1)
+	out := NewSinogram(s.Theta, s.NCols)
 	for a := 0; a < s.NAngles; a++ {
-		src := s.Row(a)
-		dst := out.Row(a)
-		for c := range src {
-			win = win[:0]
-			for j := c - half; j <= c+half; j++ {
-				if j >= 0 && j < len(src) && j != c {
-					win = append(win, src[j])
-				}
-			}
-			med := median(win)
-			if src[c]-med > threshold {
-				dst[c] = med
-			}
-		}
+		removeOutliersRow(out.Row(a), s.Row(a), threshold)
 	}
 	return out
 }
 
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
+// removeOutliersRow copies src into dst, replacing every sample more than
+// threshold above the median of its up to four neighbours (two on each
+// side, all read from src) with that median. dst must not alias src.
+//
+//perf:hot
+func removeOutliersRow(dst, src []float64, threshold float64) {
+	n := len(src)
+	var win [4]float64
+	for c, v := range src {
+		k := 0
+		if c >= 2 && c+2 < n {
+			win = [4]float64{src[c-2], src[c-1], src[c+1], src[c+2]}
+			// The median of four is no smaller than the second smallest,
+			// and rounding is monotone: a sample within threshold of all
+			// four neighbours is within threshold of their median, which
+			// then need not be found. Nearly every sample leaves here.
+			if v-win[0] <= threshold && v-win[1] <= threshold && v-win[2] <= threshold && v-win[3] <= threshold {
+				dst[c] = v
+				continue
+			}
+			k = 4
+		} else {
+			for j := c - 2; j <= c+2; j++ {
+				if j >= 0 && j < n && j != c {
+					win[k] = src[j]
+					k++
+				}
+			}
+		}
+		if med := median(&win, k); v-med > threshold {
+			v = med
+		}
+		dst[c] = v
+	}
+}
+
+// median returns the median of win[:n] (0 for n = 0), sorting win in
+// place. The order is sort.Float64s's — ascending with NaNs first — so the
+// result is the one a copy-and-sort gives on every input.
+//
+//perf:hot
+func median(win *[4]float64, n int) float64 {
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && floatLess(win[j], win[j-1]); j-- {
+			win[j], win[j-1] = win[j-1], win[j]
+		}
+	}
+	switch {
+	case n == 0:
 		return 0
+	case n%2 == 1:
+		return win[n/2]
 	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
+	return (win[n/2-1] + win[n/2]) / 2
+}
+
+// floatLess is the order sort.Float64s sorts by: NaN before every number.
+//
+//perf:hot
+func floatLess(x, y float64) bool {
+	return x < y || (x != x && y == y)
 }
 
 // PaganinFilter applies single-distance phase retrieval to each projection
@@ -154,39 +205,45 @@ func median(xs []float64) float64 {
 // resolution for dramatically improved contrast on weakly absorbing
 // samples. alpha ≥ 0; alpha = 0 is the identity.
 func PaganinFilter(s *Sinogram, alpha float64) *Sinogram {
-	if alpha <= 0 {
-		return s.Clone()
-	}
 	out := s.Clone()
+	if alpha <= 0 {
+		return out
+	}
 	m := fft.NextPow2(s.NCols)
-	buf := make([]complex128, m)
+	pl, buf := fft.PlanFor(m), make([]complex128, m)
 	for a := 0; a < s.NAngles; a++ {
-		row := out.Row(a)
-		for i := range buf {
-			buf[i] = 0
-		}
-		// Symmetric edge padding reduces boundary ringing.
-		for i := 0; i < m; i++ {
-			j := i
-			if j >= len(row) {
-				j = 2*len(row) - 2 - j
-				if j < 0 {
-					j = 0
-				}
-			}
-			buf[i] = complex(row[j], 0)
-		}
-		fft.Forward(buf)
-		for i := range buf {
-			k := float64(fft.FreqIndex(i, m)) / float64(m)
-			buf[i] /= complex(1+alpha*k*k*float64(s.NCols)*float64(s.NCols), 0)
-		}
-		fft.Inverse(buf)
-		for i := range row {
-			row[i] = real(buf[i])
-		}
+		paganinRow(out.Row(a), alpha, pl, buf)
 	}
 	return out
+}
+
+// paganinRow low-pass filters one row in place through pl, whose length is
+// NextPow2(len(row)), with buf (of that length) as the transform buffer.
+//
+//perf:hot
+func paganinRow(row []float64, alpha float64, pl *fft.Plan, buf []complex128) {
+	m := len(buf)
+	nc := float64(len(row))
+	// Symmetric edge padding reduces boundary ringing.
+	for i := range buf {
+		j := i
+		if j >= len(row) {
+			j = 2*len(row) - 2 - j
+			if j < 0 {
+				j = 0
+			}
+		}
+		buf[i] = complex(row[j], 0)
+	}
+	pl.Forward(buf)
+	for i := range buf {
+		k := float64(fft.FreqIndex(i, m)) / float64(m)
+		buf[i] /= complex(1+alpha*k*k*nc*nc, 0)
+	}
+	pl.Inverse(buf)
+	for i := range row {
+		row[i] = real(buf[i])
+	}
 }
 
 // PreprocessOptions bundles the file-branch preprocessing chain the paper's
@@ -201,16 +258,77 @@ type PreprocessOptions struct {
 // phase filtering to a normalized-transmission sinogram, in the order the
 // beamline pipeline runs them.
 func Preprocess(s *Sinogram, opts PreprocessOptions) *Sinogram {
-	cur := s
-	if opts.OutlierThreshold > 0 {
-		cur = RemoveOutliers(cur, opts.OutlierThreshold)
+	out := NewSinogram(s.Theta, s.NCols)
+	preprocessInto(out, s, opts, new(Scratch))
+	return out
+}
+
+// preprocessInto is the whole chain in two sweeps over the sinogram — the
+// Savu shape: one pattern-ordered pass through every step rather than one
+// full pass (and one fresh sinogram) per step. The first sweep takes each
+// angle row through outlier replacement and -log into dst while summing
+// the columns; the second subtracts the ring profile those sums give and
+// phase-filters, row by row. Each value is computed by the same operations
+// in the same order as by calling the exported steps one after another, so
+// the result is == theirs. dst must match src's shape and not alias it;
+// with a held scratch the steady state allocates nothing.
+//
+//perf:hot
+func preprocessInto(dst, src *Sinogram, opts PreprocessOptions, sc *Scratch) {
+	nc := src.NCols
+	rings, paganin := opts.RingWindow > 0, opts.PaganinAlpha > 0
+	sc.sizePreprocess(nc, paganin)
+	sum, smooth := sc.ring[:nc], sc.ring[nc:]
+	for c := range sum {
+		sum[c] = 0
 	}
-	cur = MinusLogSinogram(cur)
-	if opts.RingWindow > 0 {
-		cur = RemoveRings(cur, opts.RingWindow)
+	for a := 0; a < src.NAngles; a++ {
+		in, out := src.Row(a), dst.Row(a)
+		if opts.OutlierThreshold > 0 {
+			removeOutliersRow(out, in, opts.OutlierThreshold)
+			in = out
+		}
+		minusLogRow(out, in)
+		if rings {
+			addRow(sum, out)
+		}
 	}
-	if opts.PaganinAlpha > 0 {
-		cur = PaganinFilter(cur, opts.PaganinAlpha)
+	if rings {
+		ringProfile(sum, smooth, src.NAngles, opts.RingWindow)
 	}
-	return cur
+	if !rings && !paganin {
+		return
+	}
+	for a := 0; a < src.NAngles; a++ {
+		out := dst.Row(a)
+		if rings {
+			subtractRow(out, sum)
+		}
+		if paganin {
+			paganinRow(out, opts.PaganinAlpha, sc.pplan, sc.pbuf)
+		}
+	}
+}
+
+// sizePreprocess makes the scratch's preprocessing buffers fit ncols
+// detector columns: the cold, allocating half of preprocessInto. Scratches
+// are not sized for preprocessing up front because a plan does not know
+// whether its volume will be preprocessed.
+func (sc *Scratch) sizePreprocess(ncols int, paganin bool) {
+	if len(sc.ring) != 2*ncols {
+		sc.ring = make([]float64, 2*ncols)
+	}
+	if m := fft.NextPow2(ncols); paganin && len(sc.pbuf) != m {
+		sc.pplan, sc.pbuf = fft.PlanFor(m), make([]complex128, m)
+	}
+}
+
+// preprocessed runs the chain on src into a sinogram the scratch owns and
+// returns it; the next call overwrites it.
+func (sc *Scratch) preprocessed(src *Sinogram, opts PreprocessOptions) *Sinogram {
+	if sc.pre == nil || sc.pre.NAngles != src.NAngles || sc.pre.NCols != src.NCols {
+		sc.pre = NewSinogram(src.Theta, src.NCols)
+	}
+	preprocessInto(sc.pre, src, opts, sc)
+	return sc.pre
 }

@@ -63,10 +63,10 @@ fi
 echo "bench smoke: every driver ran, outputs correct"
 
 echo "== smoke bench (1 iteration per benchmark) =="
-# One untimed pass over the root benchmark suite: catches benchmarks that
-# panic or regress API without paying for a measurement run (bench/run.sh
-# does that).
-go test -run '^$' -bench . -benchtime 1x -short .
+# One untimed pass over the root benchmark suite and every package's own
+# benchmarks: catches benchmarks that panic or regress API without paying
+# for a measurement run (bench/run.sh does that).
+go test -run '^$' -bench . -benchtime 1x -short . ./internal/...
 
 echo "== obslog determinism (two campaign runs, byte-identical journals) =="
 # The event journal is stamped purely from the sim clock, so two runs of
