@@ -115,6 +115,14 @@ type StreamingService struct {
 	// IncrementalScans counts completed scans whose preview came off the
 	// incremental path rather than the batch fallback.
 	IncrementalScans int
+	// What Run dropped: frames that failed Validate, frames whose
+	// dimensions differ from their scan's first frame, and scans that were
+	// still caching when a frame of another scan arrived — their
+	// end-of-scan never came, so they never previewed (each is journaled
+	// as a Warn with its scan id and the frames it held).
+	InvalidFrames   int
+	GeometryDropped int
+	ScansAbandoned  int
 
 	// frames counts every frame received, including ones that are
 	// dropped as invalid — an observable tests synchronize on instead of
@@ -207,10 +215,18 @@ func (s *StreamingService) Run(ctx context.Context) error {
 			continue
 		}
 		if err := f.Validate(); err != nil {
+			s.InvalidFrames++
 			continue // the file-writer drops invalid frames; so do we
 		}
 		if cache == nil || cache.scanID != f.ScanID {
-			cacheSpan.End(env.Now()) // geometry/scan change: close any stale span
+			if cache != nil {
+				s.ScansAbandoned++
+				obslog.Warn(ctx, "streaming", "scan abandoned: no end-of-scan before the next scan's first frame",
+					obslog.F("scan", cache.scanID),
+					obslog.F("frames_held", len(cache.projs)+len(cache.flats)+len(cache.darks)),
+					obslog.F("next_scan", f.ScanID))
+			}
+			cacheSpan.End(env.Now()) // scan change: close any stale span
 			cache = &scanCache{scanID: f.ScanID, rows: f.Rows, cols: f.Cols}
 			if s.incrementalEligible() {
 				if ip, err := tomo.NewIncrementalPreview(f.Rows, f.Cols, s.Recon.Size, s.Recon.Filter); err == nil {
@@ -223,6 +239,7 @@ func (s *StreamingService) Run(ctx context.Context) error {
 				obslog.F("scan", f.ScanID), obslog.F("rows", f.Rows), obslog.F("cols", f.Cols))
 		}
 		if f.Rows != cache.rows || f.Cols != cache.cols {
+			s.GeometryDropped++
 			continue // geometry change mid-scan: drop frame
 		}
 		switch f.Kind {

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flow"
 	"repro/internal/msgq"
+	"repro/internal/obslog"
 	"repro/internal/phantom"
 	"repro/internal/pva"
 	"repro/internal/stats"
@@ -407,6 +409,83 @@ func TestStreamingMissedFramesArePerScan(t *testing.T) {
 	}
 	if svc.ScansDone != 2 || svc.LastMissed != 0 {
 		t.Fatalf("scans done = %d, last missed = %d, want 2 and 0", svc.ScansDone, svc.LastMissed)
+	}
+}
+
+// TestStreamingCountsWhatItDrops sends a scan whose end-of-scan never
+// arrives — with one invalid and one wrong-geometry frame in it — and then
+// a complete scan. Only the second previews; the first must be counted
+// and journaled as abandoned, and both dropped frames counted.
+func TestStreamingCountsWhatItDrops(t *testing.T) {
+	ioc, err := pva.NewServer("127.0.0.1:0", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ioc.Close()
+	sink, err := msgq.NewPull("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	svc := &StreamingService{
+		PVAAddr: ioc.Addr(), Channel: "det", PreviewAddr: sink.Addr(),
+		Recon: tomo.ReconOptions{Filter: tomo.SheppLoganFilter},
+	}
+	journal := obslog.New(flow.RealEnv{}, 64)
+	done := make(chan error, 1)
+	go func() { done <- svc.Run(obslog.NewContext(context.Background(), journal)) }()
+	waitForMonitors(t, ioc, "det", 1)
+
+	const rows, cols = 4, 16
+	lost := func(seq uint64, kind pva.FrameKind, r, c int) *pva.Frame {
+		return &pva.Frame{Seq: seq, ScanID: "scan-lost", Kind: kind, Rows: r, Cols: c,
+			AngleRad: 0.1 * float64(seq), Data: make([]uint16, r*c)}
+	}
+	noID := lost(4, pva.KindProjection, rows, cols)
+	noID.ScanID = ""
+	for _, f := range []*pva.Frame{
+		lost(1, pva.KindFlat, rows, cols),
+		lost(2, pva.KindProjection, rows, cols),
+		lost(3, pva.KindProjection, rows, cols),
+		noID,                                    // fails Validate
+		lost(5, pva.KindProjection, rows, 8),    // not the scan's geometry
+		lost(6, pva.KindProjection, rows, cols), // and no end-of-scan follows
+	} {
+		if err := ioc.Publish("det", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acq := tomo.Acquire(phantom.SheppLogan3D(cols, rows), tomo.UniformAngles(12), cols, tomo.AcquireOptions{I0: 2e4, Seed: 3})
+	if err := PublishAcquisition(ioc, "det", "scan-kept", acq, 0); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := sink.Recv(30 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, _, err := DecodePreview(msg); err != nil || h.ScanID != "scan-kept" || h.NAngles != 12 {
+		t.Fatalf("preview header %+v (err %v), want scan-kept with 12 angles", h, err)
+	}
+	ioc.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("service exit: %v", err)
+	}
+	if svc.ScansDone != 1 || svc.ScansAbandoned != 1 || svc.InvalidFrames != 1 || svc.GeometryDropped != 1 {
+		t.Errorf("done %d, abandoned %d, invalid %d, geometry-dropped %d; want 1 of each",
+			svc.ScansDone, svc.ScansAbandoned, svc.InvalidFrames, svc.GeometryDropped)
+	}
+	warns := journal.Events(obslog.Filter{Component: "streaming", MinLevel: obslog.LevelWarn})
+	if len(warns) != 1 {
+		t.Fatalf("%d streaming warnings journaled, want one for the abandoned scan: %+v", len(warns), warns)
+	}
+	fields := map[string]string{}
+	for _, f := range warns[0].Fields {
+		fields[f.Key] = f.Value
+	}
+	// One flat and three projections were held; the two dropped frames
+	// were not.
+	if fields["scan"] != "scan-lost" || fields["frames_held"] != "4" || fields["next_scan"] != "scan-kept" {
+		t.Errorf("abandoned-scan warning fields = %v, want scan-lost holding 4 frames, displaced by scan-kept", fields)
 	}
 }
 

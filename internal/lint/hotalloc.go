@@ -148,7 +148,7 @@ func (h *hotallocFunc) conversion(call *ast.CallExpr, to types.Type) {
 	case toStr && !fromStr:
 		h.report(call, "builds a new string")
 	default:
-		if iface, ok := to.Underlying().(*types.Interface); ok && !iface.Empty() || isAnyInterface(to) {
+		if isInterface(to) {
 			h.checkBox(call.Args[0])
 		}
 	}
@@ -180,7 +180,7 @@ func (h *hotallocFunc) boxing(call *ast.CallExpr) {
 		if pt == nil {
 			continue
 		}
-		if _, isIface := pt.Underlying().(*types.Interface); isIface {
+		if isInterface(pt) {
 			h.checkBox(arg)
 		}
 	}
@@ -193,8 +193,11 @@ func (h *hotallocFunc) checkBox(arg ast.Expr) {
 	if h.isConst(arg) {
 		return // constants box to read-only statics
 	}
+	if isInterface(t) {
+		return
+	}
 	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature, *types.Interface:
+	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
 		return
 	case *types.Basic:
 		if u.Kind() == types.UnsafePointer || u.Kind() == types.UntypedNil || u.Kind() == types.Invalid {
@@ -219,7 +222,14 @@ func isByteOrRuneSlice(t types.Type) bool {
 		b.Kind() == types.Uint8 || b.Kind() == types.Int32)
 }
 
-func isAnyInterface(t types.Type) bool {
-	iface, ok := t.Underlying().(*types.Interface)
-	return ok && iface.Empty()
+// isInterface reports whether a value of type t is an interface value.
+// A type parameter is not: its underlying type is its constraint, but a
+// conversion to it (F(x) in a generic kernel) or an argument passed as it
+// stays a plain value of the instantiated type.
+func isInterface(t types.Type) bool {
+	if _, isParam := types.Unalias(t).(*types.TypeParam); isParam {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Interface)
+	return ok
 }

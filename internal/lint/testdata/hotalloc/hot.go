@@ -54,6 +54,15 @@ func itoa(n int) string {
 	return string(rune(n)) // want `builds a new string`
 }
 
+//perf:hot
+func scaleInto[F float32 | float64](dst []F, k float64) {
+	kf := F(k) // clean: a conversion to a type parameter is not a box
+	for i := range dst {
+		dst[i] *= kf * F(i)
+	}
+	fmt.Println(kf) // want `boxes a value into an interface`
+}
+
 // cold is unmarked and allocates freely.
 func cold() []int {
 	return append(make([]int, 0, 4), 1)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,6 +21,10 @@ import (
 
 // MaxFrameBytes bounds a single frame (1 GiB) to catch corrupt lengths.
 const MaxFrameBytes = 1 << 30
+
+// maxFirstRead is the most a length header alone can make readFrame
+// allocate. Anything longer is believed only as fast as its bytes arrive.
+const maxFirstRead = 1 << 20
 
 // ErrClosed is returned by operations on a closed socket.
 var ErrClosed = errors.New("msgq: socket closed")
@@ -48,9 +53,20 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrameBytes {
 		return nil, fmt.Errorf("msgq: frame length %d exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	// Up to maxFirstRead this is one allocation and one ReadFull; beyond
+	// it the buffer doubles as bytes arrive, so a header claiming a
+	// gigabyte ahead of a closed connection costs a megabyte.
+	total := int(n)
+	payload := make([]byte, min(total, maxFirstRead))
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
+	}
+	for have := len(payload); have < total; have = len(payload) {
+		payload = slices.Grow(payload, min(have, total-have))
+		payload = payload[:min(cap(payload), total)]
+		if _, err := io.ReadFull(r, payload[have:]); err != nil {
+			return nil, err
+		}
 	}
 	return payload, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -241,6 +242,23 @@ func TestReqTimeout(t *testing.T) {
 	defer req.Close()
 	if _, err := req.Do([]byte("x"), 30*time.Millisecond); err == nil {
 		t.Fatal("expected deadline error")
+	}
+}
+
+// TestReadFrameLyingHeader: a header claiming MaxFrameBytes ahead of a
+// closed connection must cost the receiver an error and about the first
+// read, not a gigabyte. TestLargeFrame covers the growth past it.
+func TestReadFrameLyingHeader(t *testing.T) {
+	hdr := []byte{0, 0, 0, 0x40} // MaxFrameBytes, little-endian
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("1 GiB header followed by EOF was accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
+		t.Errorf("readFrame allocated %d bytes on a header alone, want < 4 MiB", d)
 	}
 }
 

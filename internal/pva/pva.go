@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -124,6 +125,10 @@ func DecodeFrame(raw []byte) (*Frame, error) {
 	return f, nil
 }
 
+// maxFirstRead is the most a length header alone can make readMsg
+// allocate. Anything longer is believed only as fast as its bytes arrive.
+const maxFirstRead = 1 << 20
+
 // writeMsg / readMsg: 4-byte LE length framing.
 func writeMsg(w io.Writer, payload []byte) error {
 	var hdr [4]byte
@@ -144,9 +149,20 @@ func readMsg(r io.Reader) ([]byte, error) {
 	if n > 1<<30 {
 		return nil, fmt.Errorf("pva: message length %d exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	// Up to maxFirstRead this is one allocation and one ReadFull; beyond
+	// it the buffer doubles as bytes arrive, so a header claiming a
+	// gigabyte ahead of a closed connection costs a megabyte.
+	total := int(n)
+	payload := make([]byte, min(total, maxFirstRead))
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
+	}
+	for have := len(payload); have < total; have = len(payload) {
+		payload = slices.Grow(payload, min(have, total-have))
+		payload = payload[:min(cap(payload), total)]
+		if _, err := io.ReadFull(r, payload[have:]); err != nil {
+			return nil, err
+		}
 	}
 	return payload, nil
 }

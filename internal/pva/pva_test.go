@@ -1,9 +1,13 @@
 package pva
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"math"
 	"net"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -82,6 +86,79 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeFrame(raw[:35]); err == nil {
 		t.Fatal("truncated id should fail")
 	}
+}
+
+// TestReadMsgLyingHeader: a header is four bytes anyone can send. One
+// claiming the 1 GiB limit ahead of a closed connection must cost the
+// receiver an error and about the first read, not a gigabyte.
+func TestReadMsgLyingHeader(t *testing.T) {
+	hdr := []byte{0, 0, 0, 0x40} // 1<<30, little-endian
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readMsg(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("1 GiB header followed by EOF was accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
+		t.Errorf("readMsg allocated %d bytes on a header alone, want < 4 MiB", d)
+	}
+}
+
+// TestReadMsgGrowsPastFirstRead sends a message several times the first
+// allocation: it must arrive intact, and cut short it must be an error.
+func TestReadMsgGrowsPastFirstRead(t *testing.T) {
+	big := make([]byte, 3*maxFirstRead+5)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	var wire bytes.Buffer
+	if err := writeMsg(&wire, big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readMsg(bytes.NewReader(wire.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, big) {
+		t.Fatal("message longer than the first read was corrupted")
+	}
+	if _, err := readMsg(bytes.NewReader(wire.Bytes()[:wire.Len()-1])); err != io.ErrUnexpectedEOF {
+		t.Errorf("truncated long message: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// FuzzDecodeFrame feeds DecodeFrame the bytes a hostile or broken peer
+// could put inside a message: it must decode or return an error, never
+// panic, and whatever it accepts must survive Encode → DecodeFrame.
+func FuzzDecodeFrame(f *testing.F) {
+	for _, kind := range []FrameKind{KindProjection, KindFlat, KindEndOfScan} {
+		enc := mkFrame(7, kind).Encode()
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1]) // odd payload
+		f.Add(enc[:34])         // scan id cut off
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		got, err := DecodeFrame(raw)
+		if err != nil {
+			return
+		}
+		enc := got.Encode()
+		if !bytes.Equal(enc, raw) {
+			t.Fatalf("Encode(DecodeFrame(raw)) differs from raw (%d vs %d bytes)", len(enc), len(raw))
+		}
+		again, err := DecodeFrame(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted frame: %v", err)
+		}
+		if again.Seq != got.Seq || again.ScanID != got.ScanID || again.Kind != got.Kind ||
+			again.Rows != got.Rows || again.Cols != got.Cols || again.Timestamp != got.Timestamp ||
+			math.Float64bits(again.AngleRad) != math.Float64bits(got.AngleRad) ||
+			!slices.Equal(again.Data, got.Data) {
+			t.Fatalf("frame changed across Encode → DecodeFrame: %+v vs %+v", again, got)
+		}
+	})
 }
 
 func TestValidate(t *testing.T) {

@@ -6,166 +6,19 @@ import (
 	"repro/internal/vol"
 )
 
-// This file holds the single-precision kernel tier (ReconOptions.Precision
-// == Float32). The float64 kernels in project.go are the golden-tested
-// reference and stay bit-identical to the naive implementations; every
-// speed trick that would perturb their rounding — ray clipping to the
-// object square, incremental (DDA) pixel stepping, inlined clamped
-// bilinear sampling, truncation-based floors — lives here instead, where
-// the gate is a relaxed RMSE bound against the float64 result rather than
-// 1e-12 equivalence. Halved element width also means the SIRT iterate,
-// projections, and residuals stream through cache at twice the rate,
-// which is where the iterative solvers spend their time.
-
-// projectRow32 is the single-precision forward projector: one sinogram
-// row for the angle whose cosine/sine are ct/st, integrating over the
-// square float32 image pix (side n). The sample set matches projectRow
-// exactly — the entry/exit steps are solved analytically in float64 and
-// then verified against projectRow's own inside predicate, so the two
-// tiers integrate identical sample lists and differ only in accumulation
-// precision. Between entry and exit the pixel coordinate advances by a
-// constant (±sinθ/2, cosθ/2) per step, so the inner loop is a fused
-// lerp-accumulate with no range checks. Allocation-free.
-//
-//perf:hot
-func projectRow32(row []float32, pix []float32, n int, ct, st float64) {
-	step := 1.0 / float64(n)
-	tMax := math.Sqrt2
-	nSteps := int(2 * tMax / step)
-	ncols := len(row)
-	nF := float64(n)
-	nf1 := float32(n - 1)
-	last := n - 2
-	step32 := float32(step)
-	dpx := float32(-st * 0.5) // d(px)/dk = -st·step·n/2
-	dpy := float32(ct * 0.5)  // d(py)/dk = ct·step·n/2
-	for c := 0; c < ncols; c++ {
-		sc := -1 + (2*float64(c)+1)/float64(ncols)
-		k0, k1 := rayStepBounds(sc, ct, st, tMax, step, nSteps)
-		if k1 < k0 {
-			row[c] = 0
-			continue
-		}
-		if n < 2 {
-			// Degenerate 1×1 image: bilinear sampling always returns the
-			// single pixel, so the integral is just the sample count.
-			row[c] = float32(k1-k0+1) * pix[0] * step32
-			continue
-		}
-		t0 := -tMax + float64(k0)*step
-		px := float32(((sc*ct-t0*st)+1)/2*nF - 0.5)
-		py := float32(((sc*st+t0*ct)+1)/2*nF - 0.5)
-		var sum float32
-		for k := k0; k <= k1; k++ {
-			qx, qy := px, py
-			if qx < 0 {
-				qx = 0
-			} else if qx > nf1 {
-				qx = nf1
-			}
-			if qy < 0 {
-				qy = 0
-			} else if qy > nf1 {
-				qy = nf1
-			}
-			ix := int(qx)
-			if ix > last {
-				ix = last
-			}
-			iy := int(qy)
-			if iy > last {
-				iy = last
-			}
-			fx := qx - float32(ix)
-			fy := qy - float32(iy)
-			base := iy*n + ix
-			p00 := pix[base]
-			p01 := pix[base+1]
-			p10 := pix[base+n]
-			p11 := pix[base+n+1]
-			top := p00 + fx*(p01-p00)
-			bot := p10 + fx*(p11-p10)
-			sum += top + fy*(bot-top)
-			px += dpx
-			py += dpy
-		}
-		row[c] = sum * step32
-	}
-}
-
-// rayStepBounds returns the inclusive step-index range [k0, k1] of the
-// samples t = -tMax + k·step that projectRow's inside predicate accepts
-// for the ray at detector coordinate sc. The crossing times of the |x|≤1
-// and |y|≤1 constraints are solved analytically (both coordinates are
-// linear in t), then the boundary indices are nudged against the exact
-// float64 predicate so reciprocal rounding can never add or drop a sample
-// relative to the double-precision projector.
-func rayStepBounds(sc, ct, st, tMax, step float64, nSteps int) (int, int) {
-	tlo, thi := -tMax, tMax
-	if st != 0 {
-		ta := (sc*ct - 1) / st
-		tb := (sc*ct + 1) / st
-		if ta > tb {
-			ta, tb = tb, ta
-		}
-		if ta > tlo {
-			tlo = ta
-		}
-		if tb < thi {
-			thi = tb
-		}
-	} else if x := sc * ct; x < -1 || x > 1 {
-		return 0, -1
-	}
-	if ct != 0 {
-		ta := (-1 - sc*st) / ct
-		tb := (1 - sc*st) / ct
-		if ta > tb {
-			ta, tb = tb, ta
-		}
-		if ta > tlo {
-			tlo = ta
-		}
-		if tb < thi {
-			thi = tb
-		}
-	} else if y := sc * st; y < -1 || y > 1 {
-		return 0, -1
-	}
-	if thi < tlo {
-		return 0, -1
-	}
-	k0 := int(math.Ceil((tlo + tMax) / step))
-	k1 := int(math.Floor((thi + tMax) / step))
-	if k0 < 0 {
-		k0 = 0
-	}
-	if k1 > nSteps {
-		k1 = nSteps
-	}
-	for k0 <= k1 && !rayInside(sc, ct, st, tMax, step, k0) {
-		k0++
-	}
-	for k0 > 0 && rayInside(sc, ct, st, tMax, step, k0-1) {
-		k0--
-	}
-	for k1 >= k0 && !rayInside(sc, ct, st, tMax, step, k1) {
-		k1--
-	}
-	for k1 >= k0 && k1 < nSteps && rayInside(sc, ct, st, tMax, step, k1+1) {
-		k1++
-	}
-	return k0, k1
-}
-
-// rayInside replicates projectRow's sample-acceptance predicate exactly,
-// including its arithmetic order.
-func rayInside(sc, ct, st, tMax, step float64, k int) bool {
-	t := -tMax + float64(k)*step
-	x := sc*ct - t*st
-	y := sc*st + t*ct
-	return x >= -1 && x <= 1 && y >= -1 && y <= 1
-}
+// This file holds what the single-precision tier (ReconOptions.Precision
+// == Float32) does not share with the float64 one: its backprojector, its
+// FBP filter, and the solver bodies that keep the iterate, projections and
+// residuals in float32. The forward projector is shared — walkRays in
+// project.go is one generic body for both widths, and it, not the element
+// width, is what the tier's 2.3× over the old float64 solvers came from
+// (EXPERIMENTS.md §P5). The backprojectors stay apart because their
+// contracts differ: backProjectKernel has an exact mode that is
+// bit-identical to the naive reference (BackProject, the SIRT column
+// weights and SART depend on it) and an incremental interior walk, while
+// backProject32 is multiply-form throughout with truncation floors. This
+// tier is gated on RMSE against the float64 result, not on 1e-12
+// equivalence.
 
 // backProject32 accumulates the backprojection of the nang×ncols
 // sinogram data into the n×n float32 image dst (zeroing it first),
@@ -369,7 +222,7 @@ func (p *ReconPlan) sirtInto32(dst *vol.Image, s *Sinogram, sc *Scratch) {
 	bpScale := float32(math.Pi) / float32(p.NAngles)
 	for it := 0; it < p.Iterations; it++ {
 		for a := 0; a < p.NAngles; a++ {
-			projectRow32(sc.ax32[a*p.NCols:(a+1)*p.NCols], x, n, p.cosT[a], p.sinT[a])
+			walkRays(sc.ax32[a*p.NCols:(a+1)*p.NCols], x, n, p.cosT[a], p.sinT[a])
 		}
 		for i := range sc.res32 {
 			r := sc.sino32[i] - sc.ax32[i]
@@ -415,7 +268,7 @@ func (p *ReconPlan) sartInto32(dst *vol.Image, s *Sinogram, sc *Scratch) {
 	scale := float32(p.Relax / math.Pi)
 	for it := 0; it < p.Iterations; it++ {
 		for a := 0; a < p.NAngles; a++ {
-			projectRow32(sc.ax32, x, n, p.cosT[a], p.sinT[a])
+			walkRays(sc.ax32, x, n, p.cosT[a], p.sinT[a])
 			brow := sc.sino32[a*p.NCols : (a+1)*p.NCols]
 			wrow := p.rowSum32[a*p.NCols : (a+1)*p.NCols]
 			for c := 0; c < p.NCols; c++ {

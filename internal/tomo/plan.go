@@ -49,11 +49,11 @@ type ReconPlan struct {
 	fp   *fft.Plan
 	taps []complex128
 
-	// FBP backprojection stride tables: per-angle detector-column step
-	// along an image row, its reciprocal, and whether every |step| ≤ 1 —
-	// the precondition for the kernel's incremental interior walk (one
-	// carry adjust per pixel). Steps exceed 1 only when reconstructing
-	// onto a grid coarser than the detector (Size < NCols).
+	// FBP and SIRT backprojection stride tables: per-angle detector-column
+	// step along an image row, its reciprocal, and whether every
+	// |step| ≤ 1 — the precondition for the kernel's incremental interior
+	// walk (one carry adjust per pixel). Steps exceed 1 only when
+	// reconstructing onto a grid coarser than the detector (Size < NCols).
 	dTab   []float64
 	invD   []float64
 	stepOK bool
@@ -260,21 +260,7 @@ func buildPlan(theta []float64, key planKey) *ReconPlan {
 		for i, v := range h {
 			p.taps[i] = complex(v, 0)
 		}
-		dxp := 2.0 / float64(p.Size)
-		halfC := float64(p.NCols) / 2
-		p.dTab = make([]float64, p.NAngles)
-		p.invD = make([]float64, p.NAngles)
-		p.stepOK = true
-		for a, ct := range p.cosT {
-			d := dxp * ct * halfC
-			p.dTab[a] = d
-			if d != 0 {
-				p.invD[a] = 1 / d
-			}
-			if math.Abs(d) > 1 {
-				p.stepOK = false
-			}
-		}
+		p.buildStepTables()
 	case AlgGridrec:
 		p.gm = fft.NextPow2(2 * p.Size)
 		p.gp = fft.PlanFor(p.gm)
@@ -295,6 +281,7 @@ func buildPlan(theta []float64, key planKey) *ReconPlan {
 				onesSino.Data[i] = 1
 			}
 			p.colSum = BackProject(onesSino, p.Size)
+			p.buildStepTables()
 		}
 	}
 	if key.prec == Float32 {
@@ -302,6 +289,26 @@ func buildPlan(theta []float64, key planKey) *ReconPlan {
 	}
 	p.pool = &sync.Pool{New: func() any { return p.NewScratch() }}
 	return p
+}
+
+// buildStepTables fills the backprojection stride tables (dTab, invD,
+// stepOK) that backProjectInto hands the kernel.
+func (p *ReconPlan) buildStepTables() {
+	dxp := 2.0 / float64(p.Size)
+	halfC := float64(p.NCols) / 2
+	p.dTab = make([]float64, p.NAngles)
+	p.invD = make([]float64, p.NAngles)
+	p.stepOK = true
+	for a, ct := range p.cosT {
+		d := dxp * ct * halfC
+		p.dTab[a] = d
+		if d != 0 {
+			p.invD[a] = 1 / d
+		}
+		if math.Abs(d) > 1 {
+			p.stepOK = false
+		}
+	}
 }
 
 // buildFloat32Tables derives the single-precision tier's tables from the
@@ -476,11 +483,20 @@ func (p *ReconPlan) reconInto(dst *vol.Image, s *Sinogram, sc *Scratch) {
 //perf:hot
 func (p *ReconPlan) fbpInto(dst *vol.Image, s *Sinogram, sc *Scratch) {
 	p.filterInto(sc.filtered, s, sc.fbatch)
+	p.backProjectInto(dst, sc.filtered)
+}
+
+// backProjectInto is the all-angle float64 backprojection of FBP and
+// SIRT: the affine kernel scaled by π/NAngles, on the incremental interior
+// walk wherever the plan's stride tables license it.
+//
+//perf:hot
+func (p *ReconPlan) backProjectInto(dst *vol.Image, s *Sinogram) {
 	dTab, invD := p.dTab, p.invD
 	if !p.stepOK {
 		dTab, invD = nil, nil
 	}
-	backProjectKernel(dst, sc.filtered, p.cosT, p.sinT, p.xs, p.loPx, p.hiPx,
+	backProjectKernel(dst, s, p.cosT, p.sinT, p.xs, p.loPx, p.hiPx,
 		math.Pi/float64(p.NAngles), true, dTab, invD)
 }
 
@@ -546,7 +562,7 @@ func (p *ReconPlan) sirtInto(x *vol.Image, s *Sinogram, sc *Scratch) {
 	}
 	for it := 0; it < p.Iterations; it++ {
 		for a := 0; a < p.NAngles; a++ {
-			projectRow(sc.ax.Row(a), x, p.cosT[a], p.sinT[a])
+			walkRays(sc.ax.Row(a), x.Pix, p.Size, p.cosT[a], p.sinT[a])
 		}
 		for i := range sc.res.Data {
 			r := s.Data[i] - sc.ax.Data[i]
@@ -557,8 +573,7 @@ func (p *ReconPlan) sirtInto(x *vol.Image, s *Sinogram, sc *Scratch) {
 			}
 			sc.res.Data[i] = r
 		}
-		backProjectKernel(sc.upd, sc.res, p.cosT, p.sinT, p.xs, p.loPx, p.hiPx,
-			math.Pi/float64(p.NAngles), false, nil, nil)
+		p.backProjectInto(sc.upd, sc.res)
 		for i := range x.Pix {
 			c := p.colSum.Pix[i]
 			if c <= 1e-9 {
@@ -581,7 +596,7 @@ func (p *ReconPlan) sartInto(x *vol.Image, s *Sinogram, sc *Scratch) {
 	for it := 0; it < p.Iterations; it++ {
 		for a := 0; a < p.NAngles; a++ {
 			axRow := sc.axOne.Row(0)
-			projectRow(axRow, x, p.cosT[a], p.sinT[a])
+			walkRays(axRow, x.Pix, p.Size, p.cosT[a], p.sinT[a])
 			brow := s.Row(a)
 			wrow := p.rowSum.Row(a)
 			resRow := sc.resOne.Row(0)

@@ -418,29 +418,58 @@ func TestPlanGridrecMatchesNaive(t *testing.T) {
 	}
 }
 
+// iterativeGeoms are the geometries the solver goldens run at: the small
+// original, the file_sirt workload's home geometry, a slice the size of
+// file_gridrec's, and a grid coarser than the detector, where the plan's
+// stepOK is false and backprojection falls back to the multiply form.
+// The naive references cost seconds per sweep at 180×128, so that row
+// runs fewer of them.
+var iterativeGeoms = []struct{ nangles, ncols, size, sirtIters, sartIters int }{
+	{24, 16, 16, 10, 2},
+	{96, 64, 64, 10, 2},
+	{180, 128, 128, 4, 1},
+	{60, 64, 32, 10, 2},
+}
+
 func TestPlanSIRTMatchesNaive(t *testing.T) {
-	s := testSinogram(24, 16)
-	const iters, n = 10, 16
-	got, err := ReconstructSlice(s, ReconOptions{Algorithm: AlgSIRT, Iterations: iters})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refSIRT(s, iters, n)
-	if d := maxAbsDiff(got.Pix, want.Pix); d > 1e-12 {
-		t.Errorf("sirt: max |Δ| = %g > 1e-12", d)
+	for _, g := range iterativeGeoms {
+		iters := g.sirtIters
+		s := testSinogram(g.nangles, g.ncols)
+		opts := ReconOptions{Algorithm: AlgSIRT, Iterations: iters, Size: g.size}
+		got, err := ReconstructSlice(s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refSIRT(s, iters, g.size)
+		d := maxAbsDiff(got.Pix, want.Pix)
+		if d > 1e-12 {
+			t.Errorf("sirt×%d %dx%d size %d: max |Δ| = %g > 1e-12", iters, g.nangles, g.ncols, g.size, d)
+		}
+		t.Logf("sirt×%d %dx%d size %d: max |Δ| = %.2g", iters, g.nangles, g.ncols, g.size, d)
+		p, err := PlanRecon(s.Theta, s.NCols, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := g.size >= g.ncols; p.stepOK != want {
+			t.Errorf("sirt %dx%d size %d: stepOK = %v, want %v", g.nangles, g.ncols, g.size, p.stepOK, want)
+		}
 	}
 }
 
 func TestPlanSARTMatchesNaive(t *testing.T) {
-	s := testSinogram(24, 16)
-	const iters, n = 2, 16
-	got, err := ReconstructSlice(s, ReconOptions{Algorithm: AlgSART, Iterations: iters})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refSART(s, iters, n)
-	if d := maxAbsDiff(got.Pix, want.Pix); d > 1e-12 {
-		t.Errorf("sart: max |Δ| = %g > 1e-12", d)
+	for _, g := range iterativeGeoms {
+		iters := g.sartIters
+		s := testSinogram(g.nangles, g.ncols)
+		got, err := ReconstructSlice(s, ReconOptions{Algorithm: AlgSART, Iterations: iters, Size: g.size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refSART(s, iters, g.size)
+		d := maxAbsDiff(got.Pix, want.Pix)
+		if d > 1e-12 {
+			t.Errorf("sart×%d %dx%d size %d: max |Δ| = %g > 1e-12", iters, g.nangles, g.ncols, g.size, d)
+		}
+		t.Logf("sart×%d %dx%d size %d: max |Δ| = %.2g", iters, g.nangles, g.ncols, g.size, d)
 	}
 }
 
@@ -560,19 +589,23 @@ func TestPlanCacheReusesAndWithCORShares(t *testing.T) {
 // on: with a caller-held scratch, ReconstructInto performs zero heap
 // allocations for every algorithm, including the COR-shifted FBP path.
 func TestPlanSteadyStateZeroAlloc(t *testing.T) {
+	small, home := testSinogram(16, 16), testSinogram(96, 64) // home: file_sirt's geometry
 	cases := []struct {
 		name string
+		s    *Sinogram
 		opts ReconOptions
 	}{
-		{"fbp", ReconOptions{Algorithm: AlgFBP, Filter: SheppLoganFilter}},
-		{"fbp_cor", ReconOptions{Algorithm: AlgFBP, Filter: SheppLoganFilter, CORShift: 1.25}},
-		{"gridrec", ReconOptions{Algorithm: AlgGridrec}},
-		{"gridrec_cor", ReconOptions{Algorithm: AlgGridrec, CORShift: 1.25}},
-		{"sirt", ReconOptions{Algorithm: AlgSIRT, Iterations: 2}},
-		{"sart", ReconOptions{Algorithm: AlgSART, Iterations: 1}},
+		{"fbp", small, ReconOptions{Algorithm: AlgFBP, Filter: SheppLoganFilter}},
+		{"fbp_cor", small, ReconOptions{Algorithm: AlgFBP, Filter: SheppLoganFilter, CORShift: 1.25}},
+		{"gridrec", small, ReconOptions{Algorithm: AlgGridrec}},
+		{"gridrec_cor", small, ReconOptions{Algorithm: AlgGridrec, CORShift: 1.25}},
+		{"sirt", small, ReconOptions{Algorithm: AlgSIRT, Iterations: 2}},
+		{"sart", small, ReconOptions{Algorithm: AlgSART, Iterations: 1}},
+		{"sirt_96x64", home, ReconOptions{Algorithm: AlgSIRT, Iterations: 2}},
+		{"sart_96x64", home, ReconOptions{Algorithm: AlgSART, Iterations: 1}},
 	}
-	s := testSinogram(16, 16)
 	for _, tc := range cases {
+		s := tc.s
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := PlanRecon(s.Theta, s.NCols, tc.opts)
 			if err != nil {
@@ -645,6 +678,30 @@ func BenchmarkGridrec128x180(b *testing.B) {
 		if err := p.ReconstructInto(dst, s, sc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSIRT64x96x10 is one slice of the file_sirt workload (96 angles
+// × 64 columns, ten iterations) with a held scratch, in both widths: what
+// tomo.recon_ms spends per slice there.
+func BenchmarkSIRT64x96x10(b *testing.B) {
+	s := testSinogram(96, 64)
+	for _, prec := range []Precision{Float64, Float32} {
+		b.Run(prec.String(), func(b *testing.B) {
+			p, err := PlanRecon(s.Theta, s.NCols, ReconOptions{Algorithm: AlgSIRT, Iterations: 10, Precision: prec})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sc := p.NewScratch()
+			dst := vol.NewImage(p.Size, p.Size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.ReconstructInto(dst, s, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -143,6 +143,7 @@ go test -run '^$' -fuzz '^FuzzDXFileRoundTrip$' -fuzztime 5s ./internal/dxfile
 go test -run '^$' -fuzz '^FuzzTIFFRoundTrip$' -fuzztime 5s ./internal/tiff
 go test -run '^$' -fuzz '^FuzzScenarioSpec$' -fuzztime 5s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzEventJSON$' -fuzztime 5s ./internal/obslog
+go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/pva
 
 echo "== coverage floors =="
 # floor() fails the gate when a package's statement coverage drops below
