@@ -11,8 +11,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -29,39 +31,67 @@ import (
 	"repro/internal/vol"
 )
 
+// errUsage marks a command line run could not act on; the flag set has
+// already told the user what was wrong with it.
+var errUsage = errors.New("bad command line")
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("beamline: ")
-
-	size := flag.Int("size", 64, "detector columns (and reconstruction size)")
-	angles := flag.Int("angles", 96, "projection angles over 180°")
-	slices := flag.Int("slices", 16, "detector rows (volume slices)")
-	sample := flag.String("sample", "shepp", "shepp|feather|proppant")
-	workdir := flag.String("workdir", "", "artifact directory (temp dir when empty)")
-	incremental := flag.Bool("incremental", false, "fold projections into the preview as they stream in (tomo.IncrementalPreview)")
-	flag.Parse()
-
 	// One ctx from entry to exit: Ctrl-C aborts the streaming service and
 	// the file-based pipeline at the next stage boundary.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "beamline:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole demonstration: progress lines go to stderr, and "ok" to
+// stdout once both branches have delivered.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	logger := log.New(stderr, "beamline: ", 0)
+
+	fs := flag.NewFlagSet("beamline", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	size := fs.Int("size", 64, "detector columns (and reconstruction size)")
+	angles := fs.Int("angles", 96, "projection angles over 180°")
+	slices := fs.Int("slices", 16, "detector rows (volume slices)")
+	sample := fs.String("sample", "shepp", "shepp|feather|proppant")
+	workdir := fs.String("workdir", "", "artifact directory (temp dir when empty)")
+	incremental := fs.Bool("incremental", false, "fold projections into the preview as they stream in (tomo.IncrementalPreview)")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	truth := makeSample(*sample, *size, *slices)
 	theta := tomo.UniformAngles(*angles)
 
 	// --- Streaming branch ---------------------------------------------
 	ioc, err := pva.NewServer("127.0.0.1:0", 8192)
-	must(err)
+	if err != nil {
+		return err
+	}
 	defer ioc.Close()
 	mirrorSrv, err := pva.NewServer("127.0.0.1:0", 8192)
-	must(err)
+	if err != nil {
+		return err
+	}
 	defer mirrorSrv.Close()
 	mirror, err := pva.NewMirror(ioc.Addr(), "bl832:det", mirrorSrv)
-	must(err)
+	if err != nil {
+		return err
+	}
 	go mirror.Run()
 
 	sink, err := msgq.NewPull("127.0.0.1:0")
-	must(err)
+	if err != nil {
+		return err
+	}
 	defer sink.Close()
 
 	svc := &core.StreamingService{
@@ -73,13 +103,15 @@ func main() {
 	waitMonitors(mirrorSrv, "bl832:det")
 	waitMonitors(ioc, "bl832:det")
 
-	log.Printf("acquiring %q: %d angles × %d×%d", *sample, *angles, *slices, *size)
+	logger.Printf("acquiring %q: %d angles × %d×%d", *sample, *angles, *slices, *size)
 	acq := tomo.Acquire(truth, theta, *size, tomo.AcquireOptions{I0: 5e4, GainVariation: 0.02, Seed: 7})
 	scanID := fmt.Sprintf("demo_%s", *sample)
 
 	acqStart := time.Now()
-	must(core.PublishAcquisition(ioc, "bl832:det", scanID, acq, 0))
-	log.Printf("acquisition streamed in %v", time.Since(acqStart).Round(time.Millisecond))
+	if err := core.PublishAcquisition(ioc, "bl832:det", scanID, acq, 0); err != nil {
+		return err
+	}
+	logger.Printf("acquisition streamed in %v", time.Since(acqStart).Round(time.Millisecond))
 
 	// Unblock the preview wait on Ctrl-C: closing the sink makes Recv
 	// return immediately instead of running out its timeout.
@@ -87,14 +119,16 @@ func main() {
 	msg, err := sink.Recv(60 * time.Second)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			log.Fatalf("interrupted while waiting for preview: %v", cerr)
+			return fmt.Errorf("interrupted while waiting for preview: %w", cerr)
 		}
-		log.Fatal(err)
+		return err
 	}
 	h, previews, err := core.DecodePreview(msg)
-	must(err)
+	if err != nil {
+		return err
+	}
 	lo, hi := previews[0].MinMax()
-	log.Printf("streaming preview for %s: %d angles, %.1f ms after end-of-scan, central slice range [%.3f, %.3f]",
+	logger.Printf("streaming preview for %s: %d angles, %.1f ms after end-of-scan, central slice range [%.3f, %.3f]",
 		h.ScanID, h.NAngles, h.LatencyMS, lo, hi)
 
 	// --- File-based branch ---------------------------------------------
@@ -108,14 +142,17 @@ func main() {
 			Catalog: catalog,
 			Tiled:   access,
 		})
-	must(err)
-	log.Printf("file branch: raw %s (%.1f MB) → zarr %s (%.1f MB)",
+	if err != nil {
+		return err
+	}
+	logger.Printf("file branch: raw %s (%.1f MB) → zarr %s (%.1f MB)",
 		res.RawPath, float64(res.RawBytes)/1e6, res.ZarrPath, float64(res.ZarrBytes)/1e6)
-	log.Printf("stage timings: acquire %v, write %v, reconstruct %v, outputs %v",
+	logger.Printf("stage timings: acquire %v, write %v, reconstruct %v, outputs %v",
 		res.AcquireDur.Round(time.Millisecond), res.WriteDur.Round(time.Millisecond),
 		res.ReconDur.Round(time.Millisecond), res.OutputDur.Round(time.Millisecond))
-	log.Printf("cataloged as %s; volume served under key %q", res.PID, scanID)
-	fmt.Println("ok")
+	logger.Printf("cataloged as %s; volume served under key %q", res.PID, scanID)
+	fmt.Fprintln(stdout, "ok")
+	return nil
 }
 
 func makeSample(name string, size, slices int) *vol.Volume {
@@ -126,12 +163,6 @@ func makeSample(name string, size, slices int) *vol.Volume {
 		return phantom.Proppant(phantom.DefaultProppant(), size, slices)
 	default:
 		return phantom.SheppLogan3D(size, slices)
-	}
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
 	}
 }
 

@@ -35,18 +35,24 @@ func EncodePreview(h PreviewHeader, xy, xz, yz *vol.Image) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, len(hdr)+1<<16)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(hdr)))
-	out = append(out, n[:]...)
-	out = append(out, hdr...)
-	for _, im := range []*vol.Image{xy, xz, yz} {
-		blob := tiled.EncodeSlice(im)
-		binary.LittleEndian.PutUint32(n[:], uint32(len(blob)))
-		out = append(out, n[:]...)
-		out = append(out, blob...)
+	return assemblePreview(hdr, xy, xz, yz), nil
+}
+
+// assemblePreview lays the message out in one exact-size allocation, the
+// slices encoded in place.
+func assemblePreview(hdr []byte, xy, xz, yz *vol.Image) []byte {
+	size := 4 + len(hdr)
+	for _, im := range [...]*vol.Image{xy, xz, yz} {
+		size += 4 + tiled.SliceSize(im)
 	}
-	return out, nil
+	out := make([]byte, 0, size)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(hdr)))
+	out = append(out, hdr...)
+	for _, im := range [...]*vol.Image{xy, xz, yz} {
+		out = binary.LittleEndian.AppendUint32(out, uint32(tiled.SliceSize(im)))
+		out = tiled.AppendSlice(out, im)
+	}
+	return out
 }
 
 // DecodePreview unpacks a preview message.
@@ -128,6 +134,45 @@ type StreamingService struct {
 	// dropped as invalid — an observable tests synchronize on instead of
 	// sleeping.
 	frames atomic.Int64
+
+	// inc is the incremental accumulators, incLI the line-integral frame
+	// they are fed from, incOut the three slices they are finalized into.
+	// All outlive a scan: the next scan of the same geometry Resets the
+	// accumulators and overwrites the rest instead of building its own.
+	inc    *tomo.IncrementalPreview
+	incLI  []float64
+	incOut [3]*vol.Image
+}
+
+// incrementalFor returns the service's incremental preview, cleared for a
+// new scan of rows×cols frames. A detector's geometry seldom changes
+// between scans, so one is kept — the last geometry's — and only a scan
+// of another shape builds anew. A geometry the incremental path cannot
+// take returns nil.
+func (s *StreamingService) incrementalFor(rows, cols int) *tomo.IncrementalPreview {
+	if s.inc != nil && s.inc.NRows == rows && s.inc.NCols == cols {
+		s.inc.Reset()
+		return s.inc
+	}
+	ip, err := tomo.NewIncrementalPreview(rows, cols, s.Recon.Size, s.Recon.Filter)
+	if err != nil {
+		return nil
+	}
+	s.inc, s.incLI = ip, make([]float64, rows*cols)
+	s.incOut = [3]*vol.Image{
+		vol.NewImage(ip.FullSize, ip.FullSize),
+		vol.NewImage(ip.SmallSize, rows),
+		vol.NewImage(ip.SmallSize, rows),
+	}
+	return ip
+}
+
+// scanTimes is where one scan's service-side time went, summed from the
+// service clock: per frame into normalize and fold, once a scan into the
+// rest. It is a fixed struct, not a span per frame — cheap enough to be
+// always on.
+type scanTimes struct {
+	normalize, fold, finalize, encode, send time.Duration
 }
 
 // FramesSeen returns the number of frames the service has received so
@@ -155,12 +200,13 @@ type scanCache struct {
 	// Incremental state, populated only when the service runs in
 	// incremental mode and the scan stays eligible: the reference frames
 	// are averaged and frozen at the first projection, each raw frame is
-	// normalized and -log'd into incLI, and folded into inc as it lands.
+	// normalized and -log'd into the service's incLI, and folded into inc
+	// (the service's, on loan for the scan) as it lands.
 	inc     *tomo.IncrementalPreview
 	incFlat []float64
 	incDark []float64
-	incLI   []float64
 	incBad  bool // accumulator diverged from the batch result; fall back
+	times   scanTimes
 }
 
 // Run consumes the channel until the stream closes or ctx is cancelled,
@@ -229,10 +275,7 @@ func (s *StreamingService) Run(ctx context.Context) error {
 			cacheSpan.End(env.Now()) // scan change: close any stale span
 			cache = &scanCache{scanID: f.ScanID, rows: f.Rows, cols: f.Cols}
 			if s.incrementalEligible() {
-				if ip, err := tomo.NewIncrementalPreview(f.Rows, f.Cols, s.Recon.Size, s.Recon.Filter); err == nil {
-					cache.inc = ip
-					cache.incLI = make([]float64, f.Rows*f.Cols)
-				}
+				cache.inc = s.incrementalFor(f.Rows, f.Cols)
 			}
 			cacheSpan = parent.StartChildStage("cache "+f.ScanID, "cache", env.Now())
 			obslog.Debug(ctx, "streaming", "scan started",
@@ -267,8 +310,12 @@ func (s *StreamingService) Run(ctx context.Context) error {
 					cache.incFlat = averageFrames(cache.flats, n, 1)
 					cache.incDark = averageFrames(cache.darks, n, 0)
 				}
-				normalizeLogInto(cache.incLI, f.Data, cache.incFlat, cache.incDark)
-				cache.inc.AddProjection(f.AngleRad, cache.incLI)
+				t0 := env.Now()
+				normalizeLogInto(s.incLI, f.Data, cache.incFlat, cache.incDark)
+				t1 := env.Now()
+				cache.inc.AddProjection(f.AngleRad, s.incLI)
+				cache.times.normalize += t1.Sub(t0)
+				cache.times.fold += env.Now().Sub(t1)
 			}
 		}
 	}
@@ -282,14 +329,23 @@ func (s *StreamingService) reconstructAndSend(ctx context.Context, parent *trace
 	var xy, xz, yz *vol.Image
 	var err error
 	incremental := c.inc != nil && !c.incBad
+	// c.times already holds the incremental path's per-frame normalize
+	// and fold. On the batch path nothing was done per frame: normalize is
+	// the conversion below, finalize the whole QuickPreview, fold zero.
+	tm := &c.times
 	if incremental {
 		// The projections are already filtered and backprojected into the
 		// accumulators; only the π/n scale and the slice assembly remain.
-		fin := parent.StartChildStage("finalize "+c.scanID, "finalize", env.Now())
-		xy, xz, yz, err = c.inc.Finalize()
-		fin.End(env.Now())
+		start := env.Now()
+		fin := parent.StartChildStage("finalize "+c.scanID, "finalize", start)
+		xy, xz, yz = s.incOut[0], s.incOut[1], s.incOut[2]
+		err = c.inc.FinalizeInto(xy, xz, yz)
+		end := env.Now()
+		fin.End(end)
+		tm.finalize = end.Sub(start)
 	} else {
-		recon := parent.StartChildStage("recon "+c.scanID, "recon", env.Now())
+		start := env.Now()
+		recon := parent.StartChildStage("recon "+c.scanID, "recon", start)
 		ps := tomo.NewProjectionSet(c.angles, c.rows, c.cols)
 		for a, proj := range c.projs {
 			dst := ps.Projection(a)
@@ -302,16 +358,20 @@ func (s *StreamingService) reconstructAndSend(ctx context.Context, parent *trace
 		flat := averageFrames(c.flats, c.rows*c.cols, 1)
 		dark := averageFrames(c.darks, c.rows*c.cols, 0)
 		li := tomo.MinusLog(tomo.Normalize(ps, flat, dark))
+		mid := env.Now()
 
 		xy, xz, yz, err = tomo.QuickPreview(ctx, li, s.Recon)
-		recon.End(env.Now())
+		end := env.Now()
+		recon.End(end)
+		*tm = scanTimes{normalize: mid.Sub(start), finalize: end.Sub(mid)}
 	}
 	if err != nil {
 		obslog.Error(ctx, "streaming", "preview reconstruction failed",
 			obslog.F("scan", c.scanID), obslog.F("err", err))
 		return err
 	}
-	lat := env.Now().Sub(t0)
+	encStart := env.Now()
+	lat := encStart.Sub(t0)
 	s.LastLatency = lat
 	s.LastMissed = missed
 	msg, err := EncodePreview(PreviewHeader{
@@ -321,9 +381,12 @@ func (s *StreamingService) reconstructAndSend(ctx context.Context, parent *trace
 	if err != nil {
 		return err
 	}
-	send := parent.StartChildStage("preview_send "+c.scanID, "preview_send", env.Now())
+	sendStart := env.Now()
+	send := parent.StartChildStage("preview_send "+c.scanID, "preview_send", sendStart)
 	err = push.Send(ctx, msg)
-	send.End(env.Now())
+	sendEnd := env.Now()
+	send.End(sendEnd)
+	tm.encode, tm.send = sendStart.Sub(encStart), sendEnd.Sub(sendStart)
 	if err == nil {
 		if incremental {
 			s.IncrementalScans++
@@ -331,7 +394,10 @@ func (s *StreamingService) reconstructAndSend(ctx context.Context, parent *trace
 		obslog.Info(ctx, "streaming", "preview sent",
 			obslog.F("scan", c.scanID), obslog.F("angles", len(c.angles)),
 			obslog.F("missed", missed), obslog.F("latency", lat),
-			obslog.F("incremental", incremental))
+			obslog.F("incremental", incremental),
+			obslog.F("normalize", tm.normalize), obslog.F("fold", tm.fold),
+			obslog.F("finalize", tm.finalize), obslog.F("encode", tm.encode),
+			obslog.F("send", tm.send))
 	}
 	return err
 }

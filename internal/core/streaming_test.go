@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -11,6 +15,7 @@ import (
 	"repro/internal/phantom"
 	"repro/internal/pva"
 	"repro/internal/stats"
+	"repro/internal/tiled"
 	"repro/internal/tomo"
 	"repro/internal/trace"
 	"repro/internal/vol"
@@ -45,6 +50,51 @@ func TestPreviewEncodeDecode(t *testing.T) {
 	}
 	if _, _, err := DecodePreview(raw[:len(raw)-5]); err == nil {
 		t.Fatal("truncated slice should fail")
+	}
+}
+
+// TestEncodePreviewBytesAndAllocs: the message is assembled in place in
+// one exact-size buffer, and is byte for byte the message the earlier
+// assembly — a 64 KiB guess grown by append, one temporary blob per slice
+// — produced.
+func TestEncodePreviewBytesAndAllocs(t *testing.T) {
+	xy := vol.NewImage(128, 128)
+	for i := range xy.Pix {
+		xy.Pix[i] = math.Sin(0.01 * float64(i))
+	}
+	xz := vol.NewImage(32, 32)
+	xz.Fill(-2.5)
+	yz := vol.NewImage(32, 32)
+	yz.Set(3, 4, 1e-3)
+	h := PreviewHeader{ScanID: "bench-000017", NAngles: 180, LatencyMS: 0.25}
+
+	hdr, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	want = binary.LittleEndian.AppendUint32(want, uint32(len(hdr)))
+	want = append(want, hdr...)
+	for _, im := range []*vol.Image{xy, xz, yz} {
+		blob := tiled.EncodeSlice(im)
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(blob)))
+		want = append(want, blob...)
+	}
+	got, err := EncodePreview(h, xy, xz, yz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("EncodePreview: %d bytes differ from the %d of the slice-by-slice assembly", len(got), len(want))
+	}
+	if cap(got) != len(got) {
+		t.Errorf("EncodePreview sized its buffer %d for a %d-byte message", cap(got), len(got))
+	}
+	// Past marshalling the header (json.Marshal: its result, the header
+	// boxed into its interface argument, and whatever its encoder pool
+	// misses), the message is the one allocation.
+	if allocs := testing.AllocsPerRun(20, func() { assemblePreview(hdr, xy, xz, yz) }); allocs != 1 {
+		t.Errorf("assembling the preview message: %v allocs/op, want 1", allocs)
 	}
 }
 
@@ -154,11 +204,16 @@ func TestStreamingEndToEnd(t *testing.T) {
 }
 
 // TestStreamingIncrementalMatchesBatch publishes the same acquisition to
-// a batch service and an incremental one: the incremental preview must be
-// bit-identical to the batch preview (the accumulator reproduces the
-// reference FBP arithmetic exactly), the scan must be counted on the
-// incremental path, and its span tree must show the finalize stage in
-// place of the batch recon.
+// a batch service and an incremental one and compares the previews as the
+// beamline receives them, after the float32 wire encoding. The XY slice
+// must be identical: before encoding the incremental one is within 1e-12
+// of the batch plan's (TestIncrementalMatchesPlanFBP). The cross sections
+// are within 1e-12 too — their rows are filtered two to a transform
+// (TestIncrementalPreviewMatchesQuickPreview) — so they also encode to
+// the same float32 unless a value sits on a float32 rounding boundary,
+// in which case the two sides land one float32 apart: that, and no more,
+// is tolerated. The scan must be counted on the incremental path, and its
+// span tree must show the finalize stage in place of the batch recon.
 func TestStreamingIncrementalMatchesBatch(t *testing.T) {
 	truth := phantom.SheppLogan3D(32, 6)
 	theta := tomo.UniformAngles(48)
@@ -221,9 +276,10 @@ func TestStreamingIncrementalMatchesBatch(t *testing.T) {
 			t.Fatalf("%s dims: %dx%d vs %dx%d", names[i], batch[i].W, batch[i].H, inc[i].W, inc[i].H)
 		}
 		for j := range batch[i].Pix {
-			if batch[i].Pix[j] != inc[i].Pix[j] {
-				t.Fatalf("%s pixel %d: batch %g vs incremental %g (must be bit-identical)",
-					names[i], j, batch[i].Pix[j], inc[i].Pix[j])
+			b, g := float32(batch[i].Pix[j]), float32(inc[i].Pix[j])
+			if b != g && math.Nextafter32(b, g) != g {
+				t.Fatalf("%s pixel %d: batch %g vs incremental %g, more than one float32 apart",
+					names[i], j, b, g)
 			}
 		}
 	}
@@ -325,6 +381,111 @@ func TestStreamingIncrementalLateReferenceFallsBack(t *testing.T) {
 	}
 	if svc.ScansDone != 1 {
 		t.Fatalf("scans done = %d", svc.ScansDone)
+	}
+}
+
+// TestStreamingReusesIncrementalPreview runs two scans through one
+// incremental service: the second scan's preview must equal the preview a
+// service that never saw the first scan sends, and starting it must not
+// build accumulators again. Both previews' journal events say where the
+// service's time went.
+func TestStreamingReusesIncrementalPreview(t *testing.T) {
+	first := tomo.Acquire(phantom.SheppLogan3D(32, 5), tomo.UniformAngles(24), 32, tomo.AcquireOptions{I0: 2e4, Seed: 4})
+	second := tomo.Acquire(phantom.SheppLogan3D(32, 5), tomo.UniformAngles(30), 32, tomo.AcquireOptions{I0: 3e4, Seed: 5})
+
+	run := func(scans ...*tomo.Acquisition) (*StreamingService, []byte, *obslog.Journal) {
+		ioc, err := pva.NewServer("127.0.0.1:0", 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ioc.Close()
+		sink, err := msgq.NewPull("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sink.Close()
+		svc := &StreamingService{
+			PVAAddr: ioc.Addr(), Channel: "det", PreviewAddr: sink.Addr(),
+			Recon:       tomo.ReconOptions{Filter: tomo.SheppLoganFilter},
+			Incremental: true,
+		}
+		journal := obslog.New(flow.RealEnv{}, 64)
+		done := make(chan error, 1)
+		go func() { done <- svc.Run(obslog.NewContext(context.Background(), journal)) }()
+		waitForMonitors(t, ioc, "det", 1)
+		var last []byte
+		for _, acq := range scans {
+			if err := PublishAcquisition(ioc, "det", "scan", acq, 0); err != nil {
+				t.Fatal(err)
+			}
+			if last, err = sink.Recv(30 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ioc.Close()
+		if err := <-done; err != nil {
+			t.Fatalf("service exit: %v", err)
+		}
+		if svc.IncrementalScans != len(scans) {
+			t.Fatalf("%d of %d scans took the incremental path", svc.IncrementalScans, len(scans))
+		}
+		return svc, last, journal
+	}
+
+	reused, got, journal := run(first, second)
+	_, want, _ := run(second)
+	_, gotSlices, err := DecodePreview(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantSlices, err := DecodePreview(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range wantSlices {
+		for i, w := range wantSlices[k].Pix {
+			if gotSlices[k].Pix[i] != w {
+				t.Fatalf("slice %d pixel %d: %g after a previous scan, %g on a new service", k, i, gotSlices[k].Pix[i], w)
+			}
+		}
+	}
+
+	// The service is done with its accumulators and they are still there:
+	// a third scan of that geometry would get them back, cleared, at no
+	// allocation; another geometry gets its own.
+	kept := reused.inc
+	if kept == nil || kept.NRows != 5 || kept.NCols != 32 {
+		t.Fatalf("service kept %+v, want the 5×32 preview", kept)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if reused.incrementalFor(5, 32) != kept {
+			t.Fatal("a scan of the same geometry was given a new preview")
+		}
+	}); allocs != 0 {
+		t.Errorf("starting a scan of the kept geometry: %v allocs, want 0", allocs)
+	}
+	if kept.Angles() != 0 {
+		t.Errorf("preview handed to a new scan still holds %d angles", kept.Angles())
+	}
+	if other := reused.incrementalFor(6, 32); other == kept || other.NRows != 6 {
+		t.Errorf("a 6-row scan was given the 5-row preview")
+	}
+
+	sent := journal.Events(obslog.Filter{Component: "streaming", MinLevel: obslog.LevelInfo})
+	if len(sent) != 2 {
+		t.Fatalf("%d preview events journaled, want 2", len(sent))
+	}
+	for _, ev := range sent {
+		fields := map[string]string{}
+		for _, f := range ev.Fields {
+			fields[f.Key] = f.Value
+		}
+		for _, stage := range []string{"normalize", "fold", "finalize", "encode", "send"} {
+			d, err := time.ParseDuration(fields[stage])
+			if err != nil || d <= 0 {
+				t.Errorf("preview event %q: %s = %q, want a positive duration", ev.Msg, stage, fields[stage])
+			}
+		}
 	}
 }
 

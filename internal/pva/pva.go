@@ -11,13 +11,13 @@
 package pva
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -70,54 +70,85 @@ func (f *Frame) Validate() error {
 	return nil
 }
 
+// Encoded layout, little-endian: Seq, Timestamp and the AngleRad bits (8
+// bytes each), Rows and Cols (4 each), Kind (1), the scan id's length (1)
+// and bytes, then the samples. On the wire a message is the encoding
+// behind a 4-byte length.
+const (
+	fixedHeader = 8 + 8 + 8 + 4 + 4 + 1 + 1
+	lenPrefix   = 4
+)
+
 // Encode serializes the frame.
-func (f *Frame) Encode() []byte {
-	var buf bytes.Buffer
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], f.Seq)
-	buf.Write(hdr[:])
-	binary.LittleEndian.PutUint64(hdr[:], uint64(f.Timestamp))
-	buf.Write(hdr[:])
-	binary.LittleEndian.PutUint64(hdr[:], math.Float64bits(f.AngleRad))
-	buf.Write(hdr[:])
-	var dims [8]byte
-	binary.LittleEndian.PutUint32(dims[0:], uint32(f.Rows))
-	binary.LittleEndian.PutUint32(dims[4:], uint32(f.Cols))
-	buf.Write(dims[:])
-	buf.WriteByte(byte(f.Kind))
-	idBytes := []byte(f.ScanID)
-	buf.WriteByte(byte(len(idBytes)))
-	buf.Write(idBytes)
-	data := make([]byte, 2*len(f.Data))
-	for i, v := range f.Data {
-		binary.LittleEndian.PutUint16(data[i*2:], v)
-	}
-	buf.Write(data)
-	return buf.Bytes()
+func (f *Frame) Encode() []byte { return f.wireMsg()[lenPrefix:] }
+
+// wireMsg builds the frame's wire message — length prefix and encoding —
+// in one exact-size allocation, so a publisher writes it to each monitor
+// as it is.
+func (f *Frame) wireMsg() []byte {
+	msg := make([]byte, lenPrefix+fixedHeader+len(f.ScanID)+2*len(f.Data))
+	f.encodeInto(msg)
+	return msg
 }
+
+// encodeInto fills msg, which wireMsg sized.
+//
+//perf:hot
+func (f *Frame) encodeInto(msg []byte) {
+	binary.LittleEndian.PutUint32(msg, uint32(len(msg)-lenPrefix))
+	b := msg[lenPrefix:]
+	binary.LittleEndian.PutUint64(b[0:], f.Seq)
+	binary.LittleEndian.PutUint64(b[8:], uint64(f.Timestamp))
+	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(f.AngleRad))
+	binary.LittleEndian.PutUint32(b[24:], uint32(f.Rows))
+	binary.LittleEndian.PutUint32(b[28:], uint32(f.Cols))
+	b[32] = byte(f.Kind)
+	b[33] = byte(len(f.ScanID))
+	b = b[fixedHeader+copy(b[fixedHeader:], f.ScanID):]
+	for _, v := range f.Data {
+		binary.LittleEndian.PutUint16(b, v)
+		b = b[2:]
+	}
+}
+
+// peekHeader checks an encoded frame's framing — everything DecodeFrame
+// can reject — and returns the two header fields a relay needs, without
+// touching the samples.
+//
+//perf:hot
+func peekHeader(raw []byte) (seq uint64, kind FrameKind, err error) {
+	if len(raw) < fixedHeader {
+		return 0, 0, errShort(len(raw))
+	}
+	idLen := int(raw[33])
+	if len(raw) < fixedHeader+idLen {
+		return 0, 0, errTruncatedID
+	}
+	if n := len(raw) - fixedHeader - idLen; n%2 != 0 {
+		return 0, 0, errOddPayload(n)
+	}
+	return binary.LittleEndian.Uint64(raw), FrameKind(raw[32]), nil
+}
+
+var errTruncatedID = errors.New("pva: truncated scan id")
+
+func errShort(n int) error      { return fmt.Errorf("pva: frame too short (%d bytes)", n) }
+func errOddPayload(n int) error { return fmt.Errorf("pva: odd payload length %d", n) }
 
 // DecodeFrame parses an encoded frame.
 func DecodeFrame(raw []byte) (*Frame, error) {
-	const fixed = 8 + 8 + 8 + 8 + 1 + 1
-	if len(raw) < fixed {
-		return nil, fmt.Errorf("pva: frame too short (%d bytes)", len(raw))
+	seq, kind, err := peekHeader(raw)
+	if err != nil {
+		return nil, err
 	}
-	f := &Frame{}
-	f.Seq = binary.LittleEndian.Uint64(raw[0:])
+	f := &Frame{Seq: seq, Kind: kind}
 	f.Timestamp = int64(binary.LittleEndian.Uint64(raw[8:]))
 	f.AngleRad = math.Float64frombits(binary.LittleEndian.Uint64(raw[16:]))
 	f.Rows = int(binary.LittleEndian.Uint32(raw[24:]))
 	f.Cols = int(binary.LittleEndian.Uint32(raw[28:]))
-	f.Kind = FrameKind(raw[32])
-	idLen := int(raw[33])
-	if len(raw) < fixed+idLen {
-		return nil, fmt.Errorf("pva: truncated scan id")
-	}
-	f.ScanID = string(raw[fixed : fixed+idLen])
-	payload := raw[fixed+idLen:]
-	if len(payload)%2 != 0 {
-		return nil, fmt.Errorf("pva: odd payload length %d", len(payload))
-	}
+	idEnd := fixedHeader + int(raw[33])
+	f.ScanID = string(raw[fixedHeader:idEnd])
+	payload := raw[idEnd:]
 	f.Data = make([]uint16, len(payload)/2)
 	for i := range f.Data {
 		f.Data[i] = binary.LittleEndian.Uint16(payload[i*2:])
@@ -125,46 +156,69 @@ func DecodeFrame(raw []byte) (*Frame, error) {
 	return f, nil
 }
 
-// maxFirstRead is the most a length header alone can make readMsg
+// maxFirstRead is the most a length header alone can make readWire
 // allocate. Anything longer is believed only as fast as its bytes arrive.
 const maxFirstRead = 1 << 20
 
-// writeMsg / readMsg: 4-byte LE length framing.
+// writeMsg sends payload as one wire message in one Write.
 func writeMsg(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	msg := make([]byte, lenPrefix+len(payload))
+	binary.LittleEndian.PutUint32(msg, uint32(len(payload)))
+	copy(msg[lenPrefix:], payload)
+	_, err := w.Write(msg)
 	return err
 }
 
+// readMsg reads one wire message and returns its payload.
 func readMsg(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	msg, err := readWire(r, nil)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	return msg[lenPrefix:], nil
+}
+
+// readWire reads one wire message, length prefix included, into buf's
+// backing array when that is large enough and into a new one otherwise. A
+// caller that passes its previous result back reads without allocating;
+// one that passes nil owns what it gets.
+//
+//perf:hot
+func readWire(r io.Reader, buf []byte) ([]byte, error) {
+	buf = sized(buf, lenPrefix)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(buf)
 	if n > 1<<30 {
-		return nil, fmt.Errorf("pva: message length %d exceeds limit", n)
+		return nil, errTooLong(n)
 	}
-	// Up to maxFirstRead this is one allocation and one ReadFull; beyond
-	// it the buffer doubles as bytes arrive, so a header claiming a
-	// gigabyte ahead of a closed connection costs a megabyte.
-	total := int(n)
-	payload := make([]byte, min(total, maxFirstRead))
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	for have := len(payload); have < total; have = len(payload) {
-		payload = slices.Grow(payload, min(have, total-have))
-		payload = payload[:min(cap(payload), total)]
-		if _, err := io.ReadFull(r, payload[have:]); err != nil {
+	// Up to maxFirstRead the message is read in one ReadFull into at most
+	// one allocation; beyond it the buffer doubles as bytes arrive, so a
+	// header claiming a gigabyte ahead of a closed connection costs a
+	// megabyte.
+	total := lenPrefix + int(n)
+	have := lenPrefix
+	for have < total {
+		step := min(total-have, max(have, maxFirstRead))
+		buf = sized(buf, have+step)
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
 			return nil, err
 		}
+		have = len(buf)
 	}
-	return payload, nil
+	return buf, nil
+}
+
+func errTooLong(n uint32) error { return fmt.Errorf("pva: message length %d exceeds limit", n) }
+
+// sized returns buf with length n and its first min(len(buf), n) bytes
+// kept, reallocating only when n is beyond its capacity.
+func sized(buf []byte, n int) []byte {
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	return append(make([]byte, 0, n), buf...)[:n]
 }
 
 // Server is a PVA-style channel server (the detector IOC, or a mirror).
@@ -239,8 +293,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.channels[channel], id)
 		s.mu.Unlock()
 	}()
-	for frame := range ch {
-		if err := writeMsg(conn, frame); err != nil {
+	// The channel carries whole wire messages: one Write per frame.
+	for msg := range ch {
+		if _, err := conn.Write(msg); err != nil {
 			return
 		}
 	}
@@ -250,7 +305,12 @@ func (s *Server) serveConn(conn net.Conn) {
 // per-monitor high-water mark. End-of-scan frames are never dropped: they
 // block until delivered so consumers always learn the scan finished.
 func (s *Server) Publish(channel string, f *Frame) error {
-	raw := f.Encode()
+	return s.publishWire(channel, f.wireMsg(), f.Kind)
+}
+
+// publishWire fans one wire message out. The message is shared by every
+// monitor's queue and never written to again.
+func (s *Server) publishWire(channel string, msg []byte, kind FrameKind) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -263,12 +323,12 @@ func (s *Server) Publish(channel string, f *Frame) error {
 	s.mu.Unlock()
 
 	for _, ch := range monitors {
-		if f.Kind == KindEndOfScan {
-			ch <- raw
+		if kind == KindEndOfScan {
+			ch <- msg
 			continue
 		}
 		select {
-		case ch <- raw:
+		case ch <- msg:
 		default:
 			s.mu.Lock()
 			s.dropped++
@@ -311,6 +371,8 @@ func (s *Server) Close() error {
 // Monitor is a client subscription to a channel.
 type Monitor struct {
 	conn net.Conn
+	r    *bufio.Reader
+	msg  []byte // the wire message Next decoded last; its array is read into again
 	// Missed counts sequence gaps observed in the stream.
 	Missed  int
 	lastSeq uint64
@@ -335,32 +397,48 @@ func NewMonitor(addr, channel string) (*Monitor, error) {
 		conn.Close()
 		return nil, err
 	}
-	return &Monitor{conn: conn}, nil
+	// Frames of a few KB arrive several to a read; larger ones bypass the
+	// buffer and land in the message directly.
+	return &Monitor{conn: conn, r: bufio.NewReaderSize(conn, 64<<10)}, nil
 }
 
-// Next returns the next frame, tracking sequence gaps, blocking up to
-// timeout (0 = forever).
-func (m *Monitor) Next(timeout time.Duration) (*Frame, error) {
+// read returns the next wire message, blocking up to timeout (0 =
+// forever). It reads into buf as readWire does.
+func (m *Monitor) read(timeout time.Duration, buf []byte) ([]byte, error) {
 	if timeout > 0 {
 		m.conn.SetReadDeadline(time.Now().Add(timeout))
 	} else {
 		m.conn.SetReadDeadline(time.Time{})
 	}
-	raw, err := readMsg(m.conn)
+	return readWire(m.r, buf)
+}
+
+// account adds the frames lost between the previous frame and this one
+// to Missed. The end-of-scan marker is outside the count.
+func (m *Monitor) account(seq uint64, kind FrameKind) {
+	if kind == KindEndOfScan {
+		return
+	}
+	if m.started && seq > m.lastSeq+1 {
+		m.Missed += int(seq - m.lastSeq - 1)
+	}
+	m.lastSeq = seq
+	m.started = true
+}
+
+// Next returns the next frame, tracking sequence gaps, blocking up to
+// timeout (0 = forever).
+func (m *Monitor) Next(timeout time.Duration) (*Frame, error) {
+	msg, err := m.read(timeout, m.msg)
 	if err != nil {
 		return nil, err
 	}
-	f, err := DecodeFrame(raw)
+	m.msg = msg // the frame copies out of it; the next read may overwrite it
+	f, err := DecodeFrame(msg[lenPrefix:])
 	if err != nil {
 		return nil, err
 	}
-	if f.Kind != KindEndOfScan {
-		if m.started && f.Seq > m.lastSeq+1 {
-			m.Missed += int(f.Seq - m.lastSeq - 1)
-		}
-		m.lastSeq = f.Seq
-		m.started = true
-	}
+	m.account(f.Seq, f.Kind)
 	if m.Hook != nil {
 		m.Hook(f)
 	}
@@ -372,7 +450,8 @@ func (m *Monitor) Close() error { return m.conn.Close() }
 
 // Mirror republishes one server channel on another server — the paper's
 // PVA mirror service that decouples the detector IOC from its consumers.
-// It runs until the source closes or ctxDone is closed.
+// It relays each message as received: the bytes a consumer of the mirror
+// reads are the bytes the source wrote. It runs until the source closes.
 type Mirror struct {
 	monitor *Monitor
 	dst     *Server
@@ -391,25 +470,52 @@ func NewMirror(srcAddr, channel string, dst *Server) (*Mirror, error) {
 	return &Mirror{monitor: mon, dst: dst, channel: channel}, nil
 }
 
+// Missed is how many frames were lost upstream of the mirror: the gaps in
+// the sequence numbers it relayed. Like Relayed it is Run's to write; read
+// it once Run has returned.
+func (m *Mirror) Missed() int { return m.monitor.Missed }
+
 // Run relays frames until the source stream ends (or errors); it returns
 // nil when the source closed after an end-of-scan marker.
 func (m *Mirror) Run() error {
 	defer m.monitor.Close()
 	sawEnd := false
+	size := lenPrefix
 	for {
-		f, err := m.monitor.Next(0)
+		// Each message is read into an array of its own, which the
+		// destination's queues then share. A stream's frames are mostly
+		// one size, so the array is made the size of the last message.
+		msg, err := m.monitor.read(0, make([]byte, 0, size))
 		if err != nil {
 			if sawEnd {
 				return nil
 			}
 			return err
 		}
-		if err := m.dst.Publish(m.channel, f); err != nil {
+		kind, err := m.relay(msg)
+		if err != nil {
 			return err
 		}
-		m.Relayed++
-		if f.Kind == KindEndOfScan {
+		if kind == KindEndOfScan {
 			sawEnd = true
 		}
+		size = len(msg)
 	}
+}
+
+// relay republishes one wire message after reading, from its header, what
+// the gap count and the never-drop-end-of-scan rule need.
+//
+//perf:hot
+func (m *Mirror) relay(msg []byte) (FrameKind, error) {
+	seq, kind, err := peekHeader(msg[lenPrefix:])
+	if err != nil {
+		return kind, err
+	}
+	m.monitor.account(seq, kind)
+	if err := m.dst.publishWire(m.channel, msg, kind); err != nil {
+		return kind, err
+	}
+	m.Relayed++
+	return kind, nil
 }

@@ -3,11 +3,13 @@ package pva
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"math"
 	"net"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -76,6 +78,80 @@ func TestFrameEncodeDecodeProperty(t *testing.T) {
 	}
 }
 
+// referenceEncode is the encoder this package shipped before Encode became
+// one allocation: field by field into a growing buffer. It stays here as
+// the definition of the byte format.
+func referenceEncode(f *Frame) []byte {
+	var buf bytes.Buffer
+	var hdr [8]byte
+	binary.LittleEndian.PutUint64(hdr[:], f.Seq)
+	buf.Write(hdr[:])
+	binary.LittleEndian.PutUint64(hdr[:], uint64(f.Timestamp))
+	buf.Write(hdr[:])
+	binary.LittleEndian.PutUint64(hdr[:], math.Float64bits(f.AngleRad))
+	buf.Write(hdr[:])
+	var dims [8]byte
+	binary.LittleEndian.PutUint32(dims[0:], uint32(f.Rows))
+	binary.LittleEndian.PutUint32(dims[4:], uint32(f.Cols))
+	buf.Write(dims[:])
+	buf.WriteByte(byte(f.Kind))
+	idBytes := []byte(f.ScanID)
+	buf.WriteByte(byte(len(idBytes)))
+	buf.Write(idBytes)
+	data := make([]byte, 2*len(f.Data))
+	for i, v := range f.Data {
+		binary.LittleEndian.PutUint16(data[i*2:], v)
+	}
+	buf.Write(data)
+	return buf.Bytes()
+}
+
+// TestEncodeMatchesReferenceEncoder: the bytes did not change. Every
+// frame FuzzDecodeFrame is seeded with, frames without samples or scan id,
+// and a scan id longer than its length byte can say.
+func TestEncodeMatchesReferenceEncoder(t *testing.T) {
+	frames := []*Frame{
+		mkFrame(7, KindProjection), mkFrame(7, KindFlat), mkFrame(1<<40, KindDark),
+		{Seq: 9, ScanID: "scan-001", Kind: KindEndOfScan},
+		{},
+		{Seq: 1, ScanID: string(make([]byte, 300)), Rows: 1, Cols: 2, Data: []uint16{1, 65535}},
+		{Seq: 2, ScanID: "s", AngleRad: math.Inf(-1), Timestamp: -5, Rows: -1, Cols: 1 << 20, Kind: 200, Data: []uint16{0xBEEF}},
+	}
+	for i, f := range frames {
+		if got, want := f.Encode(), referenceEncode(f); !bytes.Equal(got, want) {
+			t.Errorf("frame %d: Encode differs from the reference encoder (%d vs %d bytes)", i, len(got), len(want))
+		}
+	}
+	prop := func(seq uint64, ts int64, angle float64, rows, cols uint32, kind uint8, id string, data []uint16) bool {
+		f := &Frame{Seq: seq, Timestamp: ts, AngleRad: angle, Rows: int(rows), Cols: int(cols),
+			Kind: FrameKind(kind), ScanID: id, Data: data}
+		return bytes.Equal(f.Encode(), referenceEncode(f))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestEncodeIsOneAllocation: the encoding is sized before it is written.
+func TestEncodeIsOneAllocation(t *testing.T) {
+	f := mkFrame(3, KindProjection)
+	f.Rows, f.Cols, f.Data = 32, 128, make([]uint16, 32*128)
+	var raw []byte
+	if allocs := testing.AllocsPerRun(50, func() { raw = f.Encode() }); allocs != 1 {
+		t.Errorf("Encode: %v allocs/op, want 1", allocs)
+	}
+	if want := fixedHeader + len(f.ScanID) + 2*len(f.Data); len(raw) != want {
+		t.Errorf("Encode: %d bytes, want %d", len(raw), want)
+	}
+	got, err := DecodeFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != f.Seq || got.ScanID != f.ScanID || got.Kind != f.Kind || !slices.Equal(got.Data, f.Data) {
+		t.Errorf("DecodeFrame(Encode(f)) = %+v", got)
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeFrame([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short buffer should fail")
@@ -130,7 +206,8 @@ func TestReadMsgGrowsPastFirstRead(t *testing.T) {
 
 // FuzzDecodeFrame feeds DecodeFrame the bytes a hostile or broken peer
 // could put inside a message: it must decode or return an error, never
-// panic, and whatever it accepts must survive Encode → DecodeFrame.
+// panic, whatever it accepts must survive Encode → DecodeFrame, and the
+// mirror's header peek must agree with it.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, kind := range []FrameKind{KindProjection, KindFlat, KindEndOfScan} {
 		enc := mkFrame(7, kind).Encode()
@@ -141,8 +218,18 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		got, err := DecodeFrame(raw)
+		// The mirror relays on the strength of the header peek alone: it
+		// must accept exactly what DecodeFrame accepts, and read the same
+		// Seq and Kind out of it.
+		seq, kind, perr := peekHeader(raw)
+		if (perr == nil) != (err == nil) {
+			t.Fatalf("peekHeader err = %v, DecodeFrame err = %v", perr, err)
+		}
 		if err != nil {
 			return
+		}
+		if seq != got.Seq || kind != got.Kind {
+			t.Fatalf("peekHeader read seq %d kind %d, DecodeFrame %d and %d", seq, kind, got.Seq, got.Kind)
 		}
 		enc := got.Encode()
 		if !bytes.Equal(enc, raw) {
@@ -400,6 +487,185 @@ func TestMirrorRelaysStream(t *testing.T) {
 	}
 }
 
+// TestMirrorRelaysBytesVerbatim: what a consumer behind the mirror reads
+// is, byte for byte, what the source wrote — the mirror neither decodes
+// nor re-encodes. One frame is 3 MiB, past the first read, so it crosses
+// both hops on the grow path.
+func TestMirrorRelaysBytesVerbatim(t *testing.T) {
+	ioc, _ := NewServer("127.0.0.1:0", 64)
+	defer ioc.Close()
+	mirrorSrv, _ := NewServer("127.0.0.1:0", 64)
+	defer mirrorSrv.Close()
+	mirror, err := NewMirror(ioc.Addr(), "det1", mirrorSrv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitMonitors(t, ioc, "det1", 1)
+	consumer, _ := NewMonitor(mirrorSrv.Addr(), "det1")
+	defer consumer.Close()
+	waitMonitors(t, mirrorSrv, "det1", 1)
+	mirrorDone := make(chan error, 1)
+	go func() { mirrorDone <- mirror.Run() }()
+
+	big := mkFrame(2, KindProjection)
+	big.Rows, big.Cols = 1, 3*maxFirstRead/2+1
+	big.Data = make([]uint16, big.Cols)
+	for i := range big.Data {
+		big.Data[i] = uint16(i * 31)
+	}
+	frames := []*Frame{
+		mkFrame(1, KindFlat), big, mkFrame(3, KindProjection),
+		{Seq: 4, ScanID: "scan-001", Kind: KindEndOfScan},
+	}
+	go func() {
+		for _, f := range frames {
+			ioc.Publish("det1", f)
+		}
+	}()
+	for i, f := range frames {
+		msg, err := consumer.read(10*time.Second, nil)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i+1, err)
+		}
+		if !bytes.Equal(msg, f.wireMsg()) {
+			t.Fatalf("frame %d: %d bytes behind the mirror differ from the %d published", i+1, len(msg), len(f.wireMsg()))
+		}
+		got, err := DecodeFrame(msg[lenPrefix:])
+		if err != nil || got.Seq != f.Seq || !slices.Equal(got.Data, f.Data) {
+			t.Fatalf("frame %d does not decode to what was published (err %v)", i+1, err)
+		}
+	}
+	ioc.Close()
+	if err := <-mirrorDone; err != nil {
+		t.Fatalf("mirror exit: %v", err)
+	}
+	if mirror.Relayed != len(frames) || mirror.Missed() != 0 {
+		t.Fatalf("relayed %d, missed %d; want %d and 0", mirror.Relayed, mirror.Missed(), len(frames))
+	}
+}
+
+// TestMirrorCountsUpstreamLoss drops frames at a one-deep queue between
+// the IOC and the mirror: every frame published is either relayed or
+// counted missed, and the end-of-scan marker is among the relayed.
+func TestMirrorCountsUpstreamLoss(t *testing.T) {
+	ioc, _ := NewServer("127.0.0.1:0", 1)
+	defer ioc.Close()
+	mirrorSrv, _ := NewServer("127.0.0.1:0", 4096)
+	defer mirrorSrv.Close()
+	mirror, err := NewMirror(ioc.Addr(), "det1", mirrorSrv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitMonitors(t, ioc, "det1", 1)
+	consumer, _ := NewMonitor(mirrorSrv.Addr(), "det1")
+	defer consumer.Close()
+	waitMonitors(t, mirrorSrv, "det1", 1)
+
+	// The mirror is subscribed but not yet reading: the socket buffers
+	// fill, the IOC's writer blocks, and its one-deep queue overflows.
+	// Frame 1 finds the queue empty, so the count starts from it.
+	big := make([]uint16, 256*256) // 128 KiB per frame on the wire
+	seq := uint64(0)
+	publish := func() {
+		seq++
+		f := mkFrame(seq, KindProjection)
+		f.Rows, f.Cols, f.Data = 256, 256, big
+		if err := ioc.Publish("det1", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		publish()
+	}
+	if ioc.Dropped() == 0 {
+		t.Fatal("expected drops at the one-deep queue")
+	}
+	mirrorDone := make(chan error, 1)
+	go func() { mirrorDone <- mirror.Run() }()
+	// A gap shows only once a later frame arrives, so the last projection
+	// has to be one that was queued, not dropped: try once a tick until
+	// the mirror has drained enough for that.
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for queued := false; !queued; <-tick.C {
+		before := ioc.Dropped()
+		publish()
+		queued = ioc.Dropped() == before
+	}
+	ioc.Publish("det1", &Frame{Seq: seq + 1, ScanID: "scan-001", Kind: KindEndOfScan})
+	published := int(seq) + 1
+
+	received, sawEnd := 0, false
+	for !sawEnd {
+		f, err := consumer.Next(10 * time.Second)
+		if err != nil {
+			t.Fatalf("stream ended before end-of-scan: %v", err)
+		}
+		received++
+		sawEnd = f.Kind == KindEndOfScan
+	}
+	ioc.Close()
+	if err := <-mirrorDone; err != nil {
+		t.Fatalf("mirror exit: %v", err)
+	}
+	if mirror.Missed() != ioc.Dropped() {
+		t.Errorf("mirror missed %d, the IOC dropped %d", mirror.Missed(), ioc.Dropped())
+	}
+	if mirror.Relayed+mirror.Missed() != published {
+		t.Errorf("relayed %d + missed %d != %d published", mirror.Relayed, mirror.Missed(), published)
+	}
+	// Nothing is lost downstream, and the consumer's own gap count is
+	// the mirror's.
+	if received != mirror.Relayed || consumer.Missed != mirror.Missed() {
+		t.Errorf("consumer received %d and missed %d; mirror relayed %d and missed %d",
+			received, consumer.Missed, mirror.Relayed, mirror.Missed())
+	}
+}
+
+// countingConn counts the Write calls a server makes on a connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestServerWritesEachFrameOnce: a frame, length prefix and all, is one
+// Write on the monitor's connection.
+func TestServerWritesEachFrameOnce(t *testing.T) {
+	srv, _ := NewServer("127.0.0.1:0", 64)
+	defer srv.Close()
+	client, server := net.Pipe()
+	defer client.Close()
+	cc := &countingConn{Conn: server}
+	go srv.serveConn(cc)
+	if err := writeMsg(client, []byte("MONITOR det1\n")); err != nil {
+		t.Fatal(err)
+	}
+	waitMonitors(t, srv, "det1", 1)
+	const n = 5
+	for seq := uint64(1); seq <= n; seq++ {
+		if err := srv.Publish("det1", mkFrame(seq, KindProjection)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seq := uint64(1); seq <= n; seq++ {
+		raw, err := readMsg(client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, err := DecodeFrame(raw); err != nil || f.Seq != seq {
+			t.Fatalf("frame %d: %+v, %v", seq, f, err)
+		}
+	}
+	if w := cc.writes.Load(); w != n {
+		t.Errorf("%d frames took %d writes, want one each", n, w)
+	}
+}
+
 func TestUnsupportedRequest(t *testing.T) {
 	srv, _ := NewServer("127.0.0.1:0", 4)
 	defer srv.Close()
@@ -430,5 +696,52 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 		if _, err := DecodeFrame(raw); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFrameEncode128x32 encodes one frame of the bench's stream
+// geometry.
+func BenchmarkFrameEncode128x32(b *testing.B) {
+	f := &Frame{Seq: 1, ScanID: "bench-000001", AngleRad: 1, Rows: 32, Cols: 128,
+		Data: make([]uint16, 32*128)}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(f.Encode())))
+	for i := 0; i < b.N; i++ {
+		f.Encode()
+	}
+}
+
+// BenchmarkMirrorRelay times the mirror's per-frame work — header peek,
+// gap count, fan-out to one monitor's queue — without the sockets on
+// either side of it.
+func BenchmarkMirrorRelay(b *testing.B) {
+	dst, err := NewServer("127.0.0.1:0", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dst.Close()
+	queue := make(chan []byte, 1)
+	dst.mu.Lock()
+	dst.channels["det1"] = map[int]chan []byte{0: queue}
+	dst.mu.Unlock()
+	defer func() { // Close closes every queue it finds; leave it none of ours
+		dst.mu.Lock()
+		delete(dst.channels, "det1")
+		dst.mu.Unlock()
+	}()
+	m := &Mirror{monitor: &Monitor{}, dst: dst, channel: "det1"}
+	f := &Frame{ScanID: "bench-000001", Rows: 32, Cols: 128, Data: make([]uint16, 32*128)}
+	msg := f.wireMsg()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		binary.LittleEndian.PutUint64(msg[lenPrefix:], uint64(i+1))
+		if _, err := m.relay(msg); err != nil {
+			b.Fatal(err)
+		}
+		<-queue
+	}
+	if m.Relayed != b.N || m.Missed() != 0 {
+		b.Fatalf("relayed %d of %d, missed %d", m.Relayed, b.N, m.Missed())
 	}
 }

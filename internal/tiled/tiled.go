@@ -130,13 +130,21 @@ func (s *Server) lookup(key string) (source, bool) {
 // EncodeSlice serializes an image as the wire format served by the slice
 // endpoint: two uint32 dims followed by float32 samples.
 func EncodeSlice(im *vol.Image) []byte {
-	out := make([]byte, 8+4*len(im.Pix))
-	binary.LittleEndian.PutUint32(out[0:], uint32(im.W))
-	binary.LittleEndian.PutUint32(out[4:], uint32(im.H))
-	for i, v := range im.Pix {
-		binary.LittleEndian.PutUint32(out[8+i*4:], math.Float32bits(float32(v)))
+	return AppendSlice(make([]byte, 0, SliceSize(im)), im)
+}
+
+// SliceSize is the length of an image's wire format.
+func SliceSize(im *vol.Image) int { return 8 + 4*len(im.Pix) }
+
+// AppendSlice appends an image's wire format to dst, so a message made of
+// several slices is assembled in place.
+func AppendSlice(dst []byte, im *vol.Image) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(im.W))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(im.H))
+	for _, v := range im.Pix {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
 	}
-	return out
+	return dst
 }
 
 // DecodeSlice parses the slice wire format.

@@ -8,6 +8,87 @@ import (
 	"repro/internal/vol"
 )
 
+// rowFilter is the padded ramp-filter convolution of the incremental
+// path: one complex transform filters one detector row, or two at once.
+// The ramp spectrum is real, so a row riding in the imaginary part of the
+// transform comes out filtered in the imaginary part, independently of its
+// partner up to rounding.
+type rowFilter struct {
+	ncols int
+	fp    *fft.Plan    // FFT plan for the padded length
+	taps  []complex128 // ramp-filter spectrum, imaginary parts all zero
+	cbuf  []complex128 // padded staging for one transform
+}
+
+func newRowFilter(ncols int, filter Filter) *rowFilter {
+	fm := fft.NextPow2(2 * ncols)
+	rf := &rowFilter{
+		ncols: ncols,
+		fp:    fft.PlanFor(fm),
+		taps:  make([]complex128, fm),
+		cbuf:  make([]complex128, fm),
+	}
+	for i, v := range rampFilter(fm, 2.0/float64(ncols), filter) {
+		rf.taps[i] = complex(v, 0)
+	}
+	// Two rows can share a transform only while the spectrum is real; a
+	// spectrum that grows a phase (a sub-pixel shift, say) must not get
+	// past this point silently.
+	for _, t := range rf.taps {
+		if imag(t) != 0 {
+			panic("tomo: ramp spectrum is not real; rows cannot share a transform")
+		}
+	}
+	return rf
+}
+
+// apply ramp-filters row a into dstA and, when b is not nil, row b into
+// dstB in the same transform. With b nil the imaginary part is zero going
+// in, which is the reference FBP's own single-row convolution bit for bit.
+// Allocation-free.
+//
+//perf:hot
+func (rf *rowFilter) apply(dstA, a, dstB, b []float64) {
+	nc := rf.ncols
+	cbuf := rf.cbuf
+	if b == nil {
+		for i := 0; i < nc; i++ {
+			cbuf[i] = complex(a[i], 0)
+		}
+	} else {
+		for i := 0; i < nc; i++ {
+			cbuf[i] = complex(a[i], b[i])
+		}
+	}
+	clear(cbuf[nc:])
+	rf.fp.ConvolveInto(cbuf, rf.taps)
+	for i := 0; i < nc; i++ {
+		dstA[i] = real(cbuf[i])
+	}
+	if b != nil {
+		for i := 0; i < nc; i++ {
+			dstB[i] = imag(cbuf[i])
+		}
+	}
+}
+
+// detectorTap maps a pixel's signed ray coordinate sc ∈ [-1, 1] to the
+// detector samples it interpolates between: columns c0 and c0+1 with
+// weights 1-f and f. c0 < 0 means the ray misses the detector; c0 ==
+// lastCol means it lands exactly on the last sample, which is taken
+// alone. This is the reference backprojector's expression, in its order.
+func detectorTap(sc, ncolsF float64, lastCol int) (c0 int, f float64) {
+	fc := (sc+1)/2*ncolsF - 0.5
+	c0 = int(math.Floor(fc))
+	if c0 < 0 || c0 >= lastCol {
+		if c0 == lastCol && fc <= float64(lastCol) {
+			return lastCol, 0
+		}
+		return -1, 0
+	}
+	return c0, fc - float64(c0)
+}
+
 // IncrementalRecon reconstructs a slice by filtered back projection one
 // projection at a time: each arriving detector row is ramp-filtered and
 // backprojected into a running accumulator the moment the streaming
@@ -29,16 +110,13 @@ type IncrementalRecon struct {
 	Size   int
 	Filter Filter
 
-	fm   int          // padded filter length
-	fp   *fft.Plan    // FFT plan for fm
-	taps []complex128 // ramp-filter spectrum
-	xs   []float64    // pixel-center coordinates
-	loPx []int        // per row: first pixel inside the circle
-	hiPx []int        // per row: one past the last inside pixel
-	cbuf []complex128 // padded row staging for the filter
-	frow []float64    // filtered detector row
-	acc  []float64    // unscaled backprojection accumulator (Size×Size)
-	n    int          // angles accumulated since the last Reset
+	rf   *rowFilter
+	xs   []float64 // pixel-center coordinates
+	loPx []int     // per row: first pixel inside the circle
+	hiPx []int     // per row: one past the last inside pixel
+	frow []float64 // filtered detector row
+	acc  []float64 // unscaled backprojection accumulator (Size×Size)
+	n    int       // angles accumulated since the last Reset
 }
 
 // NewIncrementalRecon builds an incremental FBP accumulator for sinogram
@@ -59,17 +137,10 @@ func NewIncrementalRecon(ncols, size int, filter Filter) (*IncrementalRecon, err
 		NCols:  ncols,
 		Size:   size,
 		Filter: filter,
-		fm:     fft.NextPow2(2 * ncols),
-	}
-	ir.fp = fft.PlanFor(ir.fm)
-	h := rampFilter(ir.fm, 2.0/float64(ncols), filter)
-	ir.taps = make([]complex128, ir.fm)
-	for i, v := range h {
-		ir.taps[i] = complex(v, 0)
+		rf:     newRowFilter(ncols, filter),
 	}
 	ir.xs = pixelCenters(size)
 	ir.loPx, ir.hiPx = circleBounds(ir.xs)
-	ir.cbuf = make([]complex128, ir.fm)
 	ir.frow = make([]float64, ncols)
 	ir.acc = make([]float64, size*size)
 	return ir, nil
@@ -77,9 +148,7 @@ func NewIncrementalRecon(ncols, size int, filter Filter) (*IncrementalRecon, err
 
 // Reset clears the accumulator for the next scan, keeping every buffer.
 func (ir *IncrementalRecon) Reset() {
-	for i := range ir.acc {
-		ir.acc[i] = 0
-	}
+	clear(ir.acc)
 	ir.n = 0
 }
 
@@ -95,28 +164,22 @@ func (ir *IncrementalRecon) Angles() int { return ir.n }
 //
 //perf:hot
 func (ir *IncrementalRecon) Accumulate(theta float64, row []float64) {
-	nc := ir.NCols
-	if len(row) != nc {
+	if len(row) != ir.NCols {
 		ir.badRow(len(row))
 	}
-	cbuf := ir.cbuf
-	for i := 0; i < nc; i++ {
-		cbuf[i] = complex(row[i], 0)
-	}
-	for i := nc; i < ir.fm; i++ {
-		cbuf[i] = 0
-	}
-	ir.fp.ConvolveInto(cbuf, ir.taps)
-	src := ir.frow
-	for i := 0; i < nc; i++ {
-		src[i] = real(cbuf[i])
-	}
+	ir.rf.apply(ir.frow, row, nil, nil)
+	ir.backproject(theta, ir.frow)
+}
 
+// backproject adds one already-filtered detector row, taken at angle
+// theta, to every pixel inside the reconstruction circle.
+//
+//perf:hot
+func (ir *IncrementalRecon) backproject(theta float64, src []float64) {
 	ct, st := math.Cos(theta), math.Sin(theta)
 	n := ir.Size
-	ncolsF := float64(nc)
-	lastCol := nc - 1
-	lastColF := float64(lastCol)
+	ncolsF := float64(ir.NCols)
+	lastCol := ir.NCols - 1
 	xs := ir.xs
 	acc := ir.acc
 	for py := 0; py < n; py++ {
@@ -127,19 +190,14 @@ func (ir *IncrementalRecon) Accumulate(theta float64, row []float64) {
 		y := xs[py]
 		out := acc[py*n : (py+1)*n]
 		for px := l; px < h; px++ {
-			sc := xs[px]*ct + y*st
-			// Exact per-pixel detector coordinate — the same expression,
-			// in the same order, as the reference backprojector.
-			fc := (sc+1)/2*ncolsF - 0.5
-			c0 := int(math.Floor(fc))
-			if c0 < 0 || c0 >= lastCol {
-				if c0 == lastCol && fc <= lastColF {
-					out[px] += src[c0]
-				}
-				continue
+			c0, f := detectorTap(xs[px]*ct+y*st, ncolsF, lastCol)
+			switch {
+			case c0 < 0:
+			case c0 == lastCol:
+				out[px] += src[c0]
+			default:
+				out[px] += src[c0]*(1-f) + src[c0+1]*f
 			}
-			f := fc - float64(c0)
-			out[px] += src[c0]*(1-f) + src[c0+1]*f
 		}
 	}
 	ir.n++
@@ -158,25 +216,84 @@ func (ir *IncrementalRecon) FinalizeInto(dst *vol.Image) error {
 	if dst.W != ir.Size || dst.H != ir.Size {
 		return fmt.Errorf("tomo: incremental destination %d×%d does not match size %d", dst.W, dst.H, ir.Size)
 	}
-	if ir.n == 0 {
-		for i := range dst.Pix {
-			dst.Pix[i] = 0
-		}
-		return nil
-	}
-	scale := math.Pi / float64(ir.n)
-	for i, v := range ir.acc {
-		dst.Pix[i] = v * scale
-	}
+	scaleInto(dst.Pix, ir.acc, ir.n)
 	return nil
 }
 
+// scaleInto writes acc·π/n to dst, or zeros when no angle has arrived —
+// not the NaNs π/0 would give.
+func scaleInto(dst, acc []float64, n int) {
+	if n == 0 {
+		clear(dst)
+		return
+	}
+	scale := math.Pi / float64(n)
+	for i, v := range acc {
+		dst[i] = v * scale
+	}
+}
+
+// crossLine accumulates one line of pixels of a reduced-size
+// reconstruction — its centre row or its centre column — for every
+// detector row of a frame at once. All detector rows share one geometry,
+// so where a pixel's ray meets the detector is worked out once per angle
+// (aim) and applied to each filtered row (fold). Pixel for pixel this is
+// the arithmetic, in the angle order, of a dense IncrementalRecon of that
+// size per detector row, of which the preview reads this line only.
+type crossLine struct {
+	x, y []float64 // pixel centres along the line
+	in   []bool    // pixel is inside the reconstruction circle
+	c0   []int     // this angle's detectorTap per pixel
+	f    []float64
+	acc  []float64 // nrows × len(x), unscaled
+}
+
+func newCrossLine(nrows int, x, y []float64, in []bool) *crossLine {
+	m := len(x)
+	return &crossLine{x: x, y: y, in: in, c0: make([]int, m), f: make([]float64, m), acc: make([]float64, nrows*m)}
+}
+
+//perf:hot
+func (cl *crossLine) aim(ct, st, ncolsF float64, lastCol int) {
+	for k, in := range cl.in {
+		if !in {
+			cl.c0[k] = -1
+			continue
+		}
+		cl.c0[k], cl.f[k] = detectorTap(cl.x[k]*ct+cl.y[k]*st, ncolsF, lastCol)
+	}
+}
+
+// fold adds detector row r's filtered samples to the line.
+//
+//perf:hot
+func (cl *crossLine) fold(r int, src []float64, lastCol int) {
+	m := len(cl.c0)
+	out := cl.acc[r*m : (r+1)*m]
+	for k, c0 := range cl.c0 {
+		switch {
+		case c0 < 0:
+		case c0 == lastCol:
+			out[k] += src[c0]
+		default:
+			f := cl.f[k]
+			out[k] += src[c0]*(1-f) + src[c0+1]*f
+		}
+	}
+}
+
 // IncrementalPreview maintains the three orthogonal preview slices of a
-// streaming scan incrementally: a full-resolution IncrementalRecon for
-// the central XY slice plus one reduced-resolution accumulator per
-// detector row for the XZ/YZ cross sections — the same slice/size choices
-// QuickPreview makes, but paid for frame by frame as projections arrive
-// instead of all at once after the last one.
+// streaming scan incrementally — the same slice/size choices QuickPreview
+// makes, but paid for frame by frame as projections arrive instead of all
+// at once after the last one, and paid only for the pixels the preview
+// shows: a full-resolution IncrementalRecon for the central XY slice, and
+// for the XZ/YZ cross sections the centre row and centre column of the
+// reduced-size grid, one crossLine each.
+//
+// The XY slice is bit-identical to IncrementalRecon (and the reference
+// FBP). The cross sections take their filtered rows two to a transform,
+// which rounds differently from one row alone: they agree with
+// QuickPreview to 1e-12, not bit for bit.
 type IncrementalPreview struct {
 	NRows     int
 	NCols     int
@@ -185,8 +302,9 @@ type IncrementalPreview struct {
 
 	centerRow int
 	full      *IncrementalRecon
-	rows      []*IncrementalRecon
-	tmp       *vol.Image // SmallSize² finalize scratch
+	others    []int      // every detector row but centerRow, paired off in order
+	filt      []float64  // NRows×NCols filtered frame
+	xz, yz    *crossLine // centre row / centre column of the SmallSize grid
 }
 
 // NewIncrementalPreview builds the incremental counterpart of
@@ -210,19 +328,41 @@ func NewIncrementalPreview(nrows, ncols, size int, filter Filter) (*IncrementalP
 		FullSize:  size,
 		SmallSize: small,
 		centerRow: nrows / 2,
-		rows:      make([]*IncrementalRecon, nrows),
 	}
 	var err error
 	if ip.full, err = NewIncrementalRecon(ncols, size, filter); err != nil {
 		return nil, err
 	}
-	for r := range ip.rows {
-		if ip.rows[r], err = NewIncrementalRecon(ncols, small, filter); err != nil {
-			return nil, err
+	for r := 0; r < nrows; r++ {
+		if r != ip.centerRow {
+			ip.others = append(ip.others, r)
 		}
 	}
-	ip.tmp = vol.NewImage(small, small)
+	ip.filt = make([]float64, nrows*ncols)
+
+	// Pixel (i, small/2) of the reduced grid for XZ, (small/2, i) for YZ,
+	// inside the circle by the dense path's own row bounds.
+	xs := pixelCenters(small)
+	lo, hi := circleBounds(xs)
+	mid := small / 2
+	midXs := make([]float64, small)
+	inRow := make([]bool, small)
+	inCol := make([]bool, small)
+	for i := range xs {
+		midXs[i] = xs[mid]
+		inRow[i] = lo[mid] <= i && i < hi[mid]
+		inCol[i] = lo[i] <= mid && mid < hi[i]
+	}
+	ip.xz = newCrossLine(nrows, xs, midXs, inRow)
+	ip.yz = newCrossLine(nrows, midXs, xs, inCol)
 	return ip, nil
+}
+
+// Reset clears every accumulator for the next scan, keeping every buffer.
+func (ip *IncrementalPreview) Reset() {
+	ip.full.Reset()
+	clear(ip.xz.acc)
+	clear(ip.yz.acc)
 }
 
 // Angles reports how many projections have been accumulated.
@@ -230,7 +370,10 @@ func (ip *IncrementalPreview) Angles() int { return ip.full.Angles() }
 
 // AddProjection folds one nrows×ncols projection frame (row-major line
 // integrals, post normalization and -log) taken at angle theta into every
-// preview accumulator. Allocation-free.
+// preview accumulator. Each detector row is filtered once: the centre row
+// alone — the XY slice needs the exact single-row result — and the others
+// two to a transform, the last with a zero partner when their number is
+// odd. Allocation-free.
 //
 //perf:hot
 func (ip *IncrementalPreview) AddProjection(theta float64, frame []float64) {
@@ -238,11 +381,31 @@ func (ip *IncrementalPreview) AddProjection(theta float64, frame []float64) {
 		ip.badFrame(len(frame))
 	}
 	nc := ip.NCols
-	ip.full.Accumulate(theta, frame[ip.centerRow*nc:(ip.centerRow+1)*nc])
-	for r, ir := range ip.rows {
-		ir.Accumulate(theta, frame[r*nc:(r+1)*nc])
+	rf := ip.full.rf
+	filt := ip.filt
+	rf.apply(rowOf(filt, ip.centerRow, nc), rowOf(frame, ip.centerRow, nc), nil, nil)
+	for i := 0; i+1 < len(ip.others); i += 2 {
+		a, b := ip.others[i], ip.others[i+1]
+		rf.apply(rowOf(filt, a, nc), rowOf(frame, a, nc), rowOf(filt, b, nc), rowOf(frame, b, nc))
+	}
+	if len(ip.others)%2 == 1 {
+		a := ip.others[len(ip.others)-1]
+		rf.apply(rowOf(filt, a, nc), rowOf(frame, a, nc), nil, nil)
+	}
+
+	ip.full.backproject(theta, rowOf(filt, ip.centerRow, nc))
+	ct, st := math.Cos(theta), math.Sin(theta)
+	lastCol := nc - 1
+	ip.xz.aim(ct, st, float64(nc), lastCol)
+	ip.yz.aim(ct, st, float64(nc), lastCol)
+	for r := 0; r < ip.NRows; r++ {
+		ip.xz.fold(r, rowOf(filt, r, nc), lastCol)
+		ip.yz.fold(r, rowOf(filt, r, nc), lastCol)
 	}
 }
+
+// rowOf is row r of a row-major buffer of nc-sample rows.
+func rowOf(buf []float64, r, nc int) []float64 { return buf[r*nc : (r+1)*nc] }
 
 // badFrame is the cold panic path of AddProjection, kept out of the hot
 // function so its formatting does not allocate there.
@@ -250,26 +413,31 @@ func (ip *IncrementalPreview) badFrame(got int) {
 	panic(fmt.Sprintf("tomo: incremental frame has %d samples, want %d×%d", got, ip.NRows, ip.NCols))
 }
 
-// Finalize scales the accumulators into the three preview slices: the
-// central XY slice at full resolution, and XZ/YZ cross sections assembled
-// from the central row/column of each reduced-size row reconstruction —
-// the identical assembly QuickPreview performs.
+// Finalize scales the accumulators by π/n into the three preview slices:
+// the central XY slice at full resolution and the XZ/YZ cross sections,
+// one image row per detector row. The accumulators are left intact.
 func (ip *IncrementalPreview) Finalize() (xy, xz, yz *vol.Image, err error) {
 	xy = vol.NewImage(ip.FullSize, ip.FullSize)
-	if err := ip.full.FinalizeInto(xy); err != nil {
+	xz = vol.NewImage(ip.SmallSize, ip.NRows)
+	yz = vol.NewImage(ip.SmallSize, ip.NRows)
+	if err := ip.FinalizeInto(xy, xz, yz); err != nil {
 		return nil, nil, nil, err
 	}
-	m := ip.SmallSize
-	xz = vol.NewImage(m, ip.NRows)
-	yz = vol.NewImage(m, ip.NRows)
-	for r, ir := range ip.rows {
-		if err := ir.FinalizeInto(ip.tmp); err != nil {
-			return nil, nil, nil, err
-		}
-		for i := 0; i < m; i++ {
-			xz.Set(i, r, ip.tmp.At(i, m/2))
-			yz.Set(i, r, ip.tmp.At(m/2, i))
+	return xy, xz, yz, nil
+}
+
+// FinalizeInto is Finalize into images the caller keeps from scan to
+// scan: xy FullSize×FullSize, xz and yz SmallSize×NRows. Allocation-free.
+func (ip *IncrementalPreview) FinalizeInto(xy, xz, yz *vol.Image) error {
+	if err := ip.full.FinalizeInto(xy); err != nil {
+		return err
+	}
+	for _, im := range [...]*vol.Image{xz, yz} {
+		if im.W != ip.SmallSize || im.H != ip.NRows {
+			return fmt.Errorf("tomo: incremental cross-section destination %d×%d, want %d×%d", im.W, im.H, ip.SmallSize, ip.NRows)
 		}
 	}
-	return xy, xz, yz, nil
+	scaleInto(xz.Pix, ip.xz.acc, ip.Angles())
+	scaleInto(yz.Pix, ip.yz.acc, ip.Angles())
+	return nil
 }

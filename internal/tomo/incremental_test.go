@@ -73,53 +73,230 @@ func TestIncrementalMatchesPlanFBP(t *testing.T) {
 
 // TestIncrementalPreviewMatchesQuickPreview feeds frames one at a time
 // and checks all three finalized slices against the batch QuickPreview of
-// the same projection set.
+// the same projection set: odd and even detector heights (the centre row
+// sits at either end of a filter pair, and an odd height leaves a row
+// without a partner) and the bench's stream geometry.
 func TestIncrementalPreviewMatchesQuickPreview(t *testing.T) {
-	const w, d, ncols = 20, 5, 20
-	v := vol.NewVolume(w, w, d)
-	for i := range v.Data {
-		v.Data[i] = math.Abs(math.Sin(0.17 * float64(i)))
-	}
-	theta := UniformAngles(24)
-	ps := ProjectVolume(v, theta, ncols)
+	for _, g := range []struct{ ncols, nrows, nangles int }{
+		{20, 5, 24},
+		{20, 6, 24},
+		{20, 1, 24},
+		{128, 32, 60}, // bench/ stream workload, paced scan
+	} {
+		v := vol.NewVolume(g.ncols, g.ncols, g.nrows)
+		for i := range v.Data {
+			v.Data[i] = math.Abs(math.Sin(0.17 * float64(i)))
+		}
+		theta := UniformAngles(g.nangles)
+		ps := ProjectVolume(v, theta, g.ncols)
 
-	xy, xz, yz, err := QuickPreview(context.Background(), ps, ReconOptions{Filter: SheppLoganFilter})
-	if err != nil {
-		t.Fatal(err)
-	}
+		xy, xz, yz, err := QuickPreview(context.Background(), ps, ReconOptions{Filter: SheppLoganFilter})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	ip, err := NewIncrementalPreview(ps.NRows, ps.NCols, 0, SheppLoganFilter)
+		ip, err := NewIncrementalPreview(ps.NRows, ps.NCols, 0, SheppLoganFilter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < ps.NAngles; a++ {
+			ip.AddProjection(theta[a], ps.Projection(a))
+		}
+		if ip.Angles() != ps.NAngles {
+			t.Fatalf("Angles() = %d, want %d", ip.Angles(), ps.NAngles)
+		}
+		ixy, ixz, iyz, err := ip.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ixy.W != xy.W || ixz.W != xz.W || ixz.H != xz.H || iyz.W != yz.W || iyz.H != yz.H {
+			t.Fatalf("%dx%d: preview dims: xy %dx%d vs %dx%d, xz %dx%d vs %dx%d",
+				g.ncols, g.nrows, ixy.W, ixy.H, xy.W, xy.H, ixz.W, ixz.H, xz.W, xz.H)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want *vol.Image
+		}{{"XY", ixy, xy}, {"XZ", ixz, xz}, {"YZ", iyz, yz}} {
+			if d := maxAbsDiff(c.got.Pix, c.want.Pix); d > 1e-12 {
+				t.Errorf("%dx%d %s slice: max |Δ| = %g > 1e-12", g.ncols, g.nrows, c.name, d)
+			}
+		}
+	}
+}
+
+// TestIncrementalPreviewXYIsIncrementalRecon: the preview's XY slice is
+// the single-row path, bit for bit — whatever the other rows share their
+// transforms with.
+func TestIncrementalPreviewXYIsIncrementalRecon(t *testing.T) {
+	const ncols, nrows = 32, 6
+	theta := UniformAngles(20)
+	frames := testFrames(len(theta), nrows, ncols)
+	ip, err := NewIncrementalPreview(nrows, ncols, 0, Hann)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for a := 0; a < ps.NAngles; a++ {
-		ip.AddProjection(theta[a], ps.Projection(a))
-	}
-	if ip.Angles() != ps.NAngles {
-		t.Fatalf("Angles() = %d, want %d", ip.Angles(), ps.NAngles)
-	}
-	ixy, ixz, iyz, err := ip.Finalize()
+	ir, err := NewIncrementalRecon(ncols, 0, Hann)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ixy.W != xy.W || ixz.W != xz.W || ixz.H != xz.H {
-		t.Fatalf("preview dims: xy %dx%d vs %dx%d, xz %dx%d vs %dx%d",
-			ixy.W, ixy.H, xy.W, xy.H, ixz.W, ixz.H, xz.W, xz.H)
+	for a, th := range theta {
+		ip.AddProjection(th, frames[a])
+		ir.Accumulate(th, rowOf(frames[a], nrows/2, ncols))
 	}
-	if d := maxAbsDiff(ixy.Pix, xy.Pix); d > 1e-12 {
-		t.Errorf("XY slice: max |Δ| = %g > 1e-12", d)
+	xy, _, _, err := ip.Finalize()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := maxAbsDiff(ixz.Pix, xz.Pix); d > 1e-12 {
-		t.Errorf("XZ slice: max |Δ| = %g > 1e-12", d)
+	want := vol.NewImage(ncols, ncols)
+	if err := ir.FinalizeInto(want); err != nil {
+		t.Fatal(err)
 	}
-	if d := maxAbsDiff(iyz.Pix, yz.Pix); d > 1e-12 {
-		t.Errorf("YZ slice: max |Δ| = %g > 1e-12", d)
+	if d := maxAbsDiff(xy.Pix, want.Pix); d != 0 {
+		t.Errorf("XY slice vs IncrementalRecon: max |Δ| = %g, want bit-identical", d)
+	}
+}
+
+// testFrames makes nangles deterministic nrows×ncols frames of positive
+// line integrals, every row different.
+func testFrames(nangles, nrows, ncols int) [][]float64 {
+	frames := make([][]float64, nangles)
+	for a := range frames {
+		f := make([]float64, nrows*ncols)
+		for i := range f {
+			f[i] = 1 + math.Sin(0.31*float64(i)+0.7*float64(a))*math.Cos(0.05*float64(i*a))
+		}
+		frames[a] = f
+	}
+	return frames
+}
+
+// TestSparseCrossSectionsEqualDense is what makes the sparse accumulators
+// a cost change and not a numerical one: handed the filtered rows the
+// preview itself computed, one dense reduced-size IncrementalRecon per
+// detector row — what the preview used to keep — holds, on its centre row
+// and centre column, exactly the values the two cross-section lines hold.
+func TestSparseCrossSectionsEqualDense(t *testing.T) {
+	for _, g := range []struct{ ncols, nrows int }{
+		{40, 4}, {40, 5}, // SmallSize 16
+		{128, 4}, {128, 5}, // SmallSize 32
+	} {
+		for _, f := range []Filter{RamLak, SheppLoganFilter, Hann} {
+			ip, err := NewIncrementalPreview(g.nrows, g.ncols, 0, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := ip.SmallSize
+			if want := map[int]int{40: 16, 128: 32}[g.ncols]; m != want {
+				t.Fatalf("%d columns: SmallSize %d, want %d", g.ncols, m, want)
+			}
+			dense := make([]*IncrementalRecon, g.nrows)
+			for r := range dense {
+				if dense[r], err = NewIncrementalRecon(g.ncols, m, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			theta := UniformAngles(23)
+			for a, frame := range testFrames(len(theta), g.nrows, g.ncols) {
+				ip.AddProjection(theta[a], frame)
+				for r, ir := range dense {
+					ir.backproject(theta[a], rowOf(ip.filt, r, g.ncols))
+				}
+			}
+			_, xz, yz, err := ip.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tmp := vol.NewImage(m, m)
+			nonzero := 0
+			for r, ir := range dense {
+				if err := ir.FinalizeInto(tmp); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < m; i++ {
+					if got, want := xz.At(i, r), tmp.At(i, m/2); got != want {
+						t.Fatalf("%dx%d %v: XZ(%d,%d) = %g, dense centre row has %g", g.ncols, g.nrows, f, i, r, got, want)
+					}
+					if got, want := yz.At(i, r), tmp.At(m/2, i); got != want {
+						t.Fatalf("%dx%d %v: YZ(%d,%d) = %g, dense centre column has %g", g.ncols, g.nrows, f, i, r, got, want)
+					}
+					if xz.At(i, r) != 0 && yz.At(i, r) != 0 {
+						nonzero++
+					}
+				}
+			}
+			if nonzero < g.nrows*m/2 {
+				t.Fatalf("%dx%d %v: only %d of %d cross-section pixel pairs are non-zero; the comparison is vacuous",
+					g.ncols, g.nrows, f, nonzero, g.nrows*m)
+			}
+		}
+	}
+}
+
+// TestPairedFilterMatchesSingle bounds what sharing a transform costs a
+// row. The ramp spectrum is real, so the two rows never mix in exact
+// arithmetic; in floating point each butterfly rounds the pair as one
+// complex number, so a row's error is relative to the larger partner:
+// 1e-12 of the pair's largest filtered sample, which for partners of like
+// scale (line integrals are 0…14) is 1e-12 outright.
+func TestPairedFilterMatchesSingle(t *testing.T) {
+	const ncols = 96
+	mk := func(scale, phase float64) []float64 {
+		row := make([]float64, ncols)
+		for i := range row {
+			row[i] = scale * (1 + math.Sin(0.23*float64(i)+phase))
+		}
+		return row
+	}
+	for _, f := range []Filter{RamLak, SheppLoganFilter, Hann} {
+		rf := newRowFilter(ncols, f)
+		single := func(row []float64) []float64 {
+			out := make([]float64, ncols)
+			rf.apply(out, row, nil, nil)
+			return out
+		}
+		for _, c := range []struct {
+			name string
+			a, b []float64
+		}{
+			{"like scale", mk(1, 0), mk(3, 1)},
+			{"zero partner", mk(1, 0), make([]float64, ncols)},
+			{"1e6 apart", mk(1, 0), mk(1e6, 2)},
+		} {
+			wantA, wantB := single(c.a), single(c.b)
+			gotA, gotB := make([]float64, ncols), make([]float64, ncols)
+			rf.apply(gotA, c.a, gotB, c.b)
+			peak := 1.0
+			for i := range wantA {
+				peak = math.Max(peak, math.Max(math.Abs(wantA[i]), math.Abs(wantB[i])))
+			}
+			tol := 1e-12 * peak
+			if d := maxAbsDiff(gotA, wantA); d > tol {
+				t.Errorf("%v, %s: real-part row off by %g > %g", f, c.name, d, tol)
+			}
+			if d := maxAbsDiff(gotB, wantB); d > tol {
+				t.Errorf("%v, %s: imaginary-part row off by %g > %g", f, c.name, d, tol)
+			}
+		}
+		// A nil partner is the reference convolution itself, not merely
+		// close to it.
+		row := mk(2, 0.5)
+		cbuf := make([]complex128, len(rf.cbuf))
+		for i, v := range row {
+			cbuf[i] = complex(v, 0)
+		}
+		rf.fp.ConvolveInto(cbuf, rf.taps)
+		for i, got := range single(row) {
+			if got != real(cbuf[i]) {
+				t.Fatalf("%v: single-row filter sample %d = %g, reference convolution %g", f, i, got, real(cbuf[i]))
+			}
+		}
 	}
 }
 
 // TestIncrementalResetReuse checks that Reset restores a bit-identical
 // second scan on the same accumulator — the streaming service keeps one
-// IncrementalPreview alive across scans.
+// IncrementalPreview alive across scans of one geometry and Resets it at
+// the start of each.
 func TestIncrementalResetReuse(t *testing.T) {
 	s := testSinogram(20, 16)
 	ir, err := NewIncrementalRecon(16, 16, Hann)
@@ -142,6 +319,37 @@ func TestIncrementalResetReuse(t *testing.T) {
 	}
 	if d := maxAbsDiff(first.Pix, second.Pix); d != 0 {
 		t.Errorf("reset scan diverged: max |Δ| = %g", d)
+	}
+
+	// The same for the three-slice preview, which is what the service
+	// holds: a second scan after Reset equals a scan on a new preview.
+	const nrows, ncols = 5, 16
+	theta := UniformAngles(12)
+	frames := testFrames(len(theta), nrows, ncols)
+	scan := func(ip *IncrementalPreview) []*vol.Image {
+		for a, th := range theta {
+			ip.AddProjection(th, frames[a])
+		}
+		xy, xz, yz, err := ip.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*vol.Image{xy, xz, yz}
+	}
+	ip, err := NewIncrementalPreview(nrows, ncols, 0, Hann)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scan(ip)
+	ip.AddProjection(0.3, frames[0]) // a scan cut short must leave nothing behind
+	ip.Reset()
+	if ip.Angles() != 0 {
+		t.Fatalf("preview Angles() after Reset = %d", ip.Angles())
+	}
+	for k, got := range scan(ip) {
+		if d := maxAbsDiff(got.Pix, want[k].Pix); d != 0 {
+			t.Errorf("preview slice %d after Reset: max |Δ| = %g", k, d)
+		}
 	}
 }
 
@@ -215,6 +423,31 @@ func TestIncrementalZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("AddProjection: %v allocs/op, want 0", allocs)
 	}
+	// Finalize allocates the three images it returns (a header and a
+	// pixel slice each) and nothing to get there.
+	allocs = testing.AllocsPerRun(20, func() {
+		if _, _, _, err := ip.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("Finalize: %v allocs/op, want only its three results (6)", allocs)
+	}
+	xy, xz, yz, err := ip.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		if err := ip.FinalizeInto(xy, xz, yz); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("FinalizeInto: %v allocs/op, want 0", allocs)
+	}
+	if allocs = testing.AllocsPerRun(20, ip.Reset); allocs != 0 {
+		t.Errorf("Reset: %v allocs/op, want 0", allocs)
+	}
 }
 
 func TestIncrementalValidation(t *testing.T) {
@@ -234,6 +467,13 @@ func TestIncrementalValidation(t *testing.T) {
 	if err := ir.FinalizeInto(vol.NewImage(8, 8)); err == nil {
 		t.Error("size-mismatched finalize destination accepted")
 	}
+	ip, err := NewIncrementalPreview(4, 16, 0, RamLak)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ip.FinalizeInto(vol.NewImage(16, 16), vol.NewImage(16, 4), vol.NewImage(4, 16)); err == nil {
+		t.Error("transposed cross-section destination accepted")
+	}
 	// Zero angles: finalize must produce zeros, not NaNs from π/0.
 	dst := vol.NewImage(16, 16)
 	dst.Fill(7)
@@ -244,5 +484,25 @@ func TestIncrementalValidation(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("zero-angle finalize left pixel %d = %g", i, v)
 		}
+	}
+}
+
+// BenchmarkIncrementalPreviewAdd128x32 is one frame of the bench's stream
+// geometry (128 columns × 32 rows) through AddProjection.
+func BenchmarkIncrementalPreviewAdd128x32(b *testing.B) {
+	const rows, cols = 32, 128
+	ip, err := NewIncrementalPreview(rows, cols, 0, SheppLoganFilter)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame := make([]float64, rows*cols)
+	for i := range frame {
+		frame[i] = math.Abs(math.Sin(0.013 * float64(i)))
+	}
+	theta := UniformAngles(180)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ip.AddProjection(theta[i%len(theta)], frame)
 	}
 }
