@@ -31,6 +31,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -49,39 +51,57 @@ import (
 	"repro/internal/tiled"
 )
 
+// errUsage marks a command line run could not act on; the flag set has
+// already told the user what was wrong with it.
+var errUsage = errors.New("bad command line")
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8832", "listen address")
-	scans := flag.Int("scans", 100, "simulated campaign size for flow statistics")
-	token := flag.String("token", "demo-token", "SFAPI bearer token")
-	oneshot := flag.Bool("oneshot", false, "print a status summary and exit (for smoke tests)")
-	journalPath := flag.String("journal", "", "dump the campaign event journal as JSONL to this file")
-	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	beamlines := flag.Int("beamlines", 4, "beamlines in the multi-tenant campaign")
-	workers := flag.Int("workers", 4, "scheduler worker-pool size for the campaign")
-	reserved := flag.Int("reserved", 1, "workers reserved for the streaming class")
-	campaignScans := flag.Int("campaign-scans", 6, "scans per beamline in the multi-tenant campaign")
-	schedJournalPath := flag.String("sched-journal", "", "dump the multi-tenant campaign's event journal as JSONL to this file")
-	scenarioPath := flag.String("scenario", "", "run this scenario spec as the multi-tenant campaign (outcome served at /api/scenario)")
-	telemetryOn := flag.Bool("telemetry", true, "run the facility telemetry plane alongside the multi-tenant campaign")
-	telemetryJournalPath := flag.String("telemetry-journal", "", "dump the telemetry verdict timeline and probe digest as JSONL to this file")
-	flag.Parse()
+	// One ctx from signal to shutdown: SIGINT/SIGTERM cancels everything
+	// hanging off it.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "flowserver:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole service: the operational journal goes to stderr, the
+// -oneshot status summary to stdout. A served run returns nil once ctx is
+// cancelled and the server has drained.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("flowserver", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:8832", "listen address")
+	scans := fs.Int("scans", 100, "simulated campaign size for flow statistics")
+	token := fs.String("token", "demo-token", "SFAPI bearer token")
+	oneshot := fs.Bool("oneshot", false, "print a status summary and exit (for smoke tests)")
+	journalPath := fs.String("journal", "", "dump the campaign event journal as JSONL to this file")
+	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
+	beamlines := fs.Int("beamlines", 4, "beamlines in the multi-tenant campaign")
+	workers := fs.Int("workers", 4, "scheduler worker-pool size for the campaign")
+	reserved := fs.Int("reserved", 1, "workers reserved for the streaming class")
+	campaignScans := fs.Int("campaign-scans", 6, "scans per beamline in the multi-tenant campaign")
+	schedJournalPath := fs.String("sched-journal", "", "dump the multi-tenant campaign's event journal as JSONL to this file")
+	scenarioPath := fs.String("scenario", "", "run this scenario spec as the multi-tenant campaign (outcome served at /api/scenario)")
+	telemetryOn := fs.Bool("telemetry", true, "run the facility telemetry plane alongside the multi-tenant campaign")
+	telemetryJournalPath := fs.String("telemetry-journal", "", "dump the telemetry verdict timeline and probe digest as JSONL to this file")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	// Operational journal: wall-clocked, text-rendered to stderr — the
 	// replacement for stdlib log, with the same journal schema the
 	// campaign timeline uses. (The sim journals run on the engine clock;
 	// sim.WallClock is the sanctioned bridge to real time.)
 	ops := obslog.New(sim.WallClock{}, 1024)
-	ops.AddSink(obslog.NewTextSink(os.Stderr))
+	ops.AddSink(obslog.NewTextSink(stderr))
 	opsCtx := obslog.NewContext(context.Background(), ops)
-	fatal := func(msg string, fields ...obslog.Field) {
-		obslog.Error(opsCtx, "flowserver", msg, fields...)
-		os.Exit(1)
-	}
-
-	// One ctx from signal to shutdown: SIGINT/SIGTERM cancels everything
-	// hanging off it.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	// Populate the orchestration history from a simulated campaign, with
 	// outcome counters flowing into the metrics registry.
@@ -96,20 +116,10 @@ func main() {
 
 	// The -journal dump is the determinism gate's artifact: two runs with
 	// the same seed must produce byte-identical files.
-	if *journalPath != "" {
-		f, err := os.Create(*journalPath)
-		if err != nil {
-			fatal("create journal file", obslog.F("err", err))
-		}
-		if err := b.Journal.WriteJSONL(f, obslog.Filter{}); err != nil {
-			f.Close()
-			fatal("write journal", obslog.F("err", err))
-		}
-		if err := f.Close(); err != nil {
-			fatal("close journal file", obslog.F("err", err))
-		}
-		obslog.Info(opsCtx, "flowserver", "journal written",
-			obslog.F("path", *journalPath))
+	if err := dump(opsCtx, "journal", *journalPath, func(w io.Writer) error {
+		return b.Journal.WriteJSONL(w, obslog.Filter{})
+	}); err != nil {
+		return err
 	}
 
 	// The multi-tenant campaign: N beamlines sharing one facility pool
@@ -126,15 +136,15 @@ func main() {
 		// served at /api/scenario.
 		spec, err := scenario.Load(*scenarioPath)
 		if err != nil {
-			fatal("load scenario", obslog.F("err", err))
+			return fmt.Errorf("load scenario: %w", err)
 		}
 		runner, err := scenario.NewRunner(spec)
 		if err != nil {
-			fatal("build scenario", obslog.F("err", err))
+			return fmt.Errorf("build scenario: %w", err)
 		}
 		scOutcome, err = runner.Run()
 		if err != nil {
-			fatal("run scenario", obslog.F("err", err))
+			return fmt.Errorf("run scenario: %w", err)
 		}
 		camp = runner.Campaign
 		cres = camp.Result()
@@ -167,38 +177,18 @@ func main() {
 	// artifact: verdict transitions plus the probe-series digest, stamped
 	// purely from the sim clock, so two seeded runs must be
 	// byte-identical.
-	if *telemetryJournalPath != "" {
-		if camp.Telemetry == nil {
-			fatal("telemetry journal requested but the campaign ran without -telemetry")
-		}
-		f, err := os.Create(*telemetryJournalPath)
-		if err != nil {
-			fatal("create telemetry journal file", obslog.F("err", err))
-		}
-		if err := camp.Telemetry.WriteTimeline(f); err != nil {
-			f.Close()
-			fatal("write telemetry journal", obslog.F("err", err))
-		}
-		if err := f.Close(); err != nil {
-			fatal("close telemetry journal file", obslog.F("err", err))
-		}
-		obslog.Info(opsCtx, "flowserver", "telemetry journal written",
-			obslog.F("path", *telemetryJournalPath))
+	if *telemetryJournalPath != "" && camp.Telemetry == nil {
+		return errors.New("telemetry journal requested but the campaign ran without -telemetry")
 	}
-	if *schedJournalPath != "" {
-		f, err := os.Create(*schedJournalPath)
-		if err != nil {
-			fatal("create sched journal file", obslog.F("err", err))
-		}
-		if err := camp.Base.Journal.WriteJSONL(f, obslog.Filter{}); err != nil {
-			f.Close()
-			fatal("write sched journal", obslog.F("err", err))
-		}
-		if err := f.Close(); err != nil {
-			fatal("close sched journal file", obslog.F("err", err))
-		}
-		obslog.Info(opsCtx, "flowserver", "sched journal written",
-			obslog.F("path", *schedJournalPath))
+	if err := dump(opsCtx, "telemetry journal", *telemetryJournalPath, func(w io.Writer) error {
+		return camp.Telemetry.WriteTimeline(w)
+	}); err != nil {
+		return err
+	}
+	if err := dump(opsCtx, "sched journal", *schedJournalPath, func(w io.Writer) error {
+		return camp.Base.Journal.WriteJSONL(w, obslog.Filter{})
+	}); err != nil {
+		return err
 	}
 
 	// Metadata catalog was filled by the campaign; add an access-layer
@@ -274,31 +264,32 @@ func main() {
 	})
 
 	if *oneshot {
-		fmt.Print(status)
-		return
+		_, err := fmt.Fprint(stdout, status)
+		return err
 	}
 
-	// Runtime introspection: sample goroutine/heap/GC gauges into the
-	// registry so /metrics answers "is the server healthy" at a glance.
-	monitor.SampleRuntime(metrics)
-	go func() {
-		tick := time.NewTicker(10 * time.Second)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				monitor.SampleRuntime(metrics)
-			}
-		}
-	}()
-
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fmt.Errorf("listen: %w", err)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	srv := &http.Server{Handler: mux}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		<-ctx.Done()
+		// Runtime introspection: sample goroutine/heap/GC gauges into the
+		// registry so /metrics answers "is the server healthy" at a glance.
+		monitor.SampleRuntime(metrics)
+		tick := time.NewTicker(10 * time.Second)
+		defer tick.Stop()
+		for ctx.Err() == nil {
+			select {
+			case <-tick.C:
+				monitor.SampleRuntime(metrics)
+			case <-ctx.Done():
+			}
+		}
 		obslog.Info(opsCtx, "flowserver", "signal received, draining")
 		if n := api.CancelAll(); n > 0 {
 			obslog.Warn(opsCtx, "flowserver", "cancelled running SFAPI jobs",
@@ -320,12 +311,36 @@ func main() {
 	}()
 
 	obslog.Info(opsCtx, "flowserver", "listening",
-		obslog.F("url", "http://"+*addr+"/"))
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal("serve", obslog.F("err", err))
+		obslog.F("url", "http://"+ln.Addr().String()+"/"))
+	err = srv.Serve(ln)
+	cancel() // a no-op after a signal; stops the drain goroutine if Serve failed
+	<-done   // Serve returns as soon as Shutdown starts; wait for the drain
+	if !errors.Is(err, http.ErrServerClosed) {
+		return fmt.Errorf("serve: %w", err)
 	}
-	<-done
 	obslog.Info(opsCtx, "flowserver", "shutdown complete")
+	return nil
+}
+
+// dump writes one determinism artifact to path through write; an empty
+// path asks for none.
+func dump(ctx context.Context, what, path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("create %s file: %w", what, err)
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", what, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("close %s file: %w", what, err)
+	}
+	obslog.Info(ctx, "flowserver", what+" written", obslog.F("path", path))
+	return nil
 }
 
 func statusText(b *core.Beamline, res *core.Table2Result, cres *core.CampaignResult) string {

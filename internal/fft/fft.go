@@ -266,69 +266,128 @@ func (p *plan[C]) transform2D(img, col []C, inverse bool) {
 	}
 }
 
-// BandCols is how many adjacent columns Inverse2DBand moves per sweep over
-// the image, and so how many columns of scratch it needs: four complex128
-// samples are one 64-byte cache line, which then feeds four transforms
-// instead of one, and four columns of scratch still sit in L1.
-const BandCols = 4
-
-// Inverse2DBand is Inverse2D for a caller that reads only the columns
-// within band of the wrapped origin (x ≤ band or x ≥ n-band): the row pass
-// runs in full, the column pass over those columns alone, and every other
-// column is left holding its row-pass intermediate. On the computed
-// columns every sample == Inverse2D's. A band that covers the image
-// computes all of it. col is column scratch of len ≥ BandCols·n. No
-// allocations are performed.
+// SplitPair separates the spectra of two real sequences a and b that were
+// transformed together as one complex sequence a + i·b. On entry z holds
+// that transform; on return z holds the spectrum of a and b that of b:
+// bin k of each is (Z[k] + conj Z[-k])/2 and (Z[k] - conj Z[-k])/2i, both
+// exactly Hermitian (DC and Nyquist real). len(b) == len(z), a power of
+// two. No allocations are performed.
 //
 //perf:hot
-func (p *plan[C]) Inverse2DBand(img, col []C, band int) {
-	n := p.n
-	if len(img) != n*n {
-		panic("fft: Inverse2DBand size mismatch")
+func SplitPair(z, b []complex128) {
+	n := len(z)
+	if len(b) != n {
+		panic("fft: SplitPair length mismatch")
 	}
-	if len(col) < BandCols*n {
-		panic("fft: Inverse2DBand column scratch too short")
+	h := n / 2
+	for _, k := range [2]int{0, h} { // their own mirrors: a is the real part, b the imaginary
+		zk := z[k]
+		z[k], b[k] = complex(real(zk), 0), complex(imag(zk), 0)
 	}
-	for y := 0; y < n; y++ {
-		p.Inverse(img[y*n : (y+1)*n])
+	for k := 1; k < h; k++ {
+		zk, zm := z[k], z[n-k]
+		ar, ai := (real(zk)+real(zm))*0.5, (imag(zk)-imag(zm))*0.5
+		br, bi := (imag(zk)+imag(zm))*0.5, (real(zm)-real(zk))*0.5
+		z[k], z[n-k] = complex(ar, ai), complex(ar, -ai)
+		b[k], b[n-k] = complex(br, bi), complex(br, -bi)
 	}
-	if 2*band+1 >= n {
-		p.inverseCols(img, col, 0, n)
-		return
-	}
-	p.inverseCols(img, col, 0, band+1)
-	p.inverseCols(img, col, n-band, n)
 }
 
-// inverseCols inverse-transforms columns [x0, x1) of img in place, BandCols
-// at a time while that many remain.
+// BandSide is the side of the square band InverseHermitian2DBand computes
+// for an n-point plan: the 2·band+1 samples within band of the wrapped
+// origin, or all n when that covers the axis.
+func BandSide(n, band int) int { return min(2*band+1, n) }
+
+// BandIndex maps a wrapped index within band of the origin of an n-point
+// axis to its position in the band: 0…band stay, n-band…n-1 follow them.
+func BandIndex(x, n, band int) int {
+	if x <= band {
+		return x
+	}
+	return x - n + BandSide(n, band)
+}
+
+// InverseHermitian2DBand computes the real inverse 2-D DFT of an n×n
+// spectrum H with H(-ky, -kx) = conj H(ky, kx) from its rows 0…n/2 alone,
+// at the samples within band of the wrapped origin on both axes. half holds
+// those n/2+1 rows and is overwritten. Rows 0 and n/2 are their own
+// mirrors, and only their Hermitian part is used: the result is
+// Re(Inverse2D) of the spectrum whose rows n/2+1…n-1 mirror rows n/2-1…1.
+// After the row pass every column is Hermitian in ky, so two columns share
+// one complex inverse, one in the real output and one in the imaginary.
+// out receives the bw×bw band, bw = BandSide(n, band), row-major in
+// BandIndex order. col is scratch of len ≥ 2n. No allocations are
+// performed. It runs at either plan width; gridrec uses the float64 one.
 //
 //perf:hot
-func (p *plan[C]) inverseCols(img, col []C, x0, x1 int) {
+func InverseHermitian2DBand[C cplx, F float32 | float64](p *plan[C], half, col []C, out []F, band int) {
 	n := p.n
-	c0, c1, c2, c3 := col[:n], col[n:2*n], col[2*n:3*n], col[3*n:4*n]
-	x := x0
-	for ; x+BandCols <= x1; x += BandCols {
-		for y := range c0 {
-			r := img[y*n+x : y*n+x+BandCols]
-			c0[y], c1[y], c2[y], c3[y] = r[0], r[1], r[2], r[3]
-		}
-		p.Inverse(c0)
-		p.Inverse(c1)
-		p.Inverse(c2)
-		p.Inverse(c3)
-		for y := range c0 {
-			r := img[y*n+x : y*n+x+BandCols]
-			r[0], r[1], r[2], r[3] = c0[y], c1[y], c2[y], c3[y]
-		}
+	bw := BandSide(n, band)
+	if len(half) != (n/2+1)*n || len(out) != bw*bw {
+		panic("fft: InverseHermitian2DBand size mismatch")
 	}
-	for ; x < x1; x++ {
-		for y := range c0 {
-			c0[y] = img[y*n+x]
+	if len(col) < 2*n {
+		panic("fft: InverseHermitian2DBand column scratch too short")
+	}
+	for y := 0; y <= n/2; y++ {
+		p.Inverse(half[y*n : (y+1)*n])
+	}
+	if bw == n {
+		hermCols(p, half, col, out, band, 0, n)
+		return
+	}
+	hermCols(p, half, col, out, band, 0, band+1)
+	hermCols(p, half, col, out, band, n-band, n)
+}
+
+// hermCols inverse-transforms the row-transformed half-plane columns
+// [x0, x1) into their band-image columns. Up to four adjacent columns — one
+// 64-byte cache line of complex128 per row — are gathered per sweep, two
+// per complex transform; an odd last column rides with a zero partner.
+// real, imag and complex are not defined on type parameters, so samples
+// pass through complex128, a no-op at that width and exact at complex64.
+//
+//perf:hot
+func hermCols[C cplx, F float32 | float64](p *plan[C], half, col []C, out []F, band, x0, x1 int) {
+	n, h := p.n, p.n/2
+	bw := BandSide(n, band)
+	for x := x0; x < x1; x += 4 {
+		w := min(4, x1-x)
+		for ky := 0; ky <= h; ky++ {
+			r := half[ky*n+x : ky*n+x+w]
+			for j := 0; j < w; j += 2 {
+				a, b := complex128(r[j]), complex128(0)
+				if j+1 < w {
+					b = complex128(r[j+1])
+				}
+				// a + i·b at ky and its mirror conj a + i·conj b at -ky;
+				// rows 0 and h keep their Hermitian (real) parts only.
+				c := col[j/2*n : j/2*n+n]
+				if ky == 0 || ky == h {
+					c[ky] = C(complex(real(a), real(b)))
+				} else {
+					c[ky] = C(complex(real(a)-imag(b), imag(a)+real(b)))
+					c[n-ky] = C(complex(real(a)+imag(b), real(b)-imag(a)))
+				}
+			}
 		}
-		p.Inverse(c0)
-		for y := range c0 {
-			img[y*n+x] = c0[y]
+		for j := 0; j < w; j += 2 {
+			p.Inverse(col[j/2*n : j/2*n+n])
+		}
+		xc := BandIndex(x, n, band)
+		for yc := 0; yc < bw; yc++ {
+			y := yc // BandIndex's inverse
+			if yc > band {
+				y += n - bw
+			}
+			o := out[yc*bw+xc : yc*bw+xc+w]
+			for j := 0; j < w; j += 2 {
+				v := complex128(col[j/2*n+y])
+				o[j] = F(real(v))
+				if j+1 < w {
+					o[j+1] = F(imag(v))
+				}
+			}
 		}
 	}
 }
@@ -404,30 +463,6 @@ func Inverse(x []complex128) {
 	PlanFor(len(x)).Inverse(x)
 }
 
-// ForwardReal transforms a real signal into its complex spectrum of the
-// same (power-of-two) length. The input is not modified.
-func ForwardReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	Forward(c)
-	return c
-}
-
-// InverseReal inverts a spectrum and returns the real part, discarding the
-// (numerically tiny, for conjugate-symmetric input) imaginary residue.
-// The spectrum is inverted in place — c is consumed as scratch, avoiding a
-// defensive clone on a path that is almost always fed a throwaway buffer.
-func InverseReal(c []complex128) []float64 {
-	Inverse(c)
-	out := make([]float64, len(c))
-	for i, v := range c {
-		out[i] = real(v)
-	}
-	return out
-}
-
 // FreqIndex returns the signed frequency bin for index i of an n-point DFT,
 // i.e. i for i < n/2 and i-n otherwise.
 func FreqIndex(i, n int) int {
@@ -435,32 +470,4 @@ func FreqIndex(i, n int) int {
 		return i
 	}
 	return i - n
-}
-
-// Shift2D applies an fftshift-style quadrant swap to a square n×n complex
-// image stored row-major, moving the zero frequency to the center (or back;
-// the operation is its own inverse for even n).
-func Shift2D(img []complex128, n int) {
-	if len(img) != n*n {
-		panic("fft: Shift2D size mismatch")
-	}
-	h := n / 2
-	for y := 0; y < h; y++ {
-		for x := 0; x < n; x++ {
-			x2 := (x + h) % n
-			y2 := y + h
-			img[y*n+x], img[y2*n+x2] = img[y2*n+x2], img[y*n+x]
-		}
-	}
-}
-
-// Forward2D computes the forward DFT of a square n×n row-major image by
-// transforming rows then columns. n must be a power of two.
-func Forward2D(img []complex128, n int) {
-	PlanFor(n).Forward2D(img, make([]complex128, n))
-}
-
-// Inverse2D computes the inverse DFT (normalized) of a square n×n image.
-func Inverse2D(img []complex128, n int) {
-	PlanFor(n).Inverse2D(img, make([]complex128, n))
 }

@@ -201,16 +201,50 @@ func TestForwardPanicsOnNonPow2(t *testing.T) {
 
 func TestPlanFor32PanicsOnNonPow2(t *testing.T) { testPanicsOnNonPow2(t, PlanFor32) }
 
+// TestForwardRealMatchesComplex holds the pair split to two separate
+// complex transforms of real rows, at DC, at Nyquist and everywhere between,
+// including the zero-partner case of an odd last row, and holds it to zero
+// allocations.
 func TestForwardRealMatchesComplex(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	c := ForwardReal(x)
-	if len(c) != len(x) {
-		t.Fatal("length mismatch")
-	}
-	back := InverseReal(c)
-	for i := range x {
-		if math.Abs(back[i]-x[i]) > 1e-10 {
-			t.Fatalf("roundtrip real mismatch at %d: %v", i, back[i])
+	for _, n := range []int{2, 8, 64} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		a, b := make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i], b[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		for _, partner := range []string{"random", "zero"} {
+			if partner == "zero" {
+				clear(b)
+			}
+			wantA, wantB, z := make([]complex128, n), make([]complex128, n), make([]complex128, n)
+			for i := range a {
+				wantA[i], wantB[i], z[i] = complex(a[i], 0), complex(b[i], 0), complex(a[i], b[i])
+			}
+			p := PlanFor(n)
+			p.Forward(wantA)
+			p.Forward(wantB)
+			p.Forward(z)
+			gotB := make([]complex128, n)
+			SplitPair(z, gotB)
+			for k := range z {
+				if d := max(cmplx.Abs(z[k]-wantA[k]), cmplx.Abs(gotB[k]-wantB[k])); d > 1e-12 {
+					t.Fatalf("n=%d %s partner, bin %d: |Δ| = %g > 1e-12", n, partner, k, d)
+				}
+			}
+			for _, k := range []int{0, n / 2} {
+				if imag(z[k]) != 0 || imag(gotB[k]) != 0 {
+					t.Errorf("n=%d %s partner: bin %d is not real: %v, %v", n, partner, k, z[k], gotB[k])
+				}
+			}
+			Inverse(z)
+			for i := range a {
+				if math.Abs(real(z[i])-a[i]) > 1e-12 {
+					t.Fatalf("n=%d %s partner: round trip sample %d = %v, want %v", n, partner, i, z[i], a[i])
+				}
+			}
+			if allocs := testing.AllocsPerRun(5, func() { SplitPair(z, gotB) }); allocs != 0 {
+				t.Errorf("n=%d: SplitPair %v allocs/op, want 0", n, allocs)
+			}
 		}
 	}
 }
@@ -360,28 +394,6 @@ func TestFreqIndex(t *testing.T) {
 	}
 }
 
-func TestShift2DInvolution(t *testing.T) {
-	n := 8
-	img := make([]complex128, n*n)
-	rng := rand.New(rand.NewSource(4))
-	orig := make([]complex128, n*n)
-	for i := range img {
-		img[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		orig[i] = img[i]
-	}
-	Shift2D(img, n)
-	// Zero freq moved to center.
-	if img[(n/2)*n+n/2] != orig[0] {
-		t.Fatal("zero frequency not moved to center")
-	}
-	Shift2D(img, n)
-	for i := range img {
-		if img[i] != orig[i] {
-			t.Fatal("Shift2D not an involution for even n")
-		}
-	}
-}
-
 func TestForward2DRoundTrip(t *testing.T) {
 	n := 16
 	img := make([]complex128, n*n)
@@ -391,8 +403,9 @@ func TestForward2DRoundTrip(t *testing.T) {
 		img[i] = complex(rng.NormFloat64(), 0)
 		orig[i] = img[i]
 	}
-	Forward2D(img, n)
-	Inverse2D(img, n)
+	p, col := PlanFor(n), make([]complex128, n)
+	p.Forward2D(img, col)
+	p.Inverse2D(img, col)
 	for i := range img {
 		if cmplx.Abs(img[i]-orig[i]) > 1e-9 {
 			t.Fatalf("2D roundtrip mismatch at %d", i)
@@ -407,7 +420,7 @@ func TestForward2DDC(t *testing.T) {
 	for i := range img {
 		img[i] = 3
 	}
-	Forward2D(img, n)
+	PlanFor(n).Forward2D(img, make([]complex128, n))
 	if cmplx.Abs(img[0]-complex(3*float64(n*n), 0)) > 1e-9 {
 		t.Fatalf("DC bin = %v", img[0])
 	}
@@ -418,38 +431,75 @@ func TestForward2DDC(t *testing.T) {
 	}
 }
 
-// testInverse2DBand holds the banded inverse to its contract: on every
-// column within band of the wrapped origin, all rows == Inverse2D's, for
-// bands narrower than, equal to and wider than the image — and it
-// allocates nothing.
-func testInverse2DBand[C cplx](t *testing.T, planFor func(int) *plan[C]) {
-	for _, n := range []int{1, 2, 16} {
+// hermitianExtension is the full n×n spectrum whose rows 0…n/2 are half
+// and whose rows n/2+1…n-1 mirror rows n/2-1…1: row n-ky, column n-kx is
+// the conjugate of row ky, column kx.
+func hermitianExtension[C cplx](half []C, n int) []C {
+	full := make([]C, n*n)
+	copy(full, half)
+	for ky := n/2 + 1; ky < n; ky++ {
+		for kx := 0; kx < n; kx++ {
+			full[ky*n+kx] = C(cmplx.Conj(complex128(half[(n-ky)*n+(n-kx)%n])))
+		}
+	}
+	return full
+}
+
+// testInverse2DBand holds the Hermitian band inverse to its contract: each
+// band sample is within tol of Re(Inverse2D) of the Hermitian extension at
+// the same width, for bands inside the axis, at the exact fit and past it
+// (the all-columns fallback), with rows 0 and n/2 not Hermitian on their
+// own — and it allocates nothing.
+func testInverse2DBand[C cplx, F float32 | float64](t *testing.T, planFor func(int) *plan[C], tol float64) {
+	for _, n := range []int{2, 4, 16} {
 		p := planFor(n)
-		src := randComplex[C](n*n, int64(n))
-		want := append([]C(nil), src...)
+		src := randComplex[C]((n/2+1)*n, int64(n))
+		want := hermitianExtension(src, n)
 		p.Inverse2D(want, make([]C, n))
-		col := make([]C, BandCols*n)
+		col := make([]C, 2*n)
 		for _, band := range []int{0, 1, 3, 6, n/2 - 1, n / 2, n} {
-			got := append([]C(nil), src...)
-			p.Inverse2DBand(got, col, band)
-			full := 2*band+1 >= n
-			for y := 0; y < n; y++ {
-				for x := 0; x < n; x++ {
-					if (full || x <= band || x >= n-band) && got[y*n+x] != want[y*n+x] {
-						t.Fatalf("n=%d band=%d: (%d,%d) = %v, Inverse2D gives %v",
-							n, band, x, y, got[y*n+x], want[y*n+x])
+			bw := BandSide(n, band)
+			out := make([]F, bw*bw)
+			half := append([]C(nil), src...)
+			InverseHermitian2DBand(p, half, col, out, band)
+			// The band's lines in wrapped order: 0…band, then n-band…n-1.
+			var lines []int
+			for i := 0; i < n; i++ {
+				if bw == n || i <= band || i >= n-band {
+					if BandIndex(i, n, band) != len(lines) {
+						t.Fatalf("n=%d band=%d: BandIndex(%d) = %d, want %d", n, band, i, BandIndex(i, n, band), len(lines))
+					}
+					lines = append(lines, i)
+				}
+			}
+			if len(lines) != bw {
+				t.Fatalf("n=%d band=%d: %d band lines, BandSide says %d", n, band, len(lines), bw)
+			}
+			for yc, y := range lines {
+				for xc, x := range lines {
+					got, re := float64(out[yc*bw+xc]), real(complex128(want[y*n+x]))
+					if d := math.Abs(got - re); d > tol {
+						t.Fatalf("n=%d band=%d: (%d,%d) = %v, Re(Inverse2D) gives %v (|Δ| = %g > %g)",
+							n, band, x, y, got, re, d, tol)
 					}
 				}
 			}
-			if allocs := testing.AllocsPerRun(5, func() { p.Inverse2DBand(got, col, band) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(5, func() { InverseHermitian2DBand(p, half, col, out, band) }); allocs != 0 {
 				t.Errorf("n=%d band=%d: %v allocs/op, want 0", n, band, allocs)
 			}
 		}
 	}
 }
 
-func TestInverse2DBandMatchesInverse2D(t *testing.T)       { testInverse2DBand(t, PlanFor) }
-func TestPlan32Inverse2DBandMatchesInverse2D(t *testing.T) { testInverse2DBand(t, PlanFor32) }
+func TestInverse2DBandMatchesInverse2D(t *testing.T) {
+	testInverse2DBand[complex128, float64](t, PlanFor, 1e-12)
+}
+
+// The band values are O(1/n) ≈ 0.06 at n = 16, so 1e-6 is ≈ 100 float32
+// roundings of headroom for the different summation order.
+func TestPlan32Inverse2DBandMatchesInverse2D(t *testing.T) {
+	testInverse2DBand[complex64, float32](t, PlanFor32, 1e-6)
+}
 
 func BenchmarkForward1K(b *testing.B) {
 	x := make([]complex128, 1024)
@@ -468,25 +518,27 @@ func BenchmarkForward2D256(b *testing.B) {
 	for i := range img {
 		img[i] = complex(float64(i%13), 0)
 	}
+	p, col := PlanFor(n), make([]complex128, n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Forward2D(img, n)
+		p.Forward2D(img, col)
 	}
 }
 
-// BenchmarkInverse2DBand256 is gridrec's inverse at the file_gridrec
-// workload's size: a 256² grid of which the 129 columns nearest the
-// wrapped origin are read, moved four columns per sweep.
-func BenchmarkInverse2DBand256(b *testing.B) {
-	n := 256
+// BenchmarkInverseHermitian2DBand256 is gridrec's inverse at the
+// file_gridrec workload's size: the 129 stored rows of a 256² grid, of
+// which the 129 lines nearest the wrapped origin are read on each axis.
+func BenchmarkInverseHermitian2DBand256(b *testing.B) {
+	const n, band = 256, 64
 	p := PlanFor(n)
-	src := randComplex[complex128](n*n, 1)
-	img := make([]complex128, n*n)
-	col := make([]complex128, BandCols*n)
+	src := randComplex[complex128]((n/2+1)*n, 1)
+	half := make([]complex128, len(src))
+	col := make([]complex128, 2*n)
+	out := make([]float64, BandSide(n, band)*BandSide(n, band))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(img, src) // each inverse divides by n²: reusing img would sink into denormals
-		p.Inverse2DBand(img, col, 64)
+		copy(half, src) // each inverse divides by n: reusing half would sink into denormals
+		InverseHermitian2DBand(p, half, col, out, band)
 	}
 }

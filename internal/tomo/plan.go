@@ -97,9 +97,10 @@ type Scratch struct {
 	shifted  *Sinogram    // COR-recentred copy (lazy: only if CORShift ≠ 0)
 	filtered *Sinogram    // FBP: ramp-filtered sinogram
 	fbatch   []complex128 // FBP: all padded row-pairs, batch-filtered in one pass
-	cbuf     []complex128 // gridrec: radial line
-	grid     []complex128 // gridrec: accumulated spectrum
-	gcol     []complex128 // gridrec: 2D FFT column-block scratch
+	cbuf     []complex128 // gridrec: a row pair's transform and its split, then column-pair scratch
+	grid     []complex128 // gridrec: accumulated spectrum, rows 0…gm/2
+	rim      []complex128 // gridrec: Nyquist rim accumulators
+	band     []float64    // gridrec: the inverted grid's central band
 	ax       *Sinogram    // SIRT: forward projection of the iterate
 	res      *Sinogram    // SIRT: normalized residual
 	axOne    *Sinogram    // SART: single-angle forward projection
@@ -372,9 +373,13 @@ func (p *ReconPlan) NewScratch() *Scratch {
 			sc.fbatch = make([]complex128, ((p.NAngles+1)/2)*p.fm)
 		}
 	case AlgGridrec:
-		sc.grid = make([]complex128, p.gm*p.gm)
-		sc.cbuf = make([]complex128, p.gm)
-		sc.gcol = make([]complex128, fft.BandCols*p.gm)
+		// The rim accumulators share the grid's allocation: a scratch
+		// costs the same three objects the full-grid one did.
+		half, bw := (p.gm/2+1)*p.gm, fft.BandSide(p.gm, p.gg.band)
+		grid := make([]complex128, half+2*len(p.gg.rim))
+		sc.grid, sc.rim = grid[:half:half], grid[half:]
+		sc.cbuf = make([]complex128, 2*p.gm)
+		sc.band = make([]float64, bw*bw)
 	case AlgSIRT:
 		if p.Precision == Float32 {
 			sc.sino32 = make([]float32, p.NAngles*p.NCols)

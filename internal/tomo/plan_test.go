@@ -10,6 +10,7 @@ package tomo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/fft"
@@ -175,7 +176,7 @@ func refGridrec(s *Sinogram, size int) *vol.Image {
 			grid[i] /= complex(wsum[i], 0)
 		}
 	}
-	fft.Inverse2D(grid, m)
+	fft.PlanFor(m).Inverse2D(grid, make([]complex128, m))
 	out := vol.NewImage(n, n)
 	cellsPerPixel := (2.0 / float64(n)) / tau
 	for py := 0; py < n; py++ {
@@ -313,6 +314,11 @@ func refSART(s *Sinogram, iters, n int) *vol.Image {
 // forward projecting an off-center two-blob phantom — realistic data for
 // the equivalence comparisons without importing the phantom package.
 func testSinogram(nangles, ncols int) *Sinogram {
+	return testSinogramAt(UniformAngles(nangles), ncols)
+}
+
+// testSinogramAt is testSinogram at an arbitrary angle set.
+func testSinogramAt(theta []float64, ncols int) *Sinogram {
 	n := ncols
 	im := vol.NewImage(n, n)
 	for py := 0; py < n; py++ {
@@ -329,7 +335,7 @@ func testSinogram(nangles, ncols int) *Sinogram {
 			im.Set(px, py, v)
 		}
 	}
-	return refProject(im, UniformAngles(nangles), ncols)
+	return refProject(im, theta, ncols)
 }
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -376,23 +382,56 @@ func TestPlanFBPMatchesNaive(t *testing.T) {
 }
 
 func TestPlanGridrecMatchesNaive(t *testing.T) {
+	// The half-plane grid leans on every radial sample but the Nyquist one
+	// having its mirror, so the angle sets go past the uniform half turn:
+	// a full turn, random angles over two turns either way, a repeated
+	// angle, and 0 and π exactly, where corners carry zero weight.
+	turn := func(n int) []float64 {
+		th := UniformAngles(n)
+		for i := range th {
+			th[i] *= 2
+		}
+		return th
+	}
+	rng := rand.New(rand.NewSource(26))
+	random := func(n int) []float64 {
+		th := make([]float64, n)
+		for i := range th {
+			th[i] = 4*math.Pi*rng.Float64() - 2*math.Pi
+		}
+		return th
+	}
+	uni := UniformAngles(20)
+	repeated := append(append(uni, math.Pi), uni[7], 0)
 	// cover is how the inverse FFT's band (2·band+1 grid lines) compares
 	// with the grid side gm: the banded column pass, its exact-fit edge
 	// and the all-lines fallback must all be reached.
 	geoms := []struct {
+		theta                []float64 // nil: UniformAngles(nangles)
 		nangles, ncols, size int
 		cor                  float64
 		cover                int // sign of (2·band+1) - (gm+1)
 	}{
-		{48, 32, 32, 0, -1},
-		{19, 33, 33, 0, -1},    // odd everything
-		{64, 32, 16, 0, 0},     // Size = NCols/2: the band is exactly the grid
-		{40, 40, 16, 0, +1},    // coarser still: the extraction wraps around
-		{180, 128, 128, 0, -1}, // the file_gridrec workload's geometry
-		{48, 32, 32, 1.25, -1},
+		{nil, 48, 32, 32, 0, -1},
+		{nil, 19, 33, 33, 0, -1},    // odd everything
+		{nil, 64, 32, 16, 0, 0},     // Size = NCols/2: the band is exactly the grid
+		{nil, 40, 40, 16, 0, +1},    // coarser still: the extraction wraps around
+		{nil, 180, 128, 128, 0, -1}, // the file_gridrec workload's geometry
+		{nil, 48, 32, 32, 1.25, -1},
+		{turn(48), 0, 32, 32, 0, -1},
+		{turn(180), 0, 128, 128, 0, -1},
+		{random(37), 0, 32, 32, 0, -1},
+		{random(41), 0, 40, 16, 0.5, +1},
+		{repeated, 0, 33, 33, 0, -1}, // 23 angles, θ = π and a second 0 at the end
+		{[]float64{math.Pi, 0, math.Pi / 2}, 0, 32, 16, 0, 0},
 	}
+	var worst float64
 	for _, g := range geoms {
-		s := testSinogram(g.nangles, g.ncols)
+		theta := g.theta
+		if theta == nil {
+			theta = UniformAngles(g.nangles)
+		}
+		s := testSinogramAt(theta, g.ncols)
 		opts := ReconOptions{Algorithm: AlgGridrec, Size: g.size, CORShift: g.cor}
 		got, err := ReconstructSlice(s, opts)
 		if err != nil {
@@ -403,19 +442,22 @@ func TestPlanGridrecMatchesNaive(t *testing.T) {
 			ref = ShiftSinogram(s, g.cor)
 		}
 		want := refGridrec(ref, g.size)
-		if d := maxAbsDiff(got.Pix, want.Pix); d > 1e-12 {
-			t.Errorf("gridrec %dx%d size %d cor %v: max |Δ| = %g > 1e-12",
-				g.nangles, g.ncols, g.size, g.cor, d)
+		d := maxAbsDiff(got.Pix, want.Pix)
+		if d > 1e-12 {
+			t.Errorf("gridrec %d angles × %d cols size %d cor %v: max |Δ| = %g > 1e-12",
+				len(theta), g.ncols, g.size, g.cor, d)
 		}
+		worst = max(worst, d)
 		p, err := PlanRecon(s.Theta, s.NCols, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := 2*p.gg.band + 1 - (p.gm + 1); (d > 0) != (g.cover > 0) || (d < 0) != (g.cover < 0) {
-			t.Errorf("gridrec %dx%d size %d: band %d on a %d grid, want cover sign %d",
-				g.nangles, g.ncols, g.size, p.gg.band, p.gm, g.cover)
+			t.Errorf("gridrec %d angles × %d cols size %d: band %d on a %d grid, want cover sign %d",
+				len(theta), g.ncols, g.size, p.gg.band, p.gm, g.cover)
 		}
 	}
+	t.Logf("gridrec against refGridrec: max |Δ| = %.2g over %d geometries", worst, len(geoms))
 }
 
 // iterativeGeoms are the geometries the solver goldens run at: the small
@@ -599,6 +641,7 @@ func TestPlanSteadyStateZeroAlloc(t *testing.T) {
 		{"fbp_cor", small, ReconOptions{Algorithm: AlgFBP, Filter: SheppLoganFilter, CORShift: 1.25}},
 		{"gridrec", small, ReconOptions{Algorithm: AlgGridrec}},
 		{"gridrec_cor", small, ReconOptions{Algorithm: AlgGridrec, CORShift: 1.25}},
+		{"gridrec_180x128", testSinogram(180, 128), ReconOptions{Algorithm: AlgGridrec}}, // file_gridrec's geometry
 		{"sirt", small, ReconOptions{Algorithm: AlgSIRT, Iterations: 2}},
 		{"sart", small, ReconOptions{Algorithm: AlgSART, Iterations: 1}},
 		{"sirt_96x64", home, ReconOptions{Algorithm: AlgSIRT, Iterations: 2}},

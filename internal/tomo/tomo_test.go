@@ -203,7 +203,10 @@ func TestGridrecSheppLogan(t *testing.T) {
 	n := 64
 	im := phantom.SheppLogan(n)
 	s := Project(im, UniformAngles(180), n)
-	rec := Gridrec(s, 0)
+	rec, err := ReconstructSlice(s, ReconOptions{Algorithm: AlgGridrec})
+	if err != nil {
+		t.Fatal(err)
+	}
 	corr, _ := reconQuality(t, rec, im)
 	if corr < 0.8 {
 		t.Errorf("gridrec correlation %v < 0.8", corr)
@@ -556,7 +559,9 @@ func BenchmarkGridrec64(b *testing.B) {
 	s := Project(im, UniformAngles(90), 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gridrec(s, 0)
+		if _, err := ReconstructSlice(s, ReconOptions{Algorithm: AlgGridrec}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
