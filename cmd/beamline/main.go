@@ -63,7 +63,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	slices := fs.Int("slices", 16, "detector rows (volume slices)")
 	sample := fs.String("sample", "shepp", "shepp|feather|proppant")
 	workdir := fs.String("workdir", "", "artifact directory (temp dir when empty)")
-	incremental := fs.Bool("incremental", false, "fold projections into the preview as they stream in (tomo.IncrementalPreview)")
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
@@ -96,8 +95,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	svc := &core.StreamingService{
 		PVAAddr: mirrorSrv.Addr(), Channel: "bl832:det", PreviewAddr: sink.Addr(),
-		Recon:       tomo.ReconOptions{Algorithm: tomo.AlgFBP, Filter: tomo.SheppLoganFilter},
-		Incremental: *incremental,
+		Recon: tomo.ReconOptions{Algorithm: tomo.AlgFBP, Filter: tomo.SheppLoganFilter},
 	}
 	go svc.Run(ctx)
 	waitMonitors(mirrorSrv, "bl832:det")
@@ -128,7 +126,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	lo, hi := previews[0].MinMax()
-	logger.Printf("streaming preview for %s: %d angles, %.1f ms after end-of-scan, central slice range [%.3f, %.3f]",
+	logger.Printf("streaming preview for %s: %d angles, %.3f ms after end-of-scan, central slice range [%.3f, %.3f]",
 		h.ScanID, h.NAngles, h.LatencyMS, lo, hi)
 
 	// --- File-based branch ---------------------------------------------

@@ -12,14 +12,14 @@ import (
 )
 
 // TestRunIncremental drives both branches end to end over real sockets at
-// the smallest useful size: the incremental preview arrives, the file
-// branch leaves a Zarr pyramid of the scan's dimensions, and the run ends
-// "ok".
+// the smallest useful size: the streaming preview, folded frame by frame,
+// arrives, the file branch leaves a Zarr pyramid of the scan's dimensions,
+// and the run ends "ok".
 func TestRunIncremental(t *testing.T) {
 	workdir := t.TempDir()
 	var stdout, stderr bytes.Buffer
 	err := run(context.Background(),
-		[]string{"-incremental", "-size", "32", "-slices", "4", "-angles", "24", "-workdir", workdir},
+		[]string{"-size", "32", "-slices", "4", "-angles", "24", "-workdir", workdir},
 		&stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, stderr.String())
@@ -45,14 +45,18 @@ func TestRunIncremental(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownFlag: -incremental is unknown too — every preview
+// is incremental.
 func TestRunRejectsUnknownFlag(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	err := run(context.Background(), []string{"-no-such-flag"}, &stdout, &stderr)
-	if !errors.Is(err, errUsage) {
-		t.Fatalf("err = %v, want a usage error", err)
-	}
-	if !strings.Contains(stderr.String(), "-no-such-flag") || stdout.Len() != 0 {
-		t.Errorf("stderr %q, stdout %q: want the flag named on stderr and nothing on stdout", stderr.String(), stdout.String())
+	for _, flag := range []string{"-no-such-flag", "-incremental"} {
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), []string{flag}, &stdout, &stderr)
+		if !errors.Is(err, errUsage) {
+			t.Fatalf("%s: err = %v, want a usage error", flag, err)
+		}
+		if !strings.Contains(stderr.String(), flag) || stdout.Len() != 0 {
+			t.Errorf("%s: stderr %q, stdout %q: want the flag named on stderr and nothing on stdout", flag, stderr.String(), stdout.String())
+		}
 	}
 }
 

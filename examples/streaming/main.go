@@ -1,8 +1,8 @@
 // Streaming-branch demo: the full real-time topology of the paper's
 // Figure 3 left branch — detector IOC → PVA mirror → remote streaming
-// service (in-memory frame cache + FBP) → three-slice preview back over
-// the message queue — with per-scan latency printed for several scans in
-// a row, as during a beamtime shift.
+// service (each frame folded into an FBP preview as it arrives) →
+// three-slice preview back over the message queue — with per-scan latency
+// printed for several scans in a row, as during a beamtime shift.
 //
 //	go run ./examples/streaming
 package main
@@ -63,7 +63,7 @@ func main() {
 		h, slices, err := core.DecodePreview(msg)
 		must(err)
 		lo, hi := slices[0].MinMax()
-		fmt.Printf("%-22s %3d angles  preview in %7.1f ms  central slice [%.3f, %.3f]  missed %d\n",
+		fmt.Printf("%-22s %3d angles  preview in %7.3f ms  central slice [%.3f, %.3f]  missed %d\n",
 			h.ScanID, h.NAngles, h.LatencyMS, lo, hi, h.Missed)
 	}
 	fmt.Printf("\n%d scans previewed; the paper's production service does the same for\n", len(scans))

@@ -91,23 +91,23 @@ func DecodePreview(raw []byte) (PreviewHeader, []*vol.Image, error) {
 }
 
 // StreamingService is the real-time analogue of the paper's NERSC
-// streaming reconstruction service: it monitors a PVA channel, caches
-// frames in memory during acquisition, and when the end-of-scan marker
-// arrives it reconstructs the three-slice preview and pushes it back to
-// the beamline over the message queue.
+// streaming reconstruction service: it monitors a PVA channel, folds each
+// projection into the scan's three preview slices the moment it is
+// delivered, and when the end-of-scan marker arrives it finalizes the
+// preview and pushes it back to the beamline over the message queue. A
+// scan holds its preview accumulators and two reference-frame sums, not
+// its frames, so its memory does not grow with its length.
 type StreamingService struct {
 	PVAAddr     string
 	Channel     string
 	PreviewAddr string
-	Recon       tomo.ReconOptions
-	// Incremental folds every projection into per-scan preview
-	// accumulators the moment it is delivered, so once the end-of-scan
-	// marker arrives only a scale-and-assemble finalize and the send
-	// remain — the preview latency drops from a full reconstruction to
-	// one frame's worth of work. Scans the incremental accumulator cannot
-	// reproduce exactly (reference frames arriving after the first
-	// projection, or recon options beyond the incremental FBP's reach)
-	// fall back to the batch path transparently.
+	// Recon sets the preview's filter and XY size. The preview is always
+	// filtered back projection, in float64, of each frame as it arrives;
+	// Run rejects the options that would need anything else (COR handling,
+	// preprocessing, float32, a negative Size).
+	Recon tomo.ReconOptions
+	// Deprecated: every scan previews incrementally; Incremental is
+	// ignored.
 	Incremental bool
 	// Env supplies every timestamp the service records (nil means the
 	// wall clock), keeping span trees reproducible under an injected
@@ -118,16 +118,19 @@ type StreamingService struct {
 	ScansDone   int
 	LastLatency time.Duration
 	LastMissed  int
-	// IncrementalScans counts completed scans whose preview came off the
-	// incremental path rather than the batch fallback.
+	// Deprecated: every preview is incremental, so IncrementalScans
+	// always equals ScansDone.
 	IncrementalScans int
 	// What Run dropped: frames that failed Validate, frames whose
-	// dimensions differ from their scan's first frame, and scans that were
-	// still caching when a frame of another scan arrived — their
-	// end-of-scan never came, so they never previewed (each is journaled
-	// as a Warn with its scan id and the frames it held).
+	// dimensions differ from their scan's first frame, flats and darks
+	// that arrived after their scan's first projection (the reference
+	// correction is frozen there, so they are not applied), and scans that
+	// never previewed — still open when a frame of another scan arrived,
+	// or ended without a projection. Each abandoned scan, and each scan
+	// with late references, is journaled once as a Warn with its scan id.
 	InvalidFrames   int
 	GeometryDropped int
+	LateReferences  int
 	ScansAbandoned  int
 
 	// frames counts every frame received, including ones that are
@@ -147,16 +150,15 @@ type StreamingService struct {
 // incrementalFor returns the service's incremental preview, cleared for a
 // new scan of rows×cols frames. A detector's geometry seldom changes
 // between scans, so one is kept — the last geometry's — and only a scan
-// of another shape builds anew. A geometry the incremental path cannot
-// take returns nil.
-func (s *StreamingService) incrementalFor(rows, cols int) *tomo.IncrementalPreview {
+// of another shape builds anew.
+func (s *StreamingService) incrementalFor(rows, cols int) (*tomo.IncrementalPreview, error) {
 	if s.inc != nil && s.inc.NRows == rows && s.inc.NCols == cols {
 		s.inc.Reset()
-		return s.inc
+		return s.inc, nil
 	}
 	ip, err := tomo.NewIncrementalPreview(rows, cols, s.Recon.Size, s.Recon.Filter)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	s.inc, s.incLI = ip, make([]float64, rows*cols)
 	s.incOut = [3]*vol.Image{
@@ -164,7 +166,7 @@ func (s *StreamingService) incrementalFor(rows, cols int) *tomo.IncrementalPrevi
 		vol.NewImage(ip.SmallSize, rows),
 		vol.NewImage(ip.SmallSize, rows),
 	}
-	return ip
+	return ip, nil
 }
 
 // scanTimes is where one scan's service-side time went, summed from the
@@ -187,32 +189,67 @@ func (s *StreamingService) clock() flow.Env {
 	return flow.RealEnv{}
 }
 
-// scanCache accumulates one acquisition's frames.
-type scanCache struct {
-	scanID string
-	rows   int
-	cols   int
-	angles []float64
-	projs  [][]uint16
-	flats  [][]uint16
-	darks  [][]uint16
+// scanState is one acquisition in progress. Its flats and darks are
+// summed as they arrive and frozen into their averages (flat, dark) at
+// the first projection; from then on each projection is normalized and
+// -log'd into the service's incLI and folded into inc (the service's, on
+// loan for the scan).
+type scanState struct {
+	scanID     string
+	rows, cols int
+	inc        *tomo.IncrementalPreview
+	flatSum    refSum
+	darkSum    refSum
+	flat, dark []float64 // nil until the first projection
+	frames     int       // frames of the scan past validation and the geometry check
+	lateWarned bool      // a reference after the first projection was journaled
+	times      scanTimes
+}
 
-	// Incremental state, populated only when the service runs in
-	// incremental mode and the scan stays eligible: the reference frames
-	// are averaged and frozen at the first projection, each raw frame is
-	// normalized and -log'd into the service's incLI, and folded into inc
-	// (the service's, on loan for the scan) as it lands.
-	inc     *tomo.IncrementalPreview
-	incFlat []float64
-	incDark []float64
-	incBad  bool // accumulator diverged from the batch result; fall back
-	times   scanTimes
+// refSum sums one kind of reference frame in arrival order.
+type refSum struct {
+	sum []float64
+	n   int
+}
+
+func (r *refSum) add(frame []uint16) {
+	if r.sum == nil {
+		r.sum = make([]float64, len(frame))
+	}
+	for i, v := range frame {
+		r.sum[i] += float64(v)
+	}
+	r.n++
+}
+
+// mean turns the sum into the frames' average in place: added in frame
+// order, then divided, as a batch average of the frames would be. With no
+// frames it returns a constant frame of fallback, so normalization
+// degrades gracefully.
+func (r *refSum) mean(size int, fallback float64) []float64 {
+	if r.n == 0 {
+		out := make([]float64, size)
+		for i := range out {
+			out[i] = fallback
+		}
+		return out
+	}
+	for i := range r.sum {
+		r.sum[i] /= float64(r.n)
+	}
+	return r.sum
 }
 
 // Run consumes the channel until the stream closes or ctx is cancelled,
-// reconstructing a preview for every completed scan. It returns nil when
-// the source closed after at least one completed scan.
+// previewing every completed scan. It returns nil when the source closed
+// after at least one completed scan, and an error before dialling when
+// s.Recon is outside what the incremental preview can honour.
 func (s *StreamingService) Run(ctx context.Context) error {
+	if r := s.Recon; r.CORShift != 0 || r.AutoCOR || r.Preprocess != (tomo.PreprocessOptions{}) ||
+		r.Precision != tomo.Float64 || r.Size < 0 {
+		return fmt.Errorf("core: streaming preview takes no COR shift, auto-COR, preprocessing, "+
+			"float32 or negative size (recon options %+v)", r)
+	}
 	mon, err := pva.NewMonitor(s.PVAAddr, s.Channel)
 	if err != nil {
 		return err
@@ -222,13 +259,13 @@ func (s *StreamingService) Run(ctx context.Context) error {
 	defer push.Close()
 
 	// Streaming stages hang off whatever span the caller's context
-	// carries: one "cache" span per scan while frames accumulate, then
-	// "recon" and "preview_send" inside reconstructAndSend. Timestamps
-	// come from the service's environment clock.
+	// carries: one "cache" span per scan while frames are folded, then
+	// "finalize" and "preview_send" inside sendPreview. Timestamps come
+	// from the service's environment clock.
 	env := s.clock()
 	parent := trace.FromContext(ctx)
-	var cache *scanCache
-	var cacheSpan *trace.Span
+	var scan *scanState
+	var scanSpan *trace.Span
 	// mon.Missed counts over the monitor's lifetime; a scan reports what
 	// was lost since the previous scan reported, so every lost frame is
 	// reported once and the scans' figures add up to the monitor's.
@@ -246,173 +283,133 @@ func (s *StreamingService) Run(ctx context.Context) error {
 		}
 		s.frames.Add(1)
 		if f.Kind == pva.KindEndOfScan {
-			if cache == nil {
+			if scan == nil {
 				continue
 			}
-			cacheSpan.End(env.Now())
-			t0 := env.Now()
-			if err := s.reconstructAndSend(ctx, parent, push, cache, mon.Missed-reported, t0); err != nil {
-				return err
+			scanSpan.End(env.Now())
+			if scan.inc.Angles() == 0 {
+				// A calibration-only acquisition: nothing to preview.
+				s.ScansAbandoned++
+				obslog.Warn(ctx, "streaming", "scan abandoned: end-of-scan before any projection",
+					obslog.F("scan", scan.scanID), obslog.F("reason", "no_projections"),
+					obslog.F("frames", scan.frames))
+			} else {
+				if err := s.sendPreview(ctx, parent, push, scan, mon.Missed-reported, env.Now()); err != nil {
+					return err
+				}
+				reported = mon.Missed
+				s.ScansDone++
+				s.IncrementalScans++
 			}
-			reported = mon.Missed
-			s.ScansDone++
-			cache = nil
-			cacheSpan = nil
+			scan, scanSpan = nil, nil
 			continue
 		}
 		if err := f.Validate(); err != nil {
 			s.InvalidFrames++
 			continue // the file-writer drops invalid frames; so do we
 		}
-		if cache == nil || cache.scanID != f.ScanID {
-			if cache != nil {
+		if scan == nil || scan.scanID != f.ScanID {
+			if scan != nil {
 				s.ScansAbandoned++
 				obslog.Warn(ctx, "streaming", "scan abandoned: no end-of-scan before the next scan's first frame",
-					obslog.F("scan", cache.scanID),
-					obslog.F("frames_held", len(cache.projs)+len(cache.flats)+len(cache.darks)),
+					obslog.F("scan", scan.scanID),
+					obslog.F("frames", scan.frames),
 					obslog.F("next_scan", f.ScanID))
 			}
-			cacheSpan.End(env.Now()) // scan change: close any stale span
-			cache = &scanCache{scanID: f.ScanID, rows: f.Rows, cols: f.Cols}
-			if s.incrementalEligible() {
-				cache.inc = s.incrementalFor(f.Rows, f.Cols)
+			scanSpan.End(env.Now()) // scan change: close any stale span
+			inc, err := s.incrementalFor(f.Rows, f.Cols)
+			if err != nil {
+				return err
 			}
-			cacheSpan = parent.StartChildStage("cache "+f.ScanID, "cache", env.Now())
+			scan = &scanState{scanID: f.ScanID, rows: f.Rows, cols: f.Cols, inc: inc}
+			scanSpan = parent.StartChildStage("cache "+f.ScanID, "cache", env.Now())
 			obslog.Debug(ctx, "streaming", "scan started",
 				obslog.F("scan", f.ScanID), obslog.F("rows", f.Rows), obslog.F("cols", f.Cols))
 		}
-		if f.Rows != cache.rows || f.Cols != cache.cols {
+		if f.Rows != scan.rows || f.Cols != scan.cols {
 			s.GeometryDropped++
 			continue // geometry change mid-scan: drop frame
 		}
+		scan.frames++
 		switch f.Kind {
-		case pva.KindFlat:
-			cache.flats = append(cache.flats, f.Data)
-			if cache.inc != nil && len(cache.projs) > 0 {
-				// Late reference: the frozen flat no longer matches the
-				// batch average; the accumulator cannot be repaired.
-				cache.incBad = true
-			}
-		case pva.KindDark:
-			cache.darks = append(cache.darks, f.Data)
-			if cache.inc != nil && len(cache.projs) > 0 {
-				cache.incBad = true
+		case pva.KindFlat, pva.KindDark:
+			if scan.flat != nil {
+				// The detector sends its references ahead of the scan; one
+				// that comes later would change a correction already
+				// applied to every projection folded so far.
+				s.LateReferences++
+				if !scan.lateWarned {
+					scan.lateWarned = true
+					obslog.Warn(ctx, "streaming", "reference frame after the scan's first projection: not applied",
+						obslog.F("scan", scan.scanID), obslog.F("seq", f.Seq))
+				}
+			} else if f.Kind == pva.KindFlat {
+				scan.flatSum.add(f.Data)
+			} else {
+				scan.darkSum.add(f.Data)
 			}
 		default:
-			cache.angles = append(cache.angles, f.AngleRad)
-			cache.projs = append(cache.projs, f.Data)
-			if cache.inc != nil && !cache.incBad {
-				if cache.incFlat == nil {
-					// Freeze the reference correction at the first
-					// projection — the detector sends flats and darks
-					// ahead of the scan.
-					n := cache.rows * cache.cols
-					cache.incFlat = averageFrames(cache.flats, n, 1)
-					cache.incDark = averageFrames(cache.darks, n, 0)
-				}
-				t0 := env.Now()
-				normalizeLogInto(s.incLI, f.Data, cache.incFlat, cache.incDark)
-				t1 := env.Now()
-				cache.inc.AddProjection(f.AngleRad, s.incLI)
-				cache.times.normalize += t1.Sub(t0)
-				cache.times.fold += env.Now().Sub(t1)
+			if scan.flat == nil {
+				n := scan.rows * scan.cols
+				scan.flat, scan.dark = scan.flatSum.mean(n, 1), scan.darkSum.mean(n, 0)
 			}
+			t0 := env.Now()
+			normalizeLogInto(s.incLI, f.Data, scan.flat, scan.dark)
+			t1 := env.Now()
+			scan.inc.AddProjection(f.AngleRad, s.incLI)
+			scan.times.normalize += t1.Sub(t0)
+			scan.times.fold += env.Now().Sub(t1)
 		}
 	}
 }
 
-func (s *StreamingService) reconstructAndSend(ctx context.Context, parent *trace.Span, push *msgq.Push, c *scanCache, missed int, t0 time.Time) error {
-	if len(c.projs) == 0 {
-		return fmt.Errorf("core: scan %s completed with no projections", c.scanID)
-	}
+// sendPreview finalizes a completed scan's preview and pushes it to the
+// beamline. t0 is when the end-of-scan marker was taken in; the preview
+// header's latency counts from there.
+func (s *StreamingService) sendPreview(ctx context.Context, parent *trace.Span, push *msgq.Push, scan *scanState, missed int, t0 time.Time) error {
 	env := s.clock()
-	var xy, xz, yz *vol.Image
-	var err error
-	incremental := c.inc != nil && !c.incBad
-	// c.times already holds the incremental path's per-frame normalize
-	// and fold. On the batch path nothing was done per frame: normalize is
-	// the conversion below, finalize the whole QuickPreview, fold zero.
-	tm := &c.times
-	if incremental {
-		// The projections are already filtered and backprojected into the
-		// accumulators; only the π/n scale and the slice assembly remain.
-		start := env.Now()
-		fin := parent.StartChildStage("finalize "+c.scanID, "finalize", start)
-		xy, xz, yz = s.incOut[0], s.incOut[1], s.incOut[2]
-		err = c.inc.FinalizeInto(xy, xz, yz)
-		end := env.Now()
-		fin.End(end)
-		tm.finalize = end.Sub(start)
-	} else {
-		start := env.Now()
-		recon := parent.StartChildStage("recon "+c.scanID, "recon", start)
-		ps := tomo.NewProjectionSet(c.angles, c.rows, c.cols)
-		for a, proj := range c.projs {
-			dst := ps.Projection(a)
-			for i, v := range proj {
-				dst[i] = float64(v)
-			}
-		}
-		// Flat/dark correction from the cached reference frames (averaged),
-		// falling back to idealized references when absent.
-		flat := averageFrames(c.flats, c.rows*c.cols, 1)
-		dark := averageFrames(c.darks, c.rows*c.cols, 0)
-		li := tomo.MinusLog(tomo.Normalize(ps, flat, dark))
-		mid := env.Now()
-
-		xy, xz, yz, err = tomo.QuickPreview(ctx, li, s.Recon)
-		end := env.Now()
-		recon.End(end)
-		*tm = scanTimes{normalize: mid.Sub(start), finalize: end.Sub(mid)}
-	}
+	tm := &scan.times
+	// The projections are already filtered and backprojected into the
+	// accumulators; only the π/n scale and the slice assembly remain.
+	start := env.Now()
+	fin := parent.StartChildStage("finalize "+scan.scanID, "finalize", start)
+	xy, xz, yz := s.incOut[0], s.incOut[1], s.incOut[2]
+	err := scan.inc.FinalizeInto(xy, xz, yz)
+	end := env.Now()
+	fin.End(end)
+	tm.finalize = end.Sub(start)
 	if err != nil {
-		obslog.Error(ctx, "streaming", "preview reconstruction failed",
-			obslog.F("scan", c.scanID), obslog.F("err", err))
+		obslog.Error(ctx, "streaming", "preview finalize failed",
+			obslog.F("scan", scan.scanID), obslog.F("err", err))
 		return err
 	}
 	encStart := env.Now()
 	lat := encStart.Sub(t0)
 	s.LastLatency = lat
 	s.LastMissed = missed
+	angles := scan.inc.Angles()
 	msg, err := EncodePreview(PreviewHeader{
-		ScanID: c.scanID, NAngles: len(c.angles), Missed: missed,
+		ScanID: scan.scanID, NAngles: angles, Missed: missed,
 		LatencyMS: float64(lat.Microseconds()) / 1000,
 	}, xy, xz, yz)
 	if err != nil {
 		return err
 	}
 	sendStart := env.Now()
-	send := parent.StartChildStage("preview_send "+c.scanID, "preview_send", sendStart)
+	send := parent.StartChildStage("preview_send "+scan.scanID, "preview_send", sendStart)
 	err = push.Send(ctx, msg)
 	sendEnd := env.Now()
 	send.End(sendEnd)
 	tm.encode, tm.send = sendStart.Sub(encStart), sendEnd.Sub(sendStart)
 	if err == nil {
-		if incremental {
-			s.IncrementalScans++
-		}
 		obslog.Info(ctx, "streaming", "preview sent",
-			obslog.F("scan", c.scanID), obslog.F("angles", len(c.angles)),
+			obslog.F("scan", scan.scanID), obslog.F("angles", angles),
 			obslog.F("missed", missed), obslog.F("latency", lat),
-			obslog.F("incremental", incremental),
 			obslog.F("normalize", tm.normalize), obslog.F("fold", tm.fold),
 			obslog.F("finalize", tm.finalize), obslog.F("encode", tm.encode),
 			obslog.F("send", tm.send))
 	}
 	return err
-}
-
-// incrementalEligible reports whether the configured recon options can be
-// honoured by the incremental FBP accumulator bit for bit: QuickPreview
-// always reconstructs previews with FBP, so only option knobs the
-// incremental path lacks (COR handling, preprocessing, the float32 tier)
-// force the batch fallback.
-func (s *StreamingService) incrementalEligible() bool {
-	r := s.Recon
-	return s.Incremental &&
-		r.CORShift == 0 && !r.AutoCOR &&
-		r.Preprocess == (tomo.PreprocessOptions{}) &&
-		r.Precision == tomo.Float64
 }
 
 // normalizeLogInto flat/dark-corrects one raw detector frame and converts
@@ -431,27 +428,6 @@ func normalizeLogInto(dst []float64, raw []uint16, flat, dark []float64) {
 		}
 		dst[i] = -math.Log(tr)
 	}
-}
-
-// averageFrames averages reference frames; when none exist it returns a
-// constant frame of fallback (so normalization degrades gracefully).
-func averageFrames(frames [][]uint16, n int, fallback float64) []float64 {
-	out := make([]float64, n)
-	if len(frames) == 0 {
-		for i := range out {
-			out[i] = fallback
-		}
-		return out
-	}
-	for _, f := range frames {
-		for i, v := range f {
-			out[i] += float64(v)
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(frames))
-	}
-	return out
 }
 
 // PublishAcquisition plays a simulated acquisition through a PVA server as

@@ -6,6 +6,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,9 +103,9 @@ func TestEncodePreviewBytesAndAllocs(t *testing.T) {
 
 // TestStreamingEndToEnd runs the full real-time streaming branch: a
 // detector IOC publishes a scan over PVA, a mirror republishes it, the
-// streaming service caches and reconstructs, and the preview arrives back
-// over the message queue — the paper's Figure 3 streaming path in
-// miniature.
+// streaming service folds each frame into the preview as it arrives, and
+// the preview arrives back over the message queue — the paper's Figure 3
+// streaming path in miniature.
 func TestStreamingEndToEnd(t *testing.T) {
 	// Beamline side: IOC and mirror servers, preview sink.
 	ioc, err := pva.NewServer("127.0.0.1:0", 4096)
@@ -184,107 +187,12 @@ func TestStreamingEndToEnd(t *testing.T) {
 		t.Fatal("no latency recorded")
 	}
 
-	// The scan left a closed cache → recon → preview_send span sequence.
+	// The scan left a closed cache → finalize → preview_send span sequence.
 	stages := []string{}
 	for _, sp := range root.Children() {
 		if !sp.Ended() {
 			t.Fatalf("span %q left open", sp.Name())
 		}
-		stages = append(stages, sp.Stage())
-	}
-	want := []string{"cache", "recon", "preview_send"}
-	if len(stages) != len(want) {
-		t.Fatalf("stages = %v, want %v", stages, want)
-	}
-	for i := range want {
-		if stages[i] != want[i] {
-			t.Fatalf("stages = %v, want %v", stages, want)
-		}
-	}
-}
-
-// TestStreamingIncrementalMatchesBatch publishes the same acquisition to
-// a batch service and an incremental one and compares the previews as the
-// beamline receives them, after the float32 wire encoding. The XY slice
-// must be identical: before encoding the incremental one is within 1e-12
-// of the batch plan's (TestIncrementalMatchesPlanFBP). The cross sections
-// are within 1e-12 too — their rows are filtered two to a transform
-// (TestIncrementalPreviewMatchesQuickPreview) — so they also encode to
-// the same float32 unless a value sits on a float32 rounding boundary,
-// in which case the two sides land one float32 apart: that, and no more,
-// is tolerated. The scan must be counted on the incremental path, and its
-// span tree must show the finalize stage in place of the batch recon.
-func TestStreamingIncrementalMatchesBatch(t *testing.T) {
-	truth := phantom.SheppLogan3D(32, 6)
-	theta := tomo.UniformAngles(48)
-	acq := tomo.Acquire(truth, theta, 32, tomo.AcquireOptions{I0: 2e4, Seed: 9})
-
-	runOnce := func(incremental bool) (PreviewHeader, []*vol.Image, *StreamingService, *trace.Span) {
-		ioc, err := pva.NewServer("127.0.0.1:0", 4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ioc.Close()
-		sink, err := msgq.NewPull("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sink.Close()
-		svc := &StreamingService{
-			PVAAddr: ioc.Addr(), Channel: "det",
-			PreviewAddr: sink.Addr(),
-			Recon:       tomo.ReconOptions{Filter: tomo.SheppLoganFilter},
-			Incremental: incremental,
-		}
-		root := trace.NewRoot("streaming", time.Now())
-		done := make(chan error, 1)
-		go func() { done <- svc.Run(trace.NewContext(context.Background(), root)) }()
-		waitForMonitors(t, ioc, "det", 1)
-		if err := PublishAcquisition(ioc, "det", "scan-inc", acq, 0); err != nil {
-			t.Fatal(err)
-		}
-		msg, err := sink.Recv(30 * time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, slices, err := DecodePreview(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ioc.Close()
-		if err := <-done; err != nil {
-			t.Fatalf("service exit: %v", err)
-		}
-		return h, slices, svc, root
-	}
-
-	bh, batch, bsvc, _ := runOnce(false)
-	ih, inc, isvc, iroot := runOnce(true)
-
-	if bsvc.IncrementalScans != 0 {
-		t.Fatalf("batch service counted %d incremental scans", bsvc.IncrementalScans)
-	}
-	if isvc.IncrementalScans != 1 || isvc.ScansDone != 1 {
-		t.Fatalf("incremental service: %d incremental of %d scans", isvc.IncrementalScans, isvc.ScansDone)
-	}
-	if bh.ScanID != ih.ScanID || bh.NAngles != ih.NAngles {
-		t.Fatalf("headers diverge: %+v vs %+v", bh, ih)
-	}
-	names := []string{"xy", "xz", "yz"}
-	for i := range batch {
-		if batch[i].W != inc[i].W || batch[i].H != inc[i].H {
-			t.Fatalf("%s dims: %dx%d vs %dx%d", names[i], batch[i].W, batch[i].H, inc[i].W, inc[i].H)
-		}
-		for j := range batch[i].Pix {
-			b, g := float32(batch[i].Pix[j]), float32(inc[i].Pix[j])
-			if b != g && math.Nextafter32(b, g) != g {
-				t.Fatalf("%s pixel %d: batch %g vs incremental %g, more than one float32 apart",
-					names[i], j, b, g)
-			}
-		}
-	}
-	stages := []string{}
-	for _, sp := range iroot.Children() {
 		stages = append(stages, sp.Stage())
 	}
 	want := []string{"cache", "finalize", "preview_send"}
@@ -298,10 +206,98 @@ func TestStreamingIncrementalMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestStreamingIncrementalMatchesBatch compares the preview the beamline
+// receives, after the float32 wire encoding, with the batch QuickPreview
+// of the same detector counts. The XY slice must be identical: before
+// encoding the incremental one is within 1e-12 of the batch plan's
+// (TestIncrementalMatchesPlanFBP). The cross sections are within 1e-12 too
+// — their rows are filtered two to a transform
+// (TestIncrementalPreviewMatchesQuickPreview) — so they also encode to the
+// same float32 unless a value sits on a float32 rounding boundary, in
+// which case the two sides land one float32 apart: that, and no more, is
+// tolerated.
+func TestStreamingIncrementalMatchesBatch(t *testing.T) {
+	truth := phantom.SheppLogan3D(32, 6)
+	theta := tomo.UniformAngles(48)
+	acq := tomo.Acquire(truth, theta, 32, tomo.AcquireOptions{I0: 2e4, Seed: 9})
+	recon := tomo.ReconOptions{Filter: tomo.SheppLoganFilter}
+
+	ioc, err := pva.NewServer("127.0.0.1:0", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ioc.Close()
+	sink, err := msgq.NewPull("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	svc := &StreamingService{PVAAddr: ioc.Addr(), Channel: "det", PreviewAddr: sink.Addr(), Recon: recon}
+	done := make(chan error, 1)
+	go func() { done <- svc.Run(context.Background()) }()
+	waitForMonitors(t, ioc, "det", 1)
+	if err := PublishAcquisition(ioc, "det", "scan-inc", acq, 0); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := sink.Recv(30 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, inc, err := DecodePreview(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ioc.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("service exit: %v", err)
+	}
+	if h.ScanID != "scan-inc" || h.NAngles != 48 || svc.ScansDone != 1 {
+		t.Fatalf("header %+v after %d scans, want scan-inc with 48 angles after 1", h, svc.ScansDone)
+	}
+
+	batch := quickPreviewOf(t, acq, recon)
+	names := []string{"xy", "xz", "yz"}
+	for i := range batch {
+		if batch[i].W != inc[i].W || batch[i].H != inc[i].H {
+			t.Fatalf("%s dims: %dx%d vs %dx%d", names[i], batch[i].W, batch[i].H, inc[i].W, inc[i].H)
+		}
+		for j := range batch[i].Pix {
+			b, g := float32(batch[i].Pix[j]), float32(inc[i].Pix[j])
+			if b != g && math.Nextafter32(b, g) != g {
+				t.Fatalf("%s pixel %d: batch %g vs incremental %g, more than one float32 apart",
+					names[i], j, b, g)
+			}
+		}
+	}
+}
+
+// quickPreviewOf is the batch preview of the detector counts
+// PublishAcquisition sends for acq: MinusLog(Normalize(...)), then
+// QuickPreview.
+func quickPreviewOf(t *testing.T, acq *tomo.Acquisition, opts tomo.ReconOptions) []*vol.Image {
+	t.Helper()
+	counts := func(xs []float64) []float64 {
+		out := make([]float64, len(xs))
+		for i, v := range xs {
+			out[i] = float64(uint16(math.Min(math.Max(v, 0), 65535)))
+		}
+		return out
+	}
+	raw := acq.Raw
+	ps := tomo.NewProjectionSet(raw.Theta, raw.NRows, raw.NCols)
+	copy(ps.Data, counts(raw.Data))
+	li := tomo.MinusLog(tomo.Normalize(ps, counts(acq.Flat), counts(acq.Dark)))
+	xy, xz, yz, err := tomo.QuickPreview(context.Background(), li, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*vol.Image{xy, xz, yz}
+}
+
 // TestStreamingIncrementalLateReferenceFallsBack sends a flat frame after
-// projections have started: the frozen incremental correction no longer
-// matches the batch average, so the service must fall back to the batch
-// path — and still deliver a preview.
+// projections have started. The reference correction was frozen at the
+// first projection, so the flat is counted, journaled once and not
+// applied — and the scan still previews every projection.
 func TestStreamingIncrementalLateReferenceFallsBack(t *testing.T) {
 	ioc, err := pva.NewServer("127.0.0.1:0", 4096)
 	if err != nil {
@@ -317,10 +313,10 @@ func TestStreamingIncrementalLateReferenceFallsBack(t *testing.T) {
 		PVAAddr: ioc.Addr(), Channel: "det",
 		PreviewAddr: sink.Addr(),
 		Recon:       tomo.ReconOptions{Filter: tomo.SheppLoganFilter},
-		Incremental: true,
 	}
+	journal := obslog.New(flow.RealEnv{}, 64)
 	done := make(chan error, 1)
-	go func() { done <- svc.Run(context.Background()) }()
+	go func() { done <- svc.Run(obslog.NewContext(context.Background(), journal)) }()
 	waitForMonitors(t, ioc, "det", 1)
 
 	truth := phantom.SheppLogan3D(16, 4)
@@ -376,11 +372,12 @@ func TestStreamingIncrementalLateReferenceFallsBack(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("service exit: %v", err)
 	}
-	if svc.IncrementalScans != 0 {
-		t.Fatalf("late-reference scan was counted incremental (%d)", svc.IncrementalScans)
+	if svc.ScansDone != 1 || svc.LateReferences != 1 {
+		t.Fatalf("scans done = %d, late references = %d, want 1 and 1", svc.ScansDone, svc.LateReferences)
 	}
-	if svc.ScansDone != 1 {
-		t.Fatalf("scans done = %d", svc.ScansDone)
+	warns := journal.Events(obslog.Filter{Component: "streaming", MinLevel: obslog.LevelWarn})
+	if len(warns) != 1 {
+		t.Fatalf("%d streaming warnings journaled, want one for the late flat: %+v", len(warns), warns)
 	}
 }
 
@@ -406,8 +403,7 @@ func TestStreamingReusesIncrementalPreview(t *testing.T) {
 		defer sink.Close()
 		svc := &StreamingService{
 			PVAAddr: ioc.Addr(), Channel: "det", PreviewAddr: sink.Addr(),
-			Recon:       tomo.ReconOptions{Filter: tomo.SheppLoganFilter},
-			Incremental: true,
+			Recon: tomo.ReconOptions{Filter: tomo.SheppLoganFilter},
 		}
 		journal := obslog.New(flow.RealEnv{}, 64)
 		done := make(chan error, 1)
@@ -426,8 +422,8 @@ func TestStreamingReusesIncrementalPreview(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatalf("service exit: %v", err)
 		}
-		if svc.IncrementalScans != len(scans) {
-			t.Fatalf("%d of %d scans took the incremental path", svc.IncrementalScans, len(scans))
+		if svc.ScansDone != len(scans) {
+			t.Fatalf("%d of %d scans previewed", svc.ScansDone, len(scans))
 		}
 		return svc, last, journal
 	}
@@ -458,7 +454,7 @@ func TestStreamingReusesIncrementalPreview(t *testing.T) {
 		t.Fatalf("service kept %+v, want the 5×32 preview", kept)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if reused.incrementalFor(5, 32) != kept {
+		if ip, _ := reused.incrementalFor(5, 32); ip != kept {
 			t.Fatal("a scan of the same geometry was given a new preview")
 		}
 	}); allocs != 0 {
@@ -467,7 +463,7 @@ func TestStreamingReusesIncrementalPreview(t *testing.T) {
 	if kept.Angles() != 0 {
 		t.Errorf("preview handed to a new scan still holds %d angles", kept.Angles())
 	}
-	if other := reused.incrementalFor(6, 32); other == kept || other.NRows != 6 {
+	if other, err := reused.incrementalFor(6, 32); err != nil || other == kept || other.NRows != 6 {
 		t.Errorf("a 6-row scan was given the 5-row preview")
 	}
 
@@ -643,11 +639,164 @@ func TestStreamingCountsWhatItDrops(t *testing.T) {
 	for _, f := range warns[0].Fields {
 		fields[f.Key] = f.Value
 	}
-	// One flat and three projections were held; the two dropped frames
+	// One flat and three projections were taken in; the two dropped frames
 	// were not.
-	if fields["scan"] != "scan-lost" || fields["frames_held"] != "4" || fields["next_scan"] != "scan-kept" {
+	if fields["scan"] != "scan-lost" || fields["frames"] != "4" || fields["next_scan"] != "scan-kept" {
 		t.Errorf("abandoned-scan warning fields = %v, want scan-lost holding 4 frames, displaced by scan-kept", fields)
 	}
+}
+
+// TestStreamingReferenceOnlyScanIsAbandoned sends a calibration-only
+// acquisition — flats, darks and an end-of-scan, no projection — and then
+// a full scan. The first has nothing to preview: it is counted and
+// journaled as abandoned, and the service keeps running to preview the
+// second.
+func TestStreamingReferenceOnlyScanIsAbandoned(t *testing.T) {
+	ioc, err := pva.NewServer("127.0.0.1:0", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ioc.Close()
+	sink, err := msgq.NewPull("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	svc := &StreamingService{
+		PVAAddr: ioc.Addr(), Channel: "det", PreviewAddr: sink.Addr(),
+		Recon: tomo.ReconOptions{Filter: tomo.SheppLoganFilter},
+	}
+	journal := obslog.New(flow.RealEnv{}, 64)
+	done := make(chan error, 1)
+	go func() { done <- svc.Run(obslog.NewContext(context.Background(), journal)) }()
+	waitForMonitors(t, ioc, "det", 1)
+
+	const rows, cols = 4, 16
+	for i, kind := range []pva.FrameKind{pva.KindFlat, pva.KindDark, pva.KindEndOfScan} {
+		f := &pva.Frame{Seq: uint64(i + 1), ScanID: "scan-cal", Kind: kind, Rows: rows, Cols: cols,
+			Data: make([]uint16, rows*cols)}
+		if err := ioc.Publish("det", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acq := tomo.Acquire(phantom.SheppLogan3D(cols, rows), tomo.UniformAngles(12), cols, tomo.AcquireOptions{I0: 2e4, Seed: 3})
+	if err := PublishAcquisition(ioc, "det", "scan-full", acq, 0); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := sink.Recv(30 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, _, err := DecodePreview(msg); err != nil || h.ScanID != "scan-full" || h.NAngles != 12 {
+		t.Fatalf("preview header %+v (err %v), want scan-full with 12 angles", h, err)
+	}
+	ioc.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("service exit: %v", err)
+	}
+	if svc.ScansDone != 1 || svc.ScansAbandoned != 1 {
+		t.Errorf("done %d, abandoned %d; want 1 and 1", svc.ScansDone, svc.ScansAbandoned)
+	}
+	warns := journal.Events(obslog.Filter{Component: "streaming", MinLevel: obslog.LevelWarn})
+	if len(warns) != 1 {
+		t.Fatalf("%d streaming warnings journaled, want one: %+v", len(warns), warns)
+	}
+	fields := map[string]string{}
+	for _, f := range warns[0].Fields {
+		fields[f.Key] = f.Value
+	}
+	if fields["scan"] != "scan-cal" || fields["reason"] != "no_projections" || fields["frames"] != "2" {
+		t.Errorf("abandoned-scan warning fields = %v, want scan-cal, no_projections, 2 frames", fields)
+	}
+}
+
+// TestStreamingRejectsOptionsOutsideTheFold: recon options the
+// incremental preview cannot honour make Run return an error before it
+// connects to anything.
+func TestStreamingRejectsOptionsOutsideTheFold(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for name, opts := range map[string]tomo.ReconOptions{
+		"cor shift":  {CORShift: 1.5},
+		"auto cor":   {AutoCOR: true},
+		"preprocess": {Preprocess: tomo.PreprocessOptions{RingWindow: 5}},
+		"float32":    {Precision: tomo.Float32},
+		"size":       {Size: -8},
+	} {
+		svc := &StreamingService{PVAAddr: ln.Addr().String(), Channel: "det", PreviewAddr: ln.Addr().String(), Recon: opts}
+		if err := svc.Run(context.Background()); err == nil || !strings.HasPrefix(err.Error(), "core: streaming preview") {
+			t.Errorf("%s: Run = %v, want the option rejected", name, err)
+		}
+	}
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(50 * time.Millisecond))
+	if conn, err := ln.Accept(); err == nil {
+		conn.Close()
+		t.Fatal("a rejected service dialled before returning")
+	}
+}
+
+// TestStreamingMemoryFlatInScanLength holds a scan open — every projection
+// published, no end-of-scan — at n and at 4n angles and compares the
+// service's live heap. A service that kept its frames would hold the 3n
+// extra frames' raw bytes; one that folds them holds accumulators of the
+// same size either way.
+func TestStreamingMemoryFlatInScanLength(t *testing.T) {
+	const rows, cols, n = 32, 64, 96
+	liveHeap := func(angles int) uint64 {
+		ioc, err := pva.NewServer("127.0.0.1:0", 4*n+8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ioc.Close()
+		sink, err := msgq.NewPull("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sink.Close()
+		svc := &StreamingService{
+			PVAAddr: ioc.Addr(), Channel: "det", PreviewAddr: sink.Addr(),
+			Recon: tomo.ReconOptions{Filter: tomo.SheppLoganFilter},
+		}
+		done := make(chan error, 1)
+		go func() { done <- svc.Run(context.Background()) }()
+		waitForMonitors(t, ioc, "det", 1)
+
+		data := make([]uint16, rows*cols)
+		for i := range data {
+			data[i] = uint16(1000 + i%500)
+		}
+		publish := func(seq int, kind pva.FrameKind, theta float64) {
+			f := &pva.Frame{Seq: uint64(seq), ScanID: "scan-long", Kind: kind, Rows: rows, Cols: cols,
+				AngleRad: theta, Data: data}
+			if err := ioc.Publish("det", f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		publish(1, pva.KindFlat, 0)
+		publish(2, pva.KindDark, 0)
+		for a, theta := range tomo.UniformAngles(angles) {
+			publish(a+3, pva.KindProjection, theta)
+		}
+		waitFor(t, 10*time.Second, "frames to reach the service", func() bool {
+			return svc.FramesSeen() >= int64(angles+2)
+		})
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		ioc.Close()
+		<-done // no scan completed, so Run reports the closed stream
+		return ms.HeapAlloc
+	}
+	short, long := liveHeap(n), liveHeap(4*n)
+	extraRaw := uint64(3 * n * rows * cols * 2)
+	if long > short && long-short >= extraRaw/4 {
+		t.Fatalf("live heap %d B at %d angles, %d B at %d: grew %d B, ≥ 25%% of the %d B of extra frames",
+			short, n, long, 4*n, long-short, extraRaw)
+	}
+	t.Logf("live heap %d B at %d angles, %d B at %d (extra frames: %d B)", short, n, long, 4*n, extraRaw)
 }
 
 func centerRegion(im *vol.Image) []float64 {

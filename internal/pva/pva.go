@@ -377,14 +377,6 @@ type Monitor struct {
 	Missed  int
 	lastSeq uint64
 	started bool
-
-	// Hook, when non-nil, is invoked synchronously from Next with every
-	// frame it is about to return, after decoding and gap accounting.
-	// Incremental consumers (the streaming reconstruction service) use it
-	// to fold a projection into their accumulators the moment it is
-	// delivered, without a second dispatch layer. The hook must not retain
-	// the frame's Data slice past its return if the caller reuses frames.
-	Hook func(*Frame)
 }
 
 // NewMonitor connects to a server and subscribes to the channel.
@@ -439,9 +431,6 @@ func (m *Monitor) Next(timeout time.Duration) (*Frame, error) {
 		return nil, err
 	}
 	m.account(f.Seq, f.Kind)
-	if m.Hook != nil {
-		m.Hook(f)
-	}
 	return f, nil
 }
 

@@ -347,9 +347,10 @@ func TestMonitorDetectsGaps(t *testing.T) {
 	}
 }
 
-// TestMonitorHook checks the per-frame delivery hook: it fires once per
-// frame Next returns — including the end-of-scan marker — in order, and
-// after gap accounting has updated Missed.
+// TestMonitorHook: Missed already counts a gap when Next returns the
+// frame after it, so a consumer that reads Missed as each frame arrives
+// sees the loss with the frame that revealed it. The end-of-scan marker is
+// outside the count, whatever its sequence number.
 func TestMonitorHook(t *testing.T) {
 	srv, _ := NewServer("127.0.0.1:0", 64)
 	defer srv.Close()
@@ -357,25 +358,20 @@ func TestMonitorHook(t *testing.T) {
 	defer mon.Close()
 	waitMonitors(t, srv, "det1", 1)
 
-	var seqs []uint64
-	var missedAtHook []int
-	mon.Hook = func(f *Frame) {
-		seqs = append(seqs, f.Seq)
-		missedAtHook = append(missedAtHook, mon.Missed)
-	}
 	srv.Publish("det1", mkFrame(1, KindProjection))
 	srv.Publish("det1", mkFrame(4, KindProjection)) // 2 missing
-	srv.Publish("det1", &Frame{Seq: 5, ScanID: "scan-001", Kind: KindEndOfScan})
-	for i := 0; i < 3; i++ {
-		if _, err := mon.Next(2 * time.Second); err != nil {
+	srv.Publish("det1", &Frame{Seq: 9, ScanID: "scan-001", Kind: KindEndOfScan})
+	for i, want := range []struct {
+		seq    uint64
+		missed int
+	}{{1, 0}, {4, 2}, {9, 2}} {
+		f, err := mon.Next(2 * time.Second)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(seqs) != 3 || seqs[0] != 1 || seqs[1] != 4 || seqs[2] != 5 {
-		t.Fatalf("hook saw seqs %v", seqs)
-	}
-	if missedAtHook[1] != 2 {
-		t.Fatalf("hook at frame 4 saw Missed = %d, want gap already accounted", missedAtHook[1])
+		if f.Seq != want.seq || mon.Missed != want.missed {
+			t.Fatalf("frame %d: seq %d with Missed = %d, want seq %d with %d", i, f.Seq, mon.Missed, want.seq, want.missed)
+		}
 	}
 }
 

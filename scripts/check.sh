@@ -48,6 +48,15 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== streaming example (three scans previewed over real sockets) =="
+# The example is a default-configured StreamingService caller; compiling it
+# is not enough, it has to preview every scan it publishes.
+if ! go run ./examples/streaming | grep -q '^3 scans previewed'; then
+	echo "examples/streaming did not preview its three scans"
+	exit 1
+fi
+echo "examples/streaming: 3 scans previewed"
+
 echo "== bench module (vet, tests, smoke run) =="
 # bench/ is its own module, so the root vet/test above never compile it.
 # Its parity tests and smoke run are the only steps that notice an
