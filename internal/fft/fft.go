@@ -1,16 +1,17 @@
-// Package fft implements the radix-2 fast Fourier transforms needed by the
-// tomographic reconstruction kernels: the ramp-filter convolution in
-// filtered back projection and the polar-to-Cartesian resampling in the
-// gridrec-style Fourier reconstruction. Only power-of-two lengths are
-// supported; callers pad with NextPow2.
+// Package fft implements the fast Fourier transforms needed by the
+// tomographic reconstruction kernels: the ramp-filter and phase-filter
+// convolutions and the polar-to-Cartesian resampling in the gridrec-style
+// Fourier reconstruction. Only power-of-two lengths are supported; callers
+// pad with NextPow2.
 //
-// Transforms are plan-based: a Plan for a given length precomputes the
-// bit-reversal permutation and the full twiddle table (each factor
-// evaluated directly from sin/cos, rather than by the error-accumulating
-// w *= wStep recurrence), so the steady-state transform performs no trig,
-// no allocation, and no redundant setup. Plans are cached per size and
-// safe for concurrent use; the package-level Forward/Inverse helpers look
-// the plan up transparently.
+// Every transform runs on one radix-4 butterfly core, with one twiddle-free
+// size-2 stage left over when log₂ n is odd. Transforms are plan-based: a
+// Plan for a given length precomputes the bit-reversal permutation and the
+// per-stage twiddle tables (each factor evaluated directly from sin/cos,
+// rather than by the error-accumulating w *= wStep recurrence), so the
+// steady-state transform performs no trig, no allocation, and no redundant
+// setup. Plans are cached per size and safe for concurrent use; the
+// package-level Forward/Inverse helpers look the plan up transparently.
 package fft
 
 import (
@@ -37,15 +38,18 @@ func IsPow2(n int) bool {
 type cplx interface{ complex64 | complex128 }
 
 // plan holds the precomputed state for transforms of one length at one
-// complex width: the bit-reversal swap list and twiddle tables for both
-// directions. A plan is immutable after construction and safe for
-// concurrent use by any number of goroutines; per-call state lives
-// entirely in the caller's buffer.
+// complex width: the bit-reversal swap list and index, and the twiddle
+// tables for both directions. A plan is immutable after construction and
+// safe for concurrent use by any number of goroutines; per-call state
+// lives entirely in the caller's buffer.
 type plan[C cplx] struct {
 	n   int
 	rev []int32 // flattened (i, j) swap pairs, i < j
-	twF []C     // twF[k] = exp(-2πik/n), k < n/2
-	twI []C     // twI[k] = exp(+2πik/n), k < n/2
+	br  []int32 // br[k] = k with its log₂ n bits reversed
+	// Radix-4 twiddles, one block per stage of size L ≥ 8, smallest L
+	// first: w^k, w^2k, w^3k interleaved for k < L/4, w = exp(∓2πi/L).
+	twF []C
+	twI []C
 }
 
 // Plan is the double-precision plan.
@@ -104,27 +108,27 @@ func (c *planCache[C]) get(n int) *plan[C] {
 }
 
 func newPlan[C cplx](n int) *plan[C] {
-	p := &plan[C]{n: n}
+	p := &plan[C]{n: n, br: make([]int32, n)}
 	if n <= 1 {
 		return p
 	}
 	shift := 64 - uint(bits.Len(uint(n-1)))
 	for i := 0; i < n; i++ {
 		j := int(bits.Reverse64(uint64(i)) >> shift)
+		p.br[i] = int32(j)
 		if j > i {
 			p.rev = append(p.rev, int32(i), int32(j))
 		}
 	}
-	half := n / 2
-	p.twF = make([]C, half)
-	p.twI = make([]C, half)
-	for k := 0; k < half; k++ {
-		// Each twiddle is evaluated exactly at its own angle in float64
-		// and converted once, so no rounding error accumulates across
-		// the table at either width.
-		s, c := math.Sincos(2 * math.Pi * float64(k) / float64(n))
-		p.twF[k] = C(complex(c, -s))
-		p.twI[k] = C(complex(c, s))
+	for L := firstStage(n); L <= n; L <<= 2 {
+		for k := 0; k < 3*L/4; k++ {
+			// Each twiddle is evaluated exactly at its own angle in
+			// float64 and converted once, so no rounding error
+			// accumulates across the table at either width.
+			s, c := math.Sincos(2 * math.Pi * float64((k%3+1)*(k/3)) / float64(L))
+			p.twF = append(p.twF, C(complex(c, -s)))
+			p.twI = append(p.twI, C(complex(c, s)))
+		}
 	}
 	return p
 }
@@ -137,7 +141,8 @@ func newPlan[C cplx](n int) *plan[C] {
 func (p *plan[C]) Forward(x []C) {
 	p.checkLen(x)
 	p.scramble(x)
-	p.butterflies(x, p.twF)
+	p.first(x, false)
+	p.stages(x, p.twF, false, false, p.n)
 }
 
 // Inverse computes the in-place inverse DFT of x, including the 1/N
@@ -147,77 +152,219 @@ func (p *plan[C]) Forward(x []C) {
 func (p *plan[C]) Inverse(x []C) {
 	p.checkLen(x)
 	p.scramble(x)
-	p.butterflies(x, p.twI)
-	if p.n > 1 {
-		scale(x, p.n)
+	p.first(x, true)
+	p.stages(x, p.twI, true, false, p.n)
+	s := 1 / float64(p.n) // a power of two: exact, == dividing by n
+	for k, v := range x {
+		x[k] = scaled(v, s)
 	}
 }
 
-// scale multiplies x componentwise by 1/n, which is exact for
-// power-of-two n and so bit-identical to dividing by complex(n, 0). It is
-// written per width because real, imag and complex are not defined on
-// type parameters, and a generic x[i] *= C(complex(1/n, 0)) is a full
-// complex multiply that is measurably slower and perturbs signed zeros.
-// The any(x) in the switch does not escape, so it does not allocate (the
-// AllocsPerRun tests on the tomo plans hold that at zero).
-func scale[C cplx](x []C, n int) {
-	switch x := any(x).(type) {
-	case []complex128:
-		s := 1 / float64(n)
-		for i := range x {
-			x[i] = complex(real(x[i])*s, imag(x[i])*s)
-		}
-	case []complex64:
-		s := float32(1) / float32(n)
-		for i := range x {
-			x[i] = complex(real(x[i])*s, imag(x[i])*s)
-		}
-	}
+// scaled is v·s for a real s, and mulI is i·v. real, imag and complex are
+// not defined on type parameters, so v passes through complex128: a no-op
+// at that width and exact at complex64.
+func scaled[C cplx](v C, s float64) C {
+	w := complex128(v)
+	return C(complex(real(w)*s, imag(w)*s))
 }
 
-// ConvolveInto circularly convolves x, in place, with the kernel whose
-// forward frequency response is spec: x ← IFFT(FFT(x) ⊙ spec). spec is
-// typically precomputed once (e.g. a windowed ramp filter) and reused for
-// every call; the operation performs no allocations.
+func mulI[C cplx](v C) C {
+	w := complex128(v)
+	return C(complex(-imag(w), real(w)))
+}
+
+// oddLog reports whether log₂ n is odd: the radix-4 stages then leave one
+// size-2 stage over, and the first stage with twiddles has size 8, not 16.
+func oddLog(n int) bool { return n&0x5555_5555_5555_5555 == 0 }
+
+func firstStage(n int) int {
+	if oddLog(n) {
+		return 8
+	}
+	return 16
+}
+
+// first runs the decimation-in-time stage without twiddles: size 2 when
+// log₂ n is odd, size 4 otherwise.
 //
 //perf:hot
-func (p *plan[C]) ConvolveInto(x, spec []C) {
-	p.checkLen(x)
-	p.checkLen(spec)
-	p.Forward(x)
-	for i := range x {
-		x[i] *= spec[i]
+func (p *plan[C]) first(x []C, inv bool) {
+	n := p.n
+	if oddLog(n) {
+		for i := 0; i+1 < n; i += 2 {
+			x[i], x[i+1] = x[i]+x[i+1], x[i]-x[i+1]
+		}
+		return
 	}
-	p.Inverse(x)
+	for i := 0; i+3 < n; i += 4 {
+		q := x[i : i+4 : i+4]
+		t0, t1, t2, t3 := q[0]+q[1], q[0]-q[1], q[2]+q[3], mulI(q[2]-q[3])
+		if inv {
+			t3 = -t3
+		}
+		q[0], q[1], q[2], q[3] = t0+t2, t1-t3, t0-t2, t1+t3
+	}
 }
 
-// ConvolveBatchInto convolves every contiguous length-n row of x with the
-// kernel whose forward frequency response is spec, in place. len(x) must
-// be a whole number of plan-length rows. The batch runs stage-by-stage —
-// all forward transforms, one multiply sweep, all inverse transforms — so
-// spec stays hot in cache across the whole sinogram instead of being
-// re-streamed per row; per-row arithmetic is bit-identical to calling
-// ConvolveInto row by row.
+// middle is where a convolution turns round: the forward transform's last
+// stage, the product with spec (read through the bit-reversal index, 1/n
+// folded in) and the inverse transform's first stage, fused into one pass
+// with the arithmetic of the three run one after another.
+//
+//perf:hot
+func (p *plan[C]) middle(x, spec []C) {
+	n, br := p.n, p.br
+	s := 1 / float64(n)
+	switch {
+	case n == 1:
+		x[0] *= spec[0]
+	case oddLog(n):
+		for i := 0; i+1 < n; i += 2 {
+			a, b := x[i], x[i+1]
+			y0, y1 := scaled((a+b)*spec[br[i]], s), scaled((a-b)*spec[br[i+1]], s)
+			x[i], x[i+1] = y0+y1, y0-y1
+		}
+	default:
+		for i := 0; i+3 < n; i += 4 {
+			q, bq := x[i:i+4:i+4], br[i:i+4:i+4]
+			u0, u1, u2, u3 := q[0]+q[2], q[0]-q[2], q[1]+q[3], mulI(q[1]-q[3])
+			y0, y1 := scaled((u0+u2)*spec[bq[0]], s), scaled((u0-u2)*spec[bq[1]], s)
+			y2, y3 := scaled((u1-u3)*spec[bq[2]], s), scaled((u1+u3)*spec[bq[3]], s)
+			t0, t1, t2, t3 := y0+y1, y0-y1, y2+y3, mulI(y2-y3)
+			q[0], q[1], q[2], q[3] = t0+t2, t1+t3, t0-t2, t1-t3
+		}
+	}
+}
+
+// stages runs the radix-4 stages with twiddles: decimation in time over
+// first's output, smallest stage first, leaving the transform in natural
+// order; or, with dif, decimation in frequency over natural-order input,
+// largest stage first, for middle to finish in bit-reversed order. live <
+// n prunes the stage of a padded convolution that meets the zero half.
+//
+//perf:hot
+func (p *plan[C]) stages(x, tw []C, inv, dif bool, live int) {
+	n, f := p.n, firstStage(p.n)
+	for s := f; s <= n; s <<= 2 {
+		L := s
+		if dif {
+			L = n / s * f
+		}
+		q, w := L/4, tw[(L-f)/4:(L-f)/4+3*L/4] // the tables run smallest stage first
+		if L == n && live < n {
+			pruned(x, w, live, dif)
+			continue
+		}
+		for b := 0; b < n; b += L {
+			quad(x[b:b+q], x[b+q:b+2*q], x[b+2*q:b+3*q], x[b+3*q:b+L], w, inv, dif)
+		}
+	}
+}
+
+// quad runs one radix-4 stage over a block whose quarters are x0…x3.
+// Decimation in time twiddles the inputs — x1 and x2 hold the
+// sub-transforms of the samples ≡ 2 and 1 mod 4, so they take w^2k and w^k
+// — and combines them, inv choosing the direction. Decimation in frequency
+// combines and then twiddles, sending the frequencies ≡ 0, 2, 1, 3 mod 4
+// out to x0…x3: bit-reversed order, one level down.
+//
+//perf:hot
+func quad[C cplx](x0, x1, x2, x3, w []C, inv, dif bool) {
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	for k := range x0 {
+		wk := w[3*k : 3*k+3 : 3*k+3]
+		a, b, c, d := x0[k], x1[k], x2[k], x3[k]
+		if dif {
+			u0, u1, u2, u3 := a+c, a-c, b+d, mulI(b-d)
+			x0[k], x1[k], x2[k], x3[k] = u0+u2, (u0-u2)*wk[1], (u1-u3)*wk[0], (u1+u3)*wk[2]
+			continue
+		}
+		b, c, d = b*wk[1], c*wk[0], d*wk[2]
+		t0, t1, t2, t3 := a+b, a-b, c+d, mulI(c-d)
+		if inv {
+			t3 = -t3
+		}
+		x0[k], x1[k], x2[k], x3[k] = t0+t2, t1-t3, t0-t2, t1+t3
+	}
+}
+
+// pruned is quad on the whole of a padded convolution's row (n = 4q, live
+// ≤ 2q) where it meets the zero half: the forward transform's first stage,
+// taking the samples from live on as zero whatever they hold, or the
+// inverse transform's last, writing only the outputs before live. Those
+// are quad's, up to the signs of zeros.
+//
+//perf:hot
+func pruned[C cplx](x, w []C, live int, dif bool) {
+	q := len(x) / 4
+	x0, x1, x2, x3 := x[:q], x[q:2*q], x[2*q:3*q], x[3*q:4*q]
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	for k := range x0 {
+		wk := w[3*k : 3*k+3 : 3*k+3]
+		a, b := x0[k], x1[k]
+		if dif {
+			if k >= live {
+				a = 0
+			}
+			if k+q >= live {
+				b = 0
+			}
+			ib := mulI(b)
+			x0[k], x1[k], x2[k], x3[k] = a+b, (a-b)*wk[1], (a-ib)*wk[0], (a+ib)*wk[2]
+		} else if k < live {
+			b, c, d := b*wk[1], x2[k]*wk[0], x3[k]*wk[2]
+			x0[k] = a + b + (c + d)
+			if k+q < live {
+				x1[k] = a - b + mulI(c-d)
+			}
+		}
+	}
+}
+
+// ConvolveBatchInto circularly convolves every contiguous length-n row of
+// x, in place, with the kernel whose forward frequency response is spec:
+// row ← IFFT(FFT(row) ⊙ spec). len(x) must be a whole number of
+// plan-length rows; no allocations are performed. Nothing is scrambled:
+// the forward pass leaves the spectrum in bit-reversed order, spec is read
+// through the plan's bit-reversal index, and the inverse pass starts from
+// that order.
 //
 //perf:hot
 func (p *plan[C]) ConvolveBatchInto(x, spec []C) {
+	p.convolveBatch(x, spec, p.n)
+}
+
+// ConvolvePaddedInto is ConvolveBatchInto for rows zero-padded from live
+// on, live ≤ n/2, as the ramp filter pads them: samples from live on are
+// taken as zero whatever they hold, and only the first live outputs of a
+// row are defined. The first forward stage skips the zero half and the
+// last inverse stage the unused one; on the live outputs the result is ==
+// ConvolveBatchInto's on the zero-padded rows.
+//
+//perf:hot
+func (p *plan[C]) ConvolvePaddedInto(x, spec []C, live int) {
+	if live < 0 || live > p.n/2 {
+		p.badLive(live)
+	}
+	p.convolveBatch(x, spec, live)
+}
+
+//perf:hot
+func (p *plan[C]) convolveBatch(x, spec []C, live int) {
 	p.checkLen(spec)
 	n := p.n
-	if n == 0 || len(x)%n != 0 {
+	if len(x)%n != 0 {
 		p.badBatch(len(x))
 	}
-	rows := len(x) / n
-	for r := 0; r < rows; r++ {
-		p.Forward(x[r*n : (r+1)*n])
-	}
-	for r := 0; r < rows; r++ {
-		row := x[r*n : (r+1)*n]
-		for i := range row {
-			row[i] *= spec[i]
+	for r := 0; r < len(x); r += n {
+		row, l := x[r:r+n], live
+		if n < 8 { // no stage to prune
+			clear(row[l:])
+			l = n
 		}
-	}
-	for r := 0; r < rows; r++ {
-		p.Inverse(x[r*n : (r+1)*n])
+		p.stages(row, p.twF, false, true, l)
+		p.middle(row, spec)
+		p.stages(row, p.twI, true, false, l)
 	}
 }
 
@@ -398,10 +545,14 @@ func (p *plan[C]) checkLen(x []C) {
 	}
 }
 
-// badBatch is the cold panic path of ConvolveBatchInto, kept out of the
-// hot function so its formatting does not allocate there.
+// badBatch and badLive are the cold panic paths of the convolutions, kept
+// out of the hot functions so their formatting does not allocate there.
 func (p *plan[C]) badBatch(got int) {
 	panic(fmt.Sprintf("fft: batch length %d is not a multiple of plan length %d", got, p.n))
+}
+
+func (p *plan[C]) badLive(live int) {
+	panic(fmt.Sprintf("fft: %d live samples exceed half the plan length %d", live, p.n))
 }
 
 // scramble applies the precomputed bit-reversal permutation.
@@ -412,36 +563,6 @@ func (p *plan[C]) scramble(x []C) {
 	for i := 0; i < len(rev); i += 2 {
 		a, b := rev[i], rev[i+1]
 		x[a], x[b] = x[b], x[a]
-	}
-}
-
-// butterflies runs the iterative Cooley-Tukey stages against a twiddle
-// table (forward or inverse).
-//
-//perf:hot
-func (p *plan[C]) butterflies(x []C, tw []C) {
-	n := p.n
-	if n <= 1 {
-		return
-	}
-	// First stage (size 2): all twiddles are 1, so pure add/sub.
-	for i := 0; i < n; i += 2 {
-		a, b := x[i], x[i+1]
-		x[i], x[i+1] = a+b, a-b
-	}
-	for size := 4; size <= n; size <<= 1 {
-		half := size >> 1
-		stride := n / size
-		for start := 0; start < n; start += size {
-			k := 0
-			for i := start; i < start+half; i++ {
-				a := x[i]
-				b := x[i+half] * tw[k]
-				x[i] = a + b
-				x[i+half] = a - b
-				k += stride
-			}
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package fft
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -265,7 +266,7 @@ func testConvolveImpulse[C cplx](t *testing.T, planFor func(int) *plan[C], shift
 	p := planFor(n)
 	x := randComplex[C](n, 3)
 	orig := append([]C(nil), x...)
-	p.ConvolveInto(x, impulseSpec(p, shift))
+	p.ConvolveBatchInto(x, impulseSpec(p, shift))
 	for i := range x {
 		if d := cabs(x[i] - orig[(i-shift+n)%n]); d > tol {
 			t.Fatalf("impulse at %d moved sample %d off its shifted source by %g", shift, i, d)
@@ -283,7 +284,7 @@ func TestConvolveShift(t *testing.T) {
 
 func testConvolvePanicsOnMismatch[C cplx](t *testing.T, planFor func(int) *plan[C]) {
 	mustPanic(t, "spectrum longer than the plan", func() {
-		planFor(4).ConvolveInto(make([]C, 4), make([]C, 8))
+		planFor(4).ConvolveBatchInto(make([]C, 4), make([]C, 8))
 	})
 }
 
@@ -292,9 +293,8 @@ func TestConvolvePanicsOnMismatch(t *testing.T) {
 	testConvolvePanicsOnMismatch(t, PlanFor32)
 }
 
-// testConvolveBatchMatchesPerRow proves the batch entry point's claim:
-// stage-reordered batch convolution is bit-identical to convolving row by
-// row.
+// testConvolveBatchMatchesPerRow proves the batch entry point's claim: a
+// batch convolution is bit-identical to convolving its rows one by one.
 func testConvolveBatchMatchesPerRow[C cplx](t *testing.T, planFor func(int) *plan[C]) {
 	const n, rows = 64, 7
 	spec := randComplex[C](n, 11)
@@ -303,7 +303,7 @@ func testConvolveBatchMatchesPerRow[C cplx](t *testing.T, planFor func(int) *pla
 	p := planFor(n)
 	p.ConvolveBatchInto(batch, spec)
 	for r := 0; r < rows; r++ {
-		p.ConvolveInto(serial[r*n:(r+1)*n], spec)
+		p.ConvolveBatchInto(serial[r*n:(r+1)*n], spec)
 	}
 	for i := range batch {
 		if batch[i] != serial[i] {
@@ -326,6 +326,175 @@ func testConvolveBatchPanicsOnRaggedLength[C cplx](t *testing.T, planFor func(in
 func TestConvolveBatchPanicsOnRaggedLength(t *testing.T) {
 	testConvolveBatchPanicsOnRaggedLength(t, PlanFor)
 	testConvolveBatchPanicsOnRaggedLength(t, PlanFor32)
+}
+
+// naiveDFT is the O(n²) DFT of x in float64, each factor exp(∓2πi·jk/n)
+// evaluated at its own angle: the reference the transforms are held to.
+func naiveDFT[C cplx](x []C, inverse bool) []complex128 {
+	n := len(x)
+	sign := -1.0
+	if inverse {
+		sign = 1
+	}
+	w := make([]complex128, n)
+	for j := range w {
+		s, c := math.Sincos(2 * math.Pi * float64(j) / float64(n))
+		w[j] = complex(c, sign*s)
+	}
+	out := make([]complex128, n)
+	for k := range out {
+		var sum complex128
+		for j, v := range x {
+			sum += complex128(v) * w[j*k%n]
+		}
+		out[k] = sum
+	}
+	return out
+}
+
+// naiveConvolve is IDFT(DFT(x) ⊙ spec)/n by naiveDFT.
+func naiveConvolve[C cplx](x, spec []C) []complex128 {
+	X := naiveDFT(x, false)
+	for k := range X {
+		X[k] *= complex128(spec[k])
+	}
+	y := naiveDFT(X, true)
+	for k := range y {
+		y[k] /= complex(float64(len(x)), 0)
+	}
+	return y
+}
+
+// relErr is ‖got − want‖₂ / ‖want‖₂ over got's samples.
+func relErr[C cplx](got []C, want []complex128) float64 {
+	var num, den float64
+	for k, g := range got {
+		d := complex128(g) - want[k]
+		num += real(d)*real(d) + imag(d)*imag(d)
+		den += real(want[k])*real(want[k]) + imag(want[k])*imag(want[k])
+	}
+	if den == 0 {
+		return math.Sqrt(num)
+	}
+	return math.Sqrt(num / den)
+}
+
+// naiveTol is the relative error allowed a length-n transform at unit
+// roundoff eps: a few roundings per butterfly stage. A misplaced twiddle
+// or a wrong output slot is an error of order one.
+func naiveTol(n int, eps float64) float64 { return 8 * eps * float64(bits.Len(uint(n))) }
+
+// testMatchesNaive holds Forward, Inverse and both convolution entry
+// points to the naive DFT at every power of two up to 4096 — odd and even
+// log₂ n, so the leftover size-2 stage and the size-4 stage are both
+// covered — and the padded convolution to the full one with == on its live
+// outputs.
+func testMatchesNaive[C cplx](t *testing.T, planFor func(int) *plan[C], eps float64) {
+	for n := 1; n <= 4096; n *= 2 {
+		p, tol := planFor(n), naiveTol(n, eps)
+		x := randComplex[C](n, int64(n))
+		for _, inverse := range []bool{false, true} {
+			got := append([]C(nil), x...)
+			want := naiveDFT(x, inverse)
+			if inverse {
+				p.Inverse(got)
+				for k := range want {
+					want[k] /= complex(float64(n), 0)
+				}
+			} else {
+				p.Forward(got)
+			}
+			if e := relErr(got, want); e > tol {
+				t.Errorf("n=%d inverse=%v: relative error %g > %g", n, inverse, e, tol)
+			}
+		}
+
+		spec := randComplex[C](n, int64(n)+1)
+		full := append([]C(nil), x...)
+		p.ConvolveBatchInto(full, spec)
+		if e := relErr(full, naiveConvolve(x, spec)); e > tol {
+			t.Errorf("n=%d ConvolveBatchInto: relative error %g > %g", n, e, tol)
+		}
+		for _, live := range []int{0, 1, n / 8, n/4 + 1, n / 2} {
+			if live > n/2 {
+				continue
+			}
+			padded := randComplex[C](n, 99) // past live: ignored, not cleared
+			copy(padded, x[:live])
+			zeroed := make([]C, n)
+			copy(zeroed, x[:live])
+			want := naiveConvolve(zeroed, spec)
+			p.ConvolveBatchInto(zeroed, spec)
+			p.ConvolvePaddedInto(padded, spec, live)
+			if e := relErr(padded[:live], want); e > tol {
+				t.Errorf("n=%d live=%d ConvolvePaddedInto: relative error %g > %g", n, live, e, tol)
+			}
+			for k := 0; k < live; k++ {
+				if padded[k] != zeroed[k] {
+					t.Fatalf("n=%d live=%d: padded output %d = %v, full %v (must be ==)", n, live, k, padded[k], zeroed[k])
+				}
+			}
+		}
+	}
+}
+
+func TestTransformsMatchNaiveDFT(t *testing.T)       { testMatchesNaive(t, PlanFor, 0x1p-52) }
+func TestPlan32TransformsMatchNaiveDFT(t *testing.T) { testMatchesNaive(t, PlanFor32, 0x1p-23) }
+
+func testConvolveZeroAlloc[C cplx](t *testing.T, planFor func(int) *plan[C]) {
+	const n, rows = 256, 3
+	p := planFor(n)
+	x, spec := randComplex[C](rows*n, 1), randComplex[C](n, 2)
+	if a := testing.AllocsPerRun(10, func() { p.ConvolveBatchInto(x, spec) }); a != 0 {
+		t.Errorf("ConvolveBatchInto: %v allocs/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { p.ConvolvePaddedInto(x, spec, n/2) }); a != 0 {
+		t.Errorf("ConvolvePaddedInto: %v allocs/op, want 0", a)
+	}
+}
+
+func TestConvolveZeroAlloc(t *testing.T) {
+	testConvolveZeroAlloc(t, PlanFor)
+	testConvolveZeroAlloc(t, PlanFor32)
+}
+
+func TestConvolvePaddedPanicsOnLive(t *testing.T) {
+	mustPanic(t, "live past half the plan", func() {
+		PlanFor(8).ConvolvePaddedInto(make([]complex128, 8), make([]complex128, 8), 5)
+	})
+	mustPanic(t, "negative live", func() {
+		PlanFor(8).ConvolvePaddedInto(make([]complex128, 8), make([]complex128, 8), -1)
+	})
+}
+
+// FuzzConvolveBatch is the differential target for the convolution core:
+// a power-of-two n ≤ 1024, a random spectrum, input and live count, both
+// entry points against the naive DFT convolution, and the padded one ==
+// the full one on its live outputs.
+func FuzzConvolveBatch(f *testing.F) {
+	f.Add(uint8(8), int64(1), uint16(100))
+	f.Add(uint8(1), int64(2), uint16(0))
+	f.Add(uint8(5), int64(3), uint16(16))
+	f.Fuzz(func(t *testing.T, logN uint8, seed int64, liveSeed uint16) {
+		n := 1 << (logN % 11)
+		p := PlanFor(n)
+		x, spec := randComplex[complex128](n, seed), randComplex[complex128](n, seed+1)
+		live := int(liveSeed) % (n/2 + 1)
+		clear(x[live:])
+		want := naiveConvolve(x, spec)
+		full := append([]complex128(nil), x...)
+		p.ConvolveBatchInto(full, spec)
+		if e := relErr(full, want); e > naiveTol(n, 0x1p-52) {
+			t.Fatalf("n=%d ConvolveBatchInto: relative error %g", n, e)
+		}
+		padded := append([]complex128(nil), x...)
+		p.ConvolvePaddedInto(padded, spec, live)
+		for k := 0; k < live; k++ {
+			if padded[k] != full[k] {
+				t.Fatalf("n=%d live=%d: padded output %d = %v, full %v", n, live, k, padded[k], full[k])
+			}
+		}
+	})
 }
 
 // TestPlan32CacheIndependentOfFloat64 guards the deliberate decision to
@@ -540,5 +709,31 @@ func BenchmarkInverseHermitian2DBand256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(half, src) // each inverse divides by n: reusing half would sink into denormals
 		InverseHermitian2DBand(p, half, col, out, band)
+	}
+}
+
+// BenchmarkConvolvePadded256 is the streaming preview's filter call at the
+// stream workload's geometry: 16 row pairs of 128 detector columns, padded
+// to 256 points.
+func BenchmarkConvolvePadded256(b *testing.B) {
+	const n, rows, live = 256, 16, 128
+	p := PlanFor(n)
+	x, spec := randComplex[complex128](rows*n, 1), impulseSpec(p, 0) // the identity: the live samples neither grow nor decay
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.ConvolvePaddedInto(x, spec, live)
+	}
+}
+
+// BenchmarkConvolveBatch256 is the same batch through the full entry point.
+func BenchmarkConvolveBatch256(b *testing.B) {
+	const n, rows = 256, 16
+	p := PlanFor(n)
+	x, spec := randComplex[complex128](rows*n, 1), impulseSpec(p, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.ConvolveBatchInto(x, spec)
 	}
 }

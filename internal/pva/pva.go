@@ -178,16 +178,21 @@ func readMsg(r io.Reader) ([]byte, error) {
 	return msg[lenPrefix:], nil
 }
 
-// readWire reads one wire message, length prefix included, into buf's
-// backing array when that is large enough and into a new one otherwise. A
-// caller that passes its previous result back reads without allocating;
-// one that passes nil owns what it gets.
+// readWire reads one wire message, length prefix included, on from the
+// len(buf) bytes of it already read into buf — none for a fresh message.
+// It reads into buf's backing array when that is large enough and into a
+// new one otherwise: a caller that passes its previous result back as
+// buf[:0] reads without allocating; one that passes nil owns what it gets.
+// On a read error it returns the message read so far with the error, so a
+// read cut short by a deadline can be resumed by passing that back.
 //
 //perf:hot
 func readWire(r io.Reader, buf []byte) ([]byte, error) {
-	buf = sized(buf, lenPrefix)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	if have := len(buf); have < lenPrefix {
+		buf = sized(buf, lenPrefix)
+		if k, err := io.ReadFull(r, buf[have:]); err != nil {
+			return buf[:have+k], err
+		}
 	}
 	n := binary.LittleEndian.Uint32(buf)
 	if n > 1<<30 {
@@ -198,14 +203,12 @@ func readWire(r io.Reader, buf []byte) ([]byte, error) {
 	// header claiming a gigabyte ahead of a closed connection costs a
 	// megabyte.
 	total := lenPrefix + int(n)
-	have := lenPrefix
-	for have < total {
+	for have := len(buf); have < total; have = len(buf) {
 		step := min(total-have, max(have, maxFirstRead))
 		buf = sized(buf, have+step)
-		if _, err := io.ReadFull(r, buf[have:]); err != nil {
-			return nil, err
+		if k, err := io.ReadFull(r, buf[have:]); err != nil {
+			return buf[:have+k], err
 		}
-		have = len(buf)
 	}
 	return buf, nil
 }
@@ -373,6 +376,7 @@ type Monitor struct {
 	conn net.Conn
 	r    *bufio.Reader
 	msg  []byte // the wire message Next decoded last; its array is read into again
+	part []byte // a message a timed-out read left part-read, resumed by the next read
 	// Missed counts sequence gaps observed in the stream.
 	Missed  int
 	lastSeq uint64
@@ -395,14 +399,25 @@ func NewMonitor(addr, channel string) (*Monitor, error) {
 }
 
 // read returns the next wire message, blocking up to timeout (0 =
-// forever). It reads into buf as readWire does.
+// forever). It reads into buf as readWire does — unless a previous read
+// timed out part of the way through a message, in which case it resumes
+// that message where it stopped, so the stream's framing survives a
+// deadline.
 func (m *Monitor) read(timeout time.Duration, buf []byte) ([]byte, error) {
 	if timeout > 0 {
 		m.conn.SetReadDeadline(time.Now().Add(timeout))
 	} else {
 		m.conn.SetReadDeadline(time.Time{})
 	}
-	return readWire(m.r, buf)
+	if m.part != nil {
+		buf, m.part = m.part, nil
+	}
+	msg, err := readWire(m.r, buf)
+	if err != nil {
+		m.part = msg
+		return nil, err
+	}
+	return msg, nil
 }
 
 // account adds the frames lost between the previous frame and this one
@@ -421,7 +436,7 @@ func (m *Monitor) account(seq uint64, kind FrameKind) {
 // Next returns the next frame, tracking sequence gaps, blocking up to
 // timeout (0 = forever).
 func (m *Monitor) Next(timeout time.Duration) (*Frame, error) {
-	msg, err := m.read(timeout, m.msg)
+	msg, err := m.read(timeout, m.msg[:0])
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"net"
@@ -344,6 +345,84 @@ func TestMonitorDetectsGaps(t *testing.T) {
 	}
 	if mon.Missed != 3 {
 		t.Fatalf("missed = %d, want 3", mon.Missed)
+	}
+}
+
+// TestMonitorResumesAfterTimeout: a Next deadline that fires part of the
+// way through a message — in its body, or inside its 4-byte length prefix
+// — returns a timeout, and the next Next resumes that message instead of
+// parsing its remaining bytes as a new length: every frame arrives intact,
+// in order, with nothing counted missed.
+func TestMonitorResumesAfterTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		if _, err := readMsg(conn); err != nil { // the MONITOR request
+			conn.Close()
+			close(accepted)
+			return
+		}
+		accepted <- conn
+	}()
+	mon, err := NewMonitor(ln.Addr().String(), "det1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	conn, ok := <-accepted
+	if !ok {
+		t.Fatal("fake server did not get the subscription")
+	}
+	defer conn.Close()
+	write := func(b []byte) {
+		t.Helper()
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := func(seq uint64) {
+		t.Helper()
+		f, err := mon.Next(2 * time.Second)
+		if err != nil {
+			t.Fatalf("frame %d: %v", seq, err)
+		}
+		want := mkFrame(seq, KindProjection)
+		if f.Seq != seq || f.ScanID != want.ScanID || !slices.Equal(f.Data, want.Data) {
+			t.Fatalf("frame %d arrived as seq %d scan %q with %d samples", seq, f.Seq, f.ScanID, len(f.Data))
+		}
+	}
+	timesOut := func() {
+		t.Helper()
+		_, err := mon.Next(20 * time.Millisecond)
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("Next on a part-sent message: err = %v, want a timeout", err)
+		}
+	}
+
+	write(mkFrame(1, KindProjection).wireMsg())
+	next(1)
+	for _, cut := range []int{lenPrefix + 20, 2} { // in the body, in the prefix
+		seq := mon.lastSeq + 1
+		msg := mkFrame(seq, KindProjection).wireMsg()
+		write(msg[:cut])
+		timesOut()
+		write(msg[cut:])
+		next(seq)
+	}
+	write(mkFrame(4, KindProjection).wireMsg())
+	next(4)
+	if mon.Missed != 0 {
+		t.Errorf("Missed = %d after an unbroken stream, want 0", mon.Missed)
 	}
 }
 

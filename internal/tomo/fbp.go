@@ -93,6 +93,85 @@ func rampFilter(m int, tau float64, f Filter) []float64 {
 	return h
 }
 
+// rampSpectrum is the ramp filter of ncols-column rows as the spectrum of
+// their zero-padded convolution — real, even, and as long as twice the row
+// rounded up to a power of two — with that length's plan.
+func rampSpectrum(ncols int, f Filter) (*fft.Plan, []complex128) {
+	m := fft.NextPow2(2 * ncols)
+	taps := make([]complex128, m)
+	for i, v := range rampFilter(m, 2.0/float64(ncols), f) {
+		taps[i] = complex(v, 0)
+	}
+	return fft.PlanFor(m), taps
+}
+
+// convolver is the transform plan the row-pair filters run on, at either
+// width (*fft.Plan, *fft.Plan32).
+type convolver[C complex64 | complex128] interface {
+	ConvolvePaddedInto(x, spec []C, live int)
+}
+
+// filterPairs is the one row-pair packer of the ramp filters, FBP's at
+// both widths and the streaming preview's. It convolves the nc-sample rows
+// of src that order names with spec, two per len(spec)-point transform of
+// batch — order[2j] in the real part of transform j, order[2j+1] (-1:
+// none) in the imaginary part — and writes each back into the same row of
+// dst. spec is real and even, so the two
+// rows never mix in exact arithmetic; in floating point a row's error is
+// relative to the larger of its pair. Rows are zero-padded, through the
+// padded convolution. Allocation-free.
+//
+//perf:hot
+func filterPairs[C complex64 | complex128, F float32 | float64](conv convolver[C], spec, batch []C, dst []F, src []float64, nc int, order []int) {
+	m := len(spec)
+	batch = batch[:len(order)/2*m]
+	for j := 0; j+1 < len(order); j += 2 {
+		t := batch[j/2*m : j/2*m+m]
+		a := src[order[j]*nc : order[j]*nc+nc]
+		if r := order[j+1]; r >= 0 {
+			b := src[r*nc : r*nc+nc]
+			for i := range a {
+				t[i] = C(complex(a[i], b[i]))
+			}
+		} else {
+			for i := range a {
+				t[i] = C(complex(a[i], 0))
+			}
+		}
+	}
+	conv.ConvolvePaddedInto(batch, spec, nc)
+	// real and imag are not defined on type parameters; through complex128
+	// is a no-op at that width and exact at complex64.
+	for j, r := range order {
+		if r < 0 {
+			continue
+		}
+		t, d := batch[j/2*m:j/2*m+nc], dst[r*nc:r*nc+nc]
+		if j%2 == 0 {
+			for i, v := range t {
+				d[i] = F(real(complex128(v)))
+			}
+		} else {
+			for i, v := range t {
+				d[i] = F(imag(complex128(v)))
+			}
+		}
+	}
+}
+
+// pairOrder is filterPairs' order for rows 0…n-1 in pairs, the last alone
+// when n is odd.
+func pairOrder(n int) []int {
+	order := make([]int, n, n+1)
+	for i := range order {
+		order[i] = i
+	}
+	if n%2 == 1 {
+		order = append(order, -1)
+	}
+	return order
+}
+
 // FilterSinogram returns a copy of s with every projection row convolved
 // with the windowed ramp filter (zero-padded to avoid circular wrap).
 // The filter taps come from a cached reconstruction plan, so repeated

@@ -8,70 +8,6 @@ import (
 	"repro/internal/vol"
 )
 
-// rowFilter is the padded ramp-filter convolution of the incremental
-// path: one complex transform filters one detector row, or two at once.
-// The ramp spectrum is real, so a row riding in the imaginary part of the
-// transform comes out filtered in the imaginary part, independently of its
-// partner up to rounding.
-type rowFilter struct {
-	ncols int
-	fp    *fft.Plan    // FFT plan for the padded length
-	taps  []complex128 // ramp-filter spectrum, imaginary parts all zero
-	cbuf  []complex128 // padded staging for one transform
-}
-
-func newRowFilter(ncols int, filter Filter) *rowFilter {
-	fm := fft.NextPow2(2 * ncols)
-	rf := &rowFilter{
-		ncols: ncols,
-		fp:    fft.PlanFor(fm),
-		taps:  make([]complex128, fm),
-		cbuf:  make([]complex128, fm),
-	}
-	for i, v := range rampFilter(fm, 2.0/float64(ncols), filter) {
-		rf.taps[i] = complex(v, 0)
-	}
-	// Two rows can share a transform only while the spectrum is real; a
-	// spectrum that grows a phase (a sub-pixel shift, say) must not get
-	// past this point silently.
-	for _, t := range rf.taps {
-		if imag(t) != 0 {
-			panic("tomo: ramp spectrum is not real; rows cannot share a transform")
-		}
-	}
-	return rf
-}
-
-// apply ramp-filters row a into dstA and, when b is not nil, row b into
-// dstB in the same transform. With b nil the imaginary part is zero going
-// in, which is the reference FBP's own single-row convolution bit for bit.
-// Allocation-free.
-//
-//perf:hot
-func (rf *rowFilter) apply(dstA, a, dstB, b []float64) {
-	nc := rf.ncols
-	cbuf := rf.cbuf
-	if b == nil {
-		for i := 0; i < nc; i++ {
-			cbuf[i] = complex(a[i], 0)
-		}
-	} else {
-		for i := 0; i < nc; i++ {
-			cbuf[i] = complex(a[i], b[i])
-		}
-	}
-	clear(cbuf[nc:])
-	rf.fp.ConvolveInto(cbuf, rf.taps)
-	for i := 0; i < nc; i++ {
-		dstA[i] = real(cbuf[i])
-	}
-	if b != nil {
-		for i := 0; i < nc; i++ {
-			dstB[i] = imag(cbuf[i])
-		}
-	}
-}
-
 // detectorTap maps a pixel's signed ray coordinate sc ∈ [-1, 1] to the
 // detector samples it interpolates between: columns c0 and c0+1 with
 // weights 1-f and f. c0 < 0 means the ray misses the detector; c0 ==
@@ -93,12 +29,10 @@ func detectorTap(sc, ncolsF float64, lastCol int) (c0 int, f float64) {
 // projection at a time: each arriving detector row is ramp-filtered and
 // backprojected into a running accumulator the moment the streaming
 // service delivers it, so after the final frame only a scale pass remains
-// instead of a full reconstruction. Fed every angle of a scan in
-// acquisition order, FinalizeInto reproduces the batch FBP's naive
-// reference arithmetic exactly: the per-row filter is the same padded
-// convolution, the backprojection uses the exact per-pixel detector
-// coordinate, and each pixel accumulates its angles in the same order the
-// reference kernel's inner loop does.
+// instead of a full reconstruction. Fed every angle of a scan, FinalizeInto
+// is within 1e-12 of the batch FBP's naive reference: each row is filtered
+// alone by the padded convolution and walked onto the grid the way the
+// plan's kernel walks it (angleWalk).
 //
 // Unlike ReconPlan, an IncrementalRecon is keyed on geometry alone
 // (detector width, output size, filter) — the angle set is not known up
@@ -110,13 +44,15 @@ type IncrementalRecon struct {
 	Size   int
 	Filter Filter
 
-	rf   *rowFilter
-	xs   []float64 // pixel-center coordinates
-	loPx []int     // per row: first pixel inside the circle
-	hiPx []int     // per row: one past the last inside pixel
-	frow []float64 // filtered detector row
-	acc  []float64 // unscaled backprojection accumulator (Size×Size)
-	n    int       // angles accumulated since the last Reset
+	fp   *fft.Plan    // FFT plan for the padded filter length
+	taps []complex128 // ramp-filter spectrum
+	cbuf []complex128 // one transform: a row filtered alone
+	xs   []float64    // pixel-center coordinates
+	loPx []int        // per row: first pixel inside the circle
+	hiPx []int        // per row: one past the last inside pixel
+	frow []float64    // filtered detector row
+	acc  []float64    // unscaled backprojection accumulator (Size×Size)
+	n    int          // angles accumulated since the last Reset
 }
 
 // NewIncrementalRecon builds an incremental FBP accumulator for sinogram
@@ -137,8 +73,9 @@ func NewIncrementalRecon(ncols, size int, filter Filter) (*IncrementalRecon, err
 		NCols:  ncols,
 		Size:   size,
 		Filter: filter,
-		rf:     newRowFilter(ncols, filter),
 	}
+	ir.fp, ir.taps = rampSpectrum(ncols, filter)
+	ir.cbuf = make([]complex128, len(ir.taps))
 	ir.xs = pixelCenters(size)
 	ir.loPx, ir.hiPx = circleBounds(ir.xs)
 	ir.frow = make([]float64, ncols)
@@ -167,38 +104,36 @@ func (ir *IncrementalRecon) Accumulate(theta float64, row []float64) {
 	if len(row) != ir.NCols {
 		ir.badRow(len(row))
 	}
-	ir.rf.apply(ir.frow, row, nil, nil)
+	filterPairs(ir.fp, ir.taps, ir.cbuf, ir.frow, row, ir.NCols, aloneOrder)
 	ir.backproject(theta, ir.frow)
 }
 
+// aloneOrder is filterPairs' order for one row with no partner.
+var aloneOrder = []int{0, -1}
+
 // backproject adds one already-filtered detector row, taken at angle
-// theta, to every pixel inside the reconstruction circle.
+// theta, to every pixel inside the reconstruction circle, each image row
+// on the affine walk the plan's kernel takes (angleWalk).
 //
 //perf:hot
 func (ir *IncrementalRecon) backproject(theta float64, src []float64) {
 	ct, st := math.Cos(theta), math.Sin(theta)
 	n := ir.Size
-	ncolsF := float64(ir.NCols)
+	halfC := float64(ir.NCols) / 2
 	lastCol := ir.NCols - 1
+	d := 2.0 / float64(n) * ct * halfC
+	inv := 0.0
+	if d != 0 {
+		inv = 1 / d
+	}
 	xs := ir.xs
-	acc := ir.acc
 	for py := 0; py < n; py++ {
 		l, h := ir.loPx[py], ir.hiPx[py]
 		if l >= h {
 			continue
 		}
-		y := xs[py]
-		out := acc[py*n : (py+1)*n]
-		for px := l; px < h; px++ {
-			c0, f := detectorTap(xs[px]*ct+y*st, ncolsF, lastCol)
-			switch {
-			case c0 < 0:
-			case c0 == lastCol:
-				out[px] += src[c0]
-			default:
-				out[px] += src[c0]*(1-f) + src[c0+1]*f
-			}
-		}
+		fc := (xs[l]*ct+xs[py]*st+1)*halfC - 0.5
+		angleWalk(ir.acc[py*n+l:py*n+h], src, fc, d, inv, math.Abs(d) <= 1, lastCol, float64(lastCol))
 	}
 	ir.n++
 }
@@ -290,9 +225,9 @@ func (cl *crossLine) fold(r int, src []float64, lastCol int) {
 // for the XZ/YZ cross sections the centre row and centre column of the
 // reduced-size grid, one crossLine each.
 //
-// The XY slice is bit-identical to IncrementalRecon (and the reference
-// FBP). The cross sections take their filtered rows two to a transform,
-// which rounds differently from one row alone: they agree with
+// The XY slice is bit-identical to IncrementalRecon, and within 1e-12 of
+// the reference FBP. The cross sections take their filtered rows two to a
+// transform, which rounds differently from one row alone: they agree with
 // QuickPreview to 1e-12, not bit for bit.
 type IncrementalPreview struct {
 	NRows     int
@@ -300,11 +235,11 @@ type IncrementalPreview struct {
 	FullSize  int // XY slice resolution
 	SmallSize int // XZ/YZ lateral resolution
 
-	centerRow int
-	full      *IncrementalRecon
-	others    []int      // every detector row but centerRow, paired off in order
-	filt      []float64  // NRows×NCols filtered frame
-	xz, yz    *crossLine // centre row / centre column of the SmallSize grid
+	full   *IncrementalRecon
+	order  []int        // filterPairs' order: the centre row alone, then the others paired off
+	batch  []complex128 // one transform per entry pair of order
+	filt   []float64    // NRows×NCols filtered frame
+	xz, yz *crossLine   // centre row / centre column of the SmallSize grid
 }
 
 // NewIncrementalPreview builds the incremental counterpart of
@@ -327,17 +262,21 @@ func NewIncrementalPreview(nrows, ncols, size int, filter Filter) (*IncrementalP
 		NCols:     ncols,
 		FullSize:  size,
 		SmallSize: small,
-		centerRow: nrows / 2,
 	}
 	var err error
 	if ip.full, err = NewIncrementalRecon(ncols, size, filter); err != nil {
 		return nil, err
 	}
+	ip.order = []int{nrows / 2, -1}
 	for r := 0; r < nrows; r++ {
-		if r != ip.centerRow {
-			ip.others = append(ip.others, r)
+		if r != nrows/2 {
+			ip.order = append(ip.order, r)
 		}
 	}
+	if len(ip.order)%2 == 1 {
+		ip.order = append(ip.order, -1)
+	}
+	ip.batch = make([]complex128, len(ip.order)/2*len(ip.full.taps))
 	ip.filt = make([]float64, nrows*ncols)
 
 	// Pixel (i, small/2) of the reduced grid for XZ, (small/2, i) for YZ,
@@ -370,10 +309,10 @@ func (ip *IncrementalPreview) Angles() int { return ip.full.Angles() }
 
 // AddProjection folds one nrows×ncols projection frame (row-major line
 // integrals, post normalization and -log) taken at angle theta into every
-// preview accumulator. Each detector row is filtered once: the centre row
-// alone — the XY slice needs the exact single-row result — and the others
-// two to a transform, the last with a zero partner when their number is
-// odd. Allocation-free.
+// preview accumulator. Each detector row is filtered once, all in one
+// padded batch convolution: the centre row alone — so the XY slice is
+// IncrementalRecon's, bit for bit — and the others two to a transform, the
+// last with a zero partner when their number is odd. Allocation-free.
 //
 //perf:hot
 func (ip *IncrementalPreview) AddProjection(theta float64, frame []float64) {
@@ -381,19 +320,10 @@ func (ip *IncrementalPreview) AddProjection(theta float64, frame []float64) {
 		ip.badFrame(len(frame))
 	}
 	nc := ip.NCols
-	rf := ip.full.rf
 	filt := ip.filt
-	rf.apply(rowOf(filt, ip.centerRow, nc), rowOf(frame, ip.centerRow, nc), nil, nil)
-	for i := 0; i+1 < len(ip.others); i += 2 {
-		a, b := ip.others[i], ip.others[i+1]
-		rf.apply(rowOf(filt, a, nc), rowOf(frame, a, nc), rowOf(filt, b, nc), rowOf(frame, b, nc))
-	}
-	if len(ip.others)%2 == 1 {
-		a := ip.others[len(ip.others)-1]
-		rf.apply(rowOf(filt, a, nc), rowOf(frame, a, nc), nil, nil)
-	}
+	filterPairs(ip.full.fp, ip.full.taps, ip.batch, filt, frame, nc, ip.order)
 
-	ip.full.backproject(theta, rowOf(filt, ip.centerRow, nc))
+	ip.full.backproject(theta, rowOf(filt, ip.order[0], nc))
 	ct, st := math.Cos(theta), math.Sin(theta)
 	lastCol := nc - 1
 	ip.xz.aim(ct, st, float64(nc), lastCol)

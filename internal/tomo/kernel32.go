@@ -7,11 +7,12 @@ import (
 )
 
 // This file holds what the single-precision tier (ReconOptions.Precision
-// == Float32) does not share with the float64 one: its backprojector, its
-// FBP filter, and the solver bodies that keep the iterate, projections and
-// residuals in float32. The forward projector is shared — walkRays in
-// project.go is one generic body for both widths, and it, not the element
-// width, is what the tier's 2.3× over the old float64 solvers came from
+// == Float32) does not share with the float64 one: its backprojector and
+// the solver bodies that keep the iterate, projections and residuals in
+// float32. Its FBP filter is filterPairs on a complex64 plan, and the
+// forward projector is shared — walkRays in project.go is one generic
+// body for both widths, and it, not the element width, is what the tier's
+// 2.3× over the old float64 solvers came from
 // (EXPERIMENTS.md §P5). The backprojectors stay apart because their
 // contracts differ: backProjectKernel has an exact mode that is
 // bit-identical to the naive reference (BackProject, the SIRT column
@@ -145,61 +146,12 @@ func affineSpan32(row []float32, m int, src []float32, fc, d float32, lastCol in
 //
 //perf:hot
 func (p *ReconPlan) fbpInto32(dst *vol.Image, s *Sinogram, sc *Scratch) {
-	p.filterInto32(sc.filt32, s, sc.batch32)
+	filterPairs(p.fp32, p.taps32, sc.batch32, sc.filt32, s.Data, p.NCols, p.order)
 	backProject32(sc.upd32, p.Size, sc.filt32, p.NAngles, p.NCols,
 		p.cosT32, p.sinT32, p.xs32, p.loPx, p.hiPx,
 		float32(math.Pi)/float32(p.NAngles))
 	for i, v := range sc.upd32 {
 		dst.Pix[i] = float64(v)
-	}
-}
-
-// filterInto32 ramp-filters every row of src into the float32 sinogram
-// dst, packing row pairs into one complex64 transform exactly like the
-// float64 filterInto and convolving the whole batch in one pass.
-//
-//perf:hot
-func (p *ReconPlan) filterInto32(dst []float32, src *Sinogram, batch []complex64) {
-	nc := p.NCols
-	m := p.fm
-	pairs := (src.NAngles + 1) / 2
-	buf := batch[:pairs*m]
-	a := 0
-	for pr := 0; pr < pairs; pr++ {
-		cbuf := buf[pr*m : (pr+1)*m]
-		if a+1 < src.NAngles {
-			ra, rb := src.Row(a), src.Row(a+1)
-			for i := 0; i < nc; i++ {
-				cbuf[i] = complex(float32(ra[i]), float32(rb[i]))
-			}
-		} else {
-			ra := src.Row(a)
-			for i := 0; i < nc; i++ {
-				cbuf[i] = complex(float32(ra[i]), 0)
-			}
-		}
-		for i := nc; i < m; i++ {
-			cbuf[i] = 0
-		}
-		a += 2
-	}
-	p.fp32.ConvolveBatchInto(buf, p.taps32)
-	a = 0
-	for pr := 0; pr < pairs; pr++ {
-		cbuf := buf[pr*m : (pr+1)*m]
-		da := dst[a*nc : (a+1)*nc]
-		if a+1 < src.NAngles {
-			db := dst[(a+1)*nc : (a+2)*nc]
-			for i := 0; i < nc; i++ {
-				da[i] = real(cbuf[i])
-				db[i] = imag(cbuf[i])
-			}
-		} else {
-			for i := 0; i < nc; i++ {
-				da[i] = real(cbuf[i])
-			}
-		}
-		a += 2
 	}
 }
 

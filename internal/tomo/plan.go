@@ -43,11 +43,13 @@ type ReconPlan struct {
 	loPx  []int     // per image row: first pixel inside the circle
 	hiPx  []int     // per image row: one past the last inside pixel
 
-	// FBP: padded filter length, its FFT plan, and the ramp taps as a
-	// ready-to-multiply complex spectrum.
-	fm   int
-	fp   *fft.Plan
-	taps []complex128
+	// FBP: padded filter length, its FFT plan, the ramp taps as a
+	// ready-to-multiply complex spectrum, and the angle rows in filter
+	// pairs (filterPairs' order).
+	fm    int
+	fp    *fft.Plan
+	taps  []complex128
+	order []int
 
 	// FBP and SIRT backprojection stride tables: per-angle detector-column
 	// step along an image row, its reciprocal, and whether every
@@ -254,13 +256,9 @@ func buildPlan(theta []float64, key planKey) *ReconPlan {
 
 	switch key.alg {
 	case AlgFBP:
-		p.fm = fft.NextPow2(2 * p.NCols)
-		p.fp = fft.PlanFor(p.fm)
-		h := rampFilter(p.fm, 2.0/float64(p.NCols), p.Filter)
-		p.taps = make([]complex128, p.fm)
-		for i, v := range h {
-			p.taps[i] = complex(v, 0)
-		}
+		p.fp, p.taps = rampSpectrum(p.NCols, p.Filter)
+		p.fm = len(p.taps)
+		p.order = pairOrder(p.NAngles)
 		p.buildStepTables()
 	case AlgGridrec:
 		p.gm = fft.NextPow2(2 * p.Size)
@@ -506,58 +504,12 @@ func (p *ReconPlan) backProjectInto(dst *vol.Image, s *Sinogram) {
 }
 
 // filterInto ramp-filters every row of src into dst using the plan's
-// precomputed taps. Rows are processed two at a time packed into the real
-// and imaginary parts of one complex FFT — valid because the windowed
-// ramp taps are real and even (a real, symmetric impulse response), so
-// the two convolutions never mix. This halves the FFT count relative to
-// the row-at-a-time path. All row-pairs are packed into batch (the
-// scratch's fbatch buffer, one padded row per pair) and convolved in a
-// single ConvolveBatchInto pass, which keeps the tap spectrum hot in
-// cache across the whole sinogram; per-row arithmetic is unchanged.
+// precomputed taps: angle rows two per transform, one padded batch
+// convolution (filterPairs).
 //
 //perf:hot
 func (p *ReconPlan) filterInto(dst, src *Sinogram, batch []complex128) {
-	nc := p.NCols
-	m := p.fm
-	pairs := (src.NAngles + 1) / 2
-	buf := batch[:pairs*m]
-	a := 0
-	for pr := 0; pr < pairs; pr++ {
-		cbuf := buf[pr*m : (pr+1)*m]
-		if a+1 < src.NAngles {
-			ra, rb := src.Row(a), src.Row(a+1)
-			for i := 0; i < nc; i++ {
-				cbuf[i] = complex(ra[i], rb[i])
-			}
-		} else { // odd angle count: last row rides alone
-			ra := src.Row(a)
-			for i := 0; i < nc; i++ {
-				cbuf[i] = complex(ra[i], 0)
-			}
-		}
-		for i := nc; i < m; i++ {
-			cbuf[i] = 0
-		}
-		a += 2
-	}
-	p.fp.ConvolveBatchInto(buf, p.taps)
-	a = 0
-	for pr := 0; pr < pairs; pr++ {
-		cbuf := buf[pr*m : (pr+1)*m]
-		da := dst.Row(a)
-		if a+1 < src.NAngles {
-			db := dst.Row(a + 1)
-			for i := 0; i < nc; i++ {
-				da[i] = real(cbuf[i])
-				db[i] = imag(cbuf[i])
-			}
-		} else {
-			for i := 0; i < nc; i++ {
-				da[i] = real(cbuf[i])
-			}
-		}
-		a += 2
-	}
+	filterPairs(p.fp, p.taps, batch, dst.Data, src.Data, p.NCols, p.order)
 }
 
 //perf:hot

@@ -724,6 +724,31 @@ func BenchmarkGridrec128x180(b *testing.B) {
 	}
 }
 
+// BenchmarkFBP128x180 is one FBP slice at the bench micro's geometry (180
+// angles × 128 columns) with a held scratch, in both widths: what
+// tomo.fbp_f64_ms_per_slice and tomo.fbp_f32_ms_per_slice measure from
+// outside.
+func BenchmarkFBP128x180(b *testing.B) {
+	s := testSinogram(180, 128)
+	for _, prec := range []Precision{Float64, Float32} {
+		b.Run(prec.String(), func(b *testing.B) {
+			p, err := PlanRecon(s.Theta, s.NCols, ReconOptions{Algorithm: AlgFBP, Filter: SheppLoganFilter, Precision: prec})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sc := p.NewScratch()
+			dst := vol.NewImage(p.Size, p.Size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.ReconstructInto(dst, s, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSIRT64x96x10 is one slice of the file_sirt workload (96 angles
 // × 64 columns, ten iterations) with a held scratch, in both widths: what
 // tomo.recon_ms spends per slice there.

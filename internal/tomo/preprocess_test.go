@@ -298,7 +298,8 @@ func TestMedianMatchesCopyAndSort(t *testing.T) {
 }
 
 // TestPreprocessIntoZeroAlloc is the allocation floor of the per-slice
-// preprocessing path: with a held scratch, no option subset allocates.
+// preprocessing path: with a held scratch, no option subset allocates, and
+// neither does the Paganin row filter on its own.
 func TestPreprocessIntoZeroAlloc(t *testing.T) {
 	s := transmissionSinogram(rand.New(rand.NewSource(3)), 16, 24)
 	dst := NewSinogram(s.Theta, s.NCols)
@@ -309,6 +310,9 @@ func TestPreprocessIntoZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("preprocessInto %+v: %v allocs/op, want 0", opts, allocs)
 		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { paganinRow(dst.Row(0), 0.2, sc.pplan, sc.pbuf) }); allocs != 0 {
+		t.Errorf("paganinRow: %v allocs/op, want 0", allocs)
 	}
 }
 

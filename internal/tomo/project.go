@@ -375,10 +375,8 @@ func BackProject(s *Sinogram, n int) *vol.Image {
 // multiplies and two adds of s = x·cosθ + y·sinθ per sample with one
 // multiply-add from the row's base coordinate. The multiply form
 // (base + k·Δ, not a running sum) keeps the deviation from the exact
-// per-pixel evaluation at ~1e-13 even across thousands of columns. It
-// processes four angles per pixel pass: the four interpolation chains
-// are data-independent, so their floor/load/lerp latencies overlap
-// instead of serialising on the accumulator. The exact form reproduces
+// per-pixel evaluation at ~1e-13 even across thousands of columns. The
+// exact form reproduces
 // the naive arithmetic bit-for-bit: BackProject, the SIRT column weights
 // built from it, and SART's single-angle updates use it. SIRT's per-
 // iteration backprojection runs the affine form like FBP — the iteration
@@ -395,6 +393,10 @@ func BackProject(s *Sinogram, n int) *vol.Image {
 // accumulated rounding (≲1e-13) only perturbs the interpolation point
 // of a continuous piecewise-linear function, never an include/exclude
 // decision, so results stay within the plan's 1e-12 equivalence bound.
+// The walk takes four angles per pixel pass: their interpolation chains
+// are data-independent, so their floor/load/lerp latencies overlap instead
+// of serialising on the accumulator. The angles left over, and every angle
+// when the walk is not licensed, go one at a time through angleWalk.
 //
 //perf:hot
 func backProjectKernel(dst *vol.Image, s *Sinogram, cosT, sinT, xs []float64, lo, hi []int, scale float64, affine bool, dTab, invD []float64) {
@@ -422,7 +424,7 @@ func backProjectKernel(dst *vol.Image, s *Sinogram, cosT, sinT, xs []float64, lo
 			m := len(row)
 			ncols := s.NCols
 			a := 0
-			for ; a+3 < nang; a += 4 {
+			for ; dTab != nil && a+3 < nang; a += 4 {
 				src0 := s.Data[a*ncols : (a+1)*ncols]
 				src1 := s.Data[(a+1)*ncols : (a+2)*ncols]
 				src2 := s.Data[(a+2)*ncols : (a+3)*ncols]
@@ -433,20 +435,7 @@ func backProjectKernel(dst *vol.Image, s *Sinogram, cosT, sinT, xs []float64, lo
 				fc1 := (x0*cosT[a+1]+y*sinT[a+1]+1)*halfC - 0.5
 				fc2 := (x0*cosT[a+2]+y*sinT[a+2]+1)*halfC - 0.5
 				fc3 := (x0*cosT[a+3]+y*sinT[a+3]+1)*halfC - 0.5
-				var d0, d1, d2, d3 float64
-				if dTab != nil {
-					d0, d1, d2, d3 = dTab[a], dTab[a+1], dTab[a+2], dTab[a+3]
-				} else {
-					d0 = dx * cosT[a] * halfC
-					d1 = dx * cosT[a+1] * halfC
-					d2 = dx * cosT[a+2] * halfC
-					d3 = dx * cosT[a+3] * halfC
-				}
-				if dTab == nil {
-					affineQuad(row, 0, m, src0, src1, src2, src3,
-						fc0, fc1, fc2, fc3, d0, d1, d2, d3, lastCol, lastColF)
-					continue
-				}
+				d0, d1, d2, d3 := dTab[a], dTab[a+1], dTab[a+2], dTab[a+3]
 				// Interior where all four chains provably stay inside
 				// the detector; the conservative estimate hands edge
 				// pixels to the exact predicate in affineSpan.
@@ -525,11 +514,11 @@ func backProjectKernel(dst *vol.Image, s *Sinogram, cosT, sinT, xs []float64, lo
 				ct, st := cosT[a], sinT[a]
 				src := s.Data[a*ncols : (a+1)*ncols]
 				fc0 := (x0*ct+y*st+1)*halfC - 0.5
-				dfc := dx * ct * halfC
 				if dTab != nil {
-					dfc = dTab[a]
+					angleWalk(row, src, fc0, dTab[a], invD[a], true, lastCol, lastColF)
+				} else {
+					angleWalk(row, src, fc0, dx*ct*halfC, 0, false, lastCol, lastColF)
 				}
-				affineSpan(row, 0, m, src, fc0, dfc, lastCol, lastColF)
 			}
 			continue
 		}
@@ -557,61 +546,10 @@ func backProjectKernel(dst *vol.Image, s *Sinogram, cosT, sinT, xs []float64, lo
 	}
 }
 
-// affineQuad accumulates four angles into row[j0:j1) with the exact
-// multiply-form detector coordinate and the full naive include/exclude
-// predicate per sample — the fallback when an incremental walk is not
-// licensed (some |Δ| > 1, i.e. reconstruction grid coarser than the
-// detector).
-func affineQuad(row []float64, j0, j1 int, src0, src1, src2, src3 []float64,
-	fc0, fc1, fc2, fc3, d0, d1, d2, d3 float64, lastCol int, lastColF float64) {
-	kf := float64(j0)
-	for j := j0; j < j1; j++ {
-		f0 := fc0 + kf*d0
-		f1 := fc1 + kf*d1
-		f2 := fc2 + kf*d2
-		f3 := fc3 + kf*d3
-		kf++
-		var v01, v23 float64
-		fl := math.Floor(f0)
-		c := int(fl)
-		if c >= 0 && c < len(src0)-1 {
-			fr := f0 - fl
-			v01 = src0[c] + fr*(src0[c+1]-src0[c])
-		} else if c == lastCol && f0 <= lastColF {
-			v01 = src0[lastCol]
-		}
-		fl = math.Floor(f1)
-		c = int(fl)
-		if c >= 0 && c < len(src1)-1 {
-			fr := f1 - fl
-			v01 += src1[c] + fr*(src1[c+1]-src1[c])
-		} else if c == lastCol && f1 <= lastColF {
-			v01 += src1[lastCol]
-		}
-		fl = math.Floor(f2)
-		c = int(fl)
-		if c >= 0 && c < len(src2)-1 {
-			fr := f2 - fl
-			v23 = src2[c] + fr*(src2[c+1]-src2[c])
-		} else if c == lastCol && f2 <= lastColF {
-			v23 = src2[lastCol]
-		}
-		fl = math.Floor(f3)
-		c = int(fl)
-		if c >= 0 && c < len(src3)-1 {
-			fr := f3 - fl
-			v23 += src3[c] + fr*(src3[c+1]-src3[c])
-		} else if c == lastCol && f3 <= lastColF {
-			v23 += src3[lastCol]
-		}
-		row[j] += v01 + v23
-	}
-}
-
 // affineSpan accumulates one angle into row[j0:j1) with the exact
 // multiply-form coordinate and the full naive predicate — used for the
-// edge pixels around an incremental interior and for tail angles left
-// over by the four-wide blocking.
+// edge pixels around an incremental interior, and by angleWalk for a whole
+// row when no interior walk is licensed.
 func affineSpan(row []float64, j0, j1 int, src []float64, fc, d float64, lastCol int, lastColF float64) {
 	kf := float64(j0)
 	for j := j0; j < j1; j++ {
@@ -624,6 +562,43 @@ func affineSpan(row []float64, j0, j1 int, src []float64, fc, d float64, lastCol
 			row[j] += src[c] + fr*(src[c+1]-src[c])
 		} else if c == lastCol && f <= lastColF {
 			row[j] += src[lastCol]
+		}
+	}
+}
+
+// angleWalk accumulates one angle's filtered detector row src into row, an
+// image row's span inside the circle, whose pixel j reads the detector at
+// fc + j·d. With walk set (|d| ≤ 1, inv = 1/d) the span stepSpan proves
+// interior is walked as backProjectKernel's four-angle loop walks it, one
+// add and a carry per pixel, and only the pixels at either end take
+// affineSpan's exact multiply form; without it — a grid coarser than the
+// detector — the whole span does. The tail angles of backProjectKernel and
+// IncrementalRecon's one angle at a time both run here.
+//
+//perf:hot
+func angleWalk(row, src []float64, fc, d, inv float64, walk bool, lastCol int, lastColF float64) {
+	m := len(row)
+	jLo, jHi := 0, 0
+	if walk {
+		jLo, jHi = stepSpan(fc, d, inv, m, lastColF)
+	}
+	affineSpan(row, 0, jLo, src, fc, d, lastCol, lastColF)
+	affineSpan(row, jHi, m, src, fc, d, lastCol, lastColF)
+	if jLo >= jHi {
+		return
+	}
+	f := fc + float64(jLo)*d
+	fl := math.Floor(f)
+	c, fr := int(fl), f-fl
+	for j := jLo; j < jHi; j++ {
+		row[j] += src[c] + fr*(src[c+1]-src[c])
+		fr += d
+		if fr >= 1 {
+			fr--
+			c++
+		} else if fr < 0 {
+			fr++
+			c--
 		}
 	}
 }

@@ -2,8 +2,8 @@
 # check.sh — the same gate as `make check`, for environments without make:
 # formatting, static analysis, build, the race-enabled test suite, the
 # benchmark module's own vet/tests/smoke run, a fuzz smoke pass over the
-# codec round-trip targets, and per-package coverage floors on the layers
-# the tracing work leans on.
+# codec round-trip targets and the FFT convolution's differential target,
+# and per-package coverage floors on the layers the tracing work leans on.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -153,6 +153,7 @@ go test -run '^$' -fuzz '^FuzzTIFFRoundTrip$' -fuzztime 5s ./internal/tiff
 go test -run '^$' -fuzz '^FuzzScenarioSpec$' -fuzztime 5s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzEventJSON$' -fuzztime 5s ./internal/obslog
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/pva
+go test -run '^$' -fuzz '^FuzzConvolveBatch$' -fuzztime 5s ./internal/fft
 
 echo "== coverage floors =="
 # floor() fails the gate when a package's statement coverage drops below
