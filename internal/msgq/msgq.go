@@ -1,89 +1,69 @@
 // Package msgq implements the messaging patterns the paper wires its
 // streaming results and control plane with (ZeroMQ's role): PUSH/PULL
-// pipelines and REQ/REP round trips — all over plain TCP with 4-byte
+// pipelines and REQ/REP round trips — all over plain TCP with wire's
 // length-prefixed frames.
 package msgq
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/obslog"
+	"repro/internal/wire"
 )
-
-// MaxFrameBytes bounds a single frame (1 GiB) to catch corrupt lengths.
-const MaxFrameBytes = 1 << 30
-
-// maxFirstRead is the most a length header alone can make readFrame
-// allocate. Anything longer is believed only as fast as its bytes arrive.
-const maxFirstRead = 1 << 20
 
 // ErrClosed is returned by operations on a closed socket.
 var ErrClosed = errors.New("msgq: socket closed")
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("msgq: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// peer is a client socket's connection to its server: dialed when first
+// needed, and dropped when a send or round trip on it fails so that the
+// next dials afresh rather than trusting a connection in an unknown state.
+type peer struct {
+	addr string
+
+	mu     sync.Mutex
+	conn   net.Conn // guarded by mu; nil until dialed and after a failure
+	closed bool     // guarded by mu
 }
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// connectLocked dials the server unless a connection is open.
+func (c *peer) connectLocked() error {
+	if c.closed {
+		return ErrClosed
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrameBytes {
-		return nil, fmt.Errorf("msgq: frame length %d exceeds limit", n)
-	}
-	// Up to maxFirstRead this is one allocation and one ReadFull; beyond
-	// it the buffer doubles as bytes arrive, so a header claiming a
-	// gigabyte ahead of a closed connection costs a megabyte.
-	total := int(n)
-	payload := make([]byte, min(total, maxFirstRead))
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	for have := len(payload); have < total; have = len(payload) {
-		payload = slices.Grow(payload, min(have, total-have))
-		payload = payload[:min(cap(payload), total)]
-		if _, err := io.ReadFull(r, payload[have:]); err != nil {
-			return nil, err
+	if c.conn == nil {
+		conn, err := net.DialTimeout("tcp", c.addr, 2*time.Second)
+		if err != nil {
+			return err
 		}
+		c.conn = conn
 	}
-	return payload, nil
+	return nil
+}
+
+// Close closes the socket, once a Send or Do in progress has returned.
+func (c *peer) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	if c.conn != nil {
+		return c.conn.Close()
+	}
+	return nil
 }
 
 // Push is the sending end of a pipeline. It connects to a Pull listener
 // and retries the connection with backoff when sends fail.
-type Push struct {
-	addr string
-
-	mu     sync.Mutex
-	conn   net.Conn // guarded by mu
-	closed bool     // guarded by mu
-}
+type Push struct{ peer }
 
 // NewPush creates a push socket targeting addr (dialing is lazy).
 func NewPush(addr string) *Push {
-	return &Push{addr: addr}
+	return &Push{peer{addr: addr}}
 }
 
 // Send delivers one frame, dialing or re-dialing as needed. It tries up to
@@ -104,26 +84,22 @@ func (p *Push) Send(ctx context.Context, payload []byte) error {
 		if err := ctx.Err(); err != nil {
 			return faults.Wrap(faults.Cancelled, fmt.Errorf("msgq: push to %s cancelled: %w", p.addr, err))
 		}
-		if p.conn == nil {
-			c, err := net.DialTimeout("tcp", p.addr, 2*time.Second)
-			if err != nil {
-				lastErr = err
-				backoff := time.Duration(attempt+1) * 50 * time.Millisecond
-				obslog.Warn(ctx, "msgq", "push reconnect backoff",
-					obslog.F("addr", p.addr), obslog.F("attempt", attempt+1),
-					obslog.F("backoff", backoff), obslog.F("err", err))
-				t := time.NewTimer(backoff)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return faults.Wrap(faults.Cancelled, fmt.Errorf("msgq: push to %s cancelled during backoff: %w", p.addr, ctx.Err()))
-				}
-				continue
+		if err := p.connectLocked(); err != nil {
+			lastErr = err
+			backoff := time.Duration(attempt+1) * 50 * time.Millisecond
+			obslog.Warn(ctx, "msgq", "push reconnect backoff",
+				obslog.F("addr", p.addr), obslog.F("attempt", attempt+1),
+				obslog.F("backoff", backoff), obslog.F("err", err))
+			t := time.NewTimer(backoff)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return faults.Wrap(faults.Cancelled, fmt.Errorf("msgq: push to %s cancelled during backoff: %w", p.addr, ctx.Err()))
 			}
-			p.conn = c
+			continue
 		}
-		if err := writeFrame(p.conn, payload); err != nil {
+		if err := wire.Write(p.conn, payload); err != nil {
 			p.conn.Close()
 			p.conn = nil
 			lastErr = err
@@ -137,73 +113,103 @@ func (p *Push) Send(ctx context.Context, payload []byte) error {
 	return fmt.Errorf("msgq: push to %s failed: %w", p.addr, lastErr)
 }
 
-// Close closes the socket.
-func (p *Push) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	if p.conn != nil {
-		return p.conn.Close()
+// listener is a server socket: it accepts connections, reads the
+// messages on each in a goroutine of its own, and tracks the connections
+// so Close can sever them.
+type listener struct {
+	ln net.Listener
+
+	mu      sync.Mutex
+	conns   map[net.Conn]bool // guarded by mu
+	stopped bool              // guarded by mu
+}
+
+// listen binds addr and hands each message arriving on a connection to
+// handle, with the connection to answer on; an error from handle ends
+// that connection.
+func listen(addr string, handle func(conn net.Conn, payload []byte) error) (*listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	l := &listener{ln: ln, conns: map[net.Conn]bool{}}
+	go l.acceptLoop(handle)
+	return l, nil
+}
+
+// Addr returns the bound address.
+func (l *listener) Addr() string { return l.ln.Addr().String() }
+
+func (l *listener) acceptLoop(handle func(net.Conn, []byte) error) {
+	for {
+		conn, err := l.ln.Accept()
+		if err != nil {
+			return
+		}
+		l.mu.Lock()
+		if l.stopped { // accepted as Close ran: sever it like the rest
+			l.mu.Unlock()
+			conn.Close()
+			return
+		}
+		l.conns[conn] = true
+		l.mu.Unlock()
+		go l.serve(conn, handle)
+	}
+}
+
+func (l *listener) serve(conn net.Conn, handle func(net.Conn, []byte) error) {
+	defer func() {
+		conn.Close()
+		l.mu.Lock()
+		delete(l.conns, conn)
+		l.mu.Unlock()
+	}()
+	for {
+		msg, err := wire.Read(conn, nil)
+		if err != nil || handle(conn, msg[wire.PrefixLen:]) != nil {
+			return
+		}
+	}
+}
+
+// Close shuts the listener and severs every accepted connection, so peers
+// observe the failure: a Push reconnects, a Req's next Do fails.
+func (l *listener) Close() error {
+	l.mu.Lock()
+	l.stopped = true
+	for conn := range l.conns {
+		conn.Close()
+	}
+	l.mu.Unlock()
+	return l.ln.Close()
 }
 
 // Pull is the receiving end of a pipeline: it accepts any number of
 // pushers and fans their frames into a single Recv stream.
 type Pull struct {
-	ln     net.Listener
+	*listener
 	msgs   chan []byte
 	closed chan struct{}
 	once   sync.Once
-
-	mu    sync.Mutex
-	conns map[net.Conn]bool // guarded by mu
 }
 
 // NewPull listens on addr ("127.0.0.1:0" picks a free port).
 func NewPull(addr string) (*Pull, error) {
-	ln, err := net.Listen("tcp", addr)
+	p := &Pull{msgs: make(chan []byte, 256), closed: make(chan struct{})}
+	var err error
+	p.listener, err = listen(addr, func(_ net.Conn, frame []byte) error {
+		select {
+		case p.msgs <- frame:
+			return nil
+		case <-p.closed:
+			return ErrClosed
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	p := &Pull{ln: ln, msgs: make(chan []byte, 256), closed: make(chan struct{}),
-		conns: map[net.Conn]bool{}}
-	go p.acceptLoop()
 	return p, nil
-}
-
-// Addr returns the bound address.
-func (p *Pull) Addr() string { return p.ln.Addr().String() }
-
-func (p *Pull) acceptLoop() {
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		p.mu.Lock()
-		p.conns[conn] = true
-		p.mu.Unlock()
-		go func() {
-			defer func() {
-				conn.Close()
-				p.mu.Lock()
-				delete(p.conns, conn)
-				p.mu.Unlock()
-			}()
-			for {
-				frame, err := readFrame(conn)
-				if err != nil {
-					return
-				}
-				select {
-				case p.msgs <- frame:
-				case <-p.closed:
-					return
-				}
-			}
-		}()
-	}
 }
 
 // Recv returns the next frame, blocking up to timeout (0 means block
@@ -229,93 +235,63 @@ func (p *Pull) Recv(timeout time.Duration) ([]byte, error) {
 // observe the failure and reconnect), and unblocks Recv.
 func (p *Pull) Close() error {
 	p.once.Do(func() { close(p.closed) })
-	p.mu.Lock()
-	for conn := range p.conns {
-		conn.Close()
-	}
-	p.mu.Unlock()
-	return p.ln.Close()
+	return p.listener.Close()
 }
 
 // Rep serves request/reply: handler is invoked per request frame and its
 // return value is sent back on the same connection.
-type Rep struct {
-	ln net.Listener
-}
+type Rep struct{ *listener }
 
 // NewRep listens on addr and serves requests with handler, each
 // connection on its own goroutine.
 func NewRep(addr string, handler func([]byte) []byte) (*Rep, error) {
-	ln, err := net.Listen("tcp", addr)
+	l, err := listen(addr, func(conn net.Conn, req []byte) error {
+		return wire.Write(conn, handler(req))
+	})
 	if err != nil {
 		return nil, err
 	}
-	r := &Rep{ln: ln}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				for {
-					req, err := readFrame(conn)
-					if err != nil {
-						return
-					}
-					if err := writeFrame(conn, handler(req)); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return r, nil
+	return &Rep{l}, nil
 }
 
-// Addr returns the bound address.
-func (r *Rep) Addr() string { return r.ln.Addr().String() }
-
-// Close stops the listener.
-func (r *Rep) Close() error { return r.ln.Close() }
-
-// Req is the client side of request/reply.
-type Req struct {
-	mu   sync.Mutex
-	conn net.Conn // guarded by mu
-}
+// Req is the client side of request/reply. A Do that fails for any
+// reason, a timeout included, drops its connection — a reply still on its
+// way would otherwise be read as the next request's — and the next Do
+// dials afresh (the ZeroMQ guide's "lazy pirate" client).
+type Req struct{ peer }
 
 // NewReq connects to a Rep server.
 func NewReq(addr string) (*Req, error) {
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
+	r := &Req{peer{addr: addr}}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.connectLocked(); err != nil {
 		return nil, err
 	}
-	return &Req{conn: conn}, nil
+	return r, nil
 }
 
 // Do performs one round trip with the given timeout (0 = no deadline).
 func (r *Req) Do(request []byte, timeout time.Duration) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if err := r.connectLocked(); err != nil {
+		return nil, err
+	}
 	if timeout > 0 {
 		r.conn.SetDeadline(time.Now().Add(timeout))
 	} else {
 		r.conn.SetDeadline(time.Time{})
 	}
-	if err := writeFrame(r.conn, request); err != nil {
+	err := wire.Write(r.conn, request)
+	var reply []byte
+	if err == nil {
+		reply, err = wire.Read(r.conn, nil)
+	}
+	if err != nil {
+		r.conn.Close()
+		r.conn = nil
 		return nil, err
 	}
-	return readFrame(r.conn)
-}
-
-// Close closes the connection. The close itself happens outside the
-// mutex so an in-flight Do blocked on a read is interrupted rather than
-// waited out.
-func (r *Req) Close() error {
-	r.mu.Lock()
-	conn := r.conn
-	r.mu.Unlock()
-	return conn.Close()
+	return reply[wire.PrefixLen:], nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/wire"
 )
 
 // waitFor polls cond until it returns true or the ctx-backed deadline
@@ -245,20 +246,69 @@ func TestReqTimeout(t *testing.T) {
 	}
 }
 
-// TestReadFrameLyingHeader: a header claiming MaxFrameBytes ahead of a
+// TestReqDoesNotReturnStaleReply: the reply to a request that timed out
+// is still on its way when the next request goes out; it must not be
+// taken as the answer to that one.
+func TestReqDoesNotReturnStaleReply(t *testing.T) {
+	release := make(chan struct{})
+	rep, err := NewRep("127.0.0.1:0", func(req []byte) []byte {
+		<-release
+		return append([]byte("reply:"), req...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	req, err := NewReq(rep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer req.Close()
+	if _, err := req.Do([]byte("a"), 20*time.Millisecond); err == nil {
+		t.Fatal("Do against a held handler: expected a deadline error")
+	}
+	close(release)
+	resp, err := req.Do([]byte("b"), time.Second)
+	if err == nil && string(resp) != "reply:b" {
+		t.Fatalf("Do(b) = %q, want \"reply:b\" or an error", resp)
+	}
+}
+
+// TestRepCloseSeversConnections: a closed Rep answers nothing more, on
+// connections it accepted before Close as on new ones.
+func TestRepCloseSeversConnections(t *testing.T) {
+	rep, err := NewRep("127.0.0.1:0", func(req []byte) []byte { return req })
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := NewReq(rep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer req.Close()
+	if _, err := req.Do([]byte("before-close"), 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rep.Close()
+	if resp, err := req.Do([]byte("after-close"), 2*time.Second); err == nil {
+		t.Fatalf("closed Rep answered %q", resp)
+	}
+}
+
+// TestReadFrameLyingHeader: a header claiming the 1 GiB limit ahead of a
 // closed connection must cost the receiver an error and about the first
 // read, not a gigabyte. TestLargeFrame covers the growth past it.
 func TestReadFrameLyingHeader(t *testing.T) {
-	hdr := []byte{0, 0, 0, 0x40} // MaxFrameBytes, little-endian
+	hdr := []byte{0, 0, 0, 0x40} // 1<<30, little-endian
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := readFrame(bytes.NewReader(hdr))
+	_, err := wire.Read(bytes.NewReader(hdr), nil)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("1 GiB header followed by EOF was accepted")
 	}
 	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
-		t.Errorf("readFrame allocated %d bytes on a header alone, want < 4 MiB", d)
+		t.Errorf("wire.Read allocated %d bytes on a header alone, want < 4 MiB", d)
 	}
 }
 

@@ -15,12 +15,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Frame is an NTNDArray-like detector image frame: a uint16 image with
@@ -73,20 +74,17 @@ func (f *Frame) Validate() error {
 // Encoded layout, little-endian: Seq, Timestamp and the AngleRad bits (8
 // bytes each), Rows and Cols (4 each), Kind (1), the scan id's length (1)
 // and bytes, then the samples. On the wire a message is the encoding
-// behind a 4-byte length.
-const (
-	fixedHeader = 8 + 8 + 8 + 4 + 4 + 1 + 1
-	lenPrefix   = 4
-)
+// behind wire's length prefix.
+const fixedHeader = 8 + 8 + 8 + 4 + 4 + 1 + 1
 
 // Encode serializes the frame.
-func (f *Frame) Encode() []byte { return f.wireMsg()[lenPrefix:] }
+func (f *Frame) Encode() []byte { return f.wireMsg()[wire.PrefixLen:] }
 
 // wireMsg builds the frame's wire message — length prefix and encoding —
 // in one exact-size allocation, so a publisher writes it to each monitor
 // as it is.
 func (f *Frame) wireMsg() []byte {
-	msg := make([]byte, lenPrefix+fixedHeader+len(f.ScanID)+2*len(f.Data))
+	msg := make([]byte, wire.PrefixLen+fixedHeader+len(f.ScanID)+2*len(f.Data))
 	f.encodeInto(msg)
 	return msg
 }
@@ -95,8 +93,8 @@ func (f *Frame) wireMsg() []byte {
 //
 //perf:hot
 func (f *Frame) encodeInto(msg []byte) {
-	binary.LittleEndian.PutUint32(msg, uint32(len(msg)-lenPrefix))
-	b := msg[lenPrefix:]
+	wire.PutHeader(msg, len(msg)-wire.PrefixLen)
+	b := msg[wire.PrefixLen:]
 	binary.LittleEndian.PutUint64(b[0:], f.Seq)
 	binary.LittleEndian.PutUint64(b[8:], uint64(f.Timestamp))
 	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(f.AngleRad))
@@ -156,74 +154,6 @@ func DecodeFrame(raw []byte) (*Frame, error) {
 	return f, nil
 }
 
-// maxFirstRead is the most a length header alone can make readWire
-// allocate. Anything longer is believed only as fast as its bytes arrive.
-const maxFirstRead = 1 << 20
-
-// writeMsg sends payload as one wire message in one Write.
-func writeMsg(w io.Writer, payload []byte) error {
-	msg := make([]byte, lenPrefix+len(payload))
-	binary.LittleEndian.PutUint32(msg, uint32(len(payload)))
-	copy(msg[lenPrefix:], payload)
-	_, err := w.Write(msg)
-	return err
-}
-
-// readMsg reads one wire message and returns its payload.
-func readMsg(r io.Reader) ([]byte, error) {
-	msg, err := readWire(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	return msg[lenPrefix:], nil
-}
-
-// readWire reads one wire message, length prefix included, on from the
-// len(buf) bytes of it already read into buf — none for a fresh message.
-// It reads into buf's backing array when that is large enough and into a
-// new one otherwise: a caller that passes its previous result back as
-// buf[:0] reads without allocating; one that passes nil owns what it gets.
-// On a read error it returns the message read so far with the error, so a
-// read cut short by a deadline can be resumed by passing that back.
-//
-//perf:hot
-func readWire(r io.Reader, buf []byte) ([]byte, error) {
-	if have := len(buf); have < lenPrefix {
-		buf = sized(buf, lenPrefix)
-		if k, err := io.ReadFull(r, buf[have:]); err != nil {
-			return buf[:have+k], err
-		}
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	if n > 1<<30 {
-		return nil, errTooLong(n)
-	}
-	// Up to maxFirstRead the message is read in one ReadFull into at most
-	// one allocation; beyond it the buffer doubles as bytes arrive, so a
-	// header claiming a gigabyte ahead of a closed connection costs a
-	// megabyte.
-	total := lenPrefix + int(n)
-	for have := len(buf); have < total; have = len(buf) {
-		step := min(total-have, max(have, maxFirstRead))
-		buf = sized(buf, have+step)
-		if k, err := io.ReadFull(r, buf[have:]); err != nil {
-			return buf[:have+k], err
-		}
-	}
-	return buf, nil
-}
-
-func errTooLong(n uint32) error { return fmt.Errorf("pva: message length %d exceeds limit", n) }
-
-// sized returns buf with length n and its first min(len(buf), n) bytes
-// kept, reallocating only when n is beyond its capacity.
-func sized(buf []byte, n int) []byte {
-	if n <= cap(buf) {
-		return buf[:n]
-	}
-	return append(make([]byte, 0, n), buf...)[:n]
-}
-
 // Server is a PVA-style channel server (the detector IOC, or a mirror).
 // Each named channel fans frames out to its monitors; slow monitors drop
 // frames at the per-monitor buffer limit.
@@ -268,13 +198,13 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	req, err := readMsg(conn)
+	req, err := wire.Read(conn, nil)
 	if err != nil {
 		return
 	}
-	line := strings.TrimSpace(string(req))
+	line := strings.TrimSpace(string(req[wire.PrefixLen:]))
 	if !strings.HasPrefix(line, "MONITOR ") {
-		writeMsg(conn, []byte("ERROR unsupported request"))
+		wire.Write(conn, []byte("ERROR unsupported request"))
 		return
 	}
 	channel := strings.TrimSpace(strings.TrimPrefix(line, "MONITOR "))
@@ -389,7 +319,7 @@ func NewMonitor(addr, channel string) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := writeMsg(conn, []byte("MONITOR "+channel+"\n")); err != nil {
+	if err := wire.Write(conn, []byte("MONITOR "+channel+"\n")); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -399,7 +329,7 @@ func NewMonitor(addr, channel string) (*Monitor, error) {
 }
 
 // read returns the next wire message, blocking up to timeout (0 =
-// forever). It reads into buf as readWire does — unless a previous read
+// forever). It reads into buf as wire.Read does — unless a previous read
 // timed out part of the way through a message, in which case it resumes
 // that message where it stopped, so the stream's framing survives a
 // deadline.
@@ -412,7 +342,7 @@ func (m *Monitor) read(timeout time.Duration, buf []byte) ([]byte, error) {
 	if m.part != nil {
 		buf, m.part = m.part, nil
 	}
-	msg, err := readWire(m.r, buf)
+	msg, err := wire.Read(m.r, buf)
 	if err != nil {
 		m.part = msg
 		return nil, err
@@ -441,7 +371,7 @@ func (m *Monitor) Next(timeout time.Duration) (*Frame, error) {
 		return nil, err
 	}
 	m.msg = msg // the frame copies out of it; the next read may overwrite it
-	f, err := DecodeFrame(msg[lenPrefix:])
+	f, err := DecodeFrame(msg[wire.PrefixLen:])
 	if err != nil {
 		return nil, err
 	}
@@ -484,7 +414,7 @@ func (m *Mirror) Missed() int { return m.monitor.Missed }
 func (m *Mirror) Run() error {
 	defer m.monitor.Close()
 	sawEnd := false
-	size := lenPrefix
+	size := wire.PrefixLen
 	for {
 		// Each message is read into an array of its own, which the
 		// destination's queues then share. A stream's frames are mostly
@@ -512,7 +442,7 @@ func (m *Mirror) Run() error {
 //
 //perf:hot
 func (m *Mirror) relay(msg []byte) (FrameKind, error) {
-	seq, kind, err := peekHeader(msg[lenPrefix:])
+	seq, kind, err := peekHeader(msg[wire.PrefixLen:])
 	if err != nil {
 		return kind, err
 	}

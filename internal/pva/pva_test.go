@@ -14,6 +14,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/wire"
 )
 
 func mkFrame(seq uint64, kind FrameKind) *Frame {
@@ -172,35 +174,36 @@ func TestReadMsgLyingHeader(t *testing.T) {
 	hdr := []byte{0, 0, 0, 0x40} // 1<<30, little-endian
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := readMsg(bytes.NewReader(hdr))
+	_, err := wire.Read(bytes.NewReader(hdr), nil)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("1 GiB header followed by EOF was accepted")
 	}
 	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
-		t.Errorf("readMsg allocated %d bytes on a header alone, want < 4 MiB", d)
+		t.Errorf("wire.Read allocated %d bytes on a header alone, want < 4 MiB", d)
 	}
 }
 
-// TestReadMsgGrowsPastFirstRead sends a message several times the first
-// allocation: it must arrive intact, and cut short it must be an error.
+// TestReadMsgGrowsPastFirstRead sends a message several times wire's
+// 1 MiB first allocation: it must arrive intact, and cut short it must be
+// an error.
 func TestReadMsgGrowsPastFirstRead(t *testing.T) {
-	big := make([]byte, 3*maxFirstRead+5)
+	big := make([]byte, 3<<20+5)
 	for i := range big {
 		big[i] = byte(i * 7)
 	}
-	var wire bytes.Buffer
-	if err := writeMsg(&wire, big); err != nil {
+	var buf bytes.Buffer
+	if err := wire.Write(&buf, big); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readMsg(bytes.NewReader(wire.Bytes()))
+	got, err := wire.Read(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, big) {
+	if !bytes.Equal(got[wire.PrefixLen:], big) {
 		t.Fatal("message longer than the first read was corrupted")
 	}
-	if _, err := readMsg(bytes.NewReader(wire.Bytes()[:wire.Len()-1])); err != io.ErrUnexpectedEOF {
+	if _, err := wire.Read(bytes.NewReader(buf.Bytes()[:buf.Len()-1]), nil); err != io.ErrUnexpectedEOF {
 		t.Errorf("truncated long message: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
@@ -366,7 +369,7 @@ func TestMonitorResumesAfterTimeout(t *testing.T) {
 			close(accepted)
 			return
 		}
-		if _, err := readMsg(conn); err != nil { // the MONITOR request
+		if _, err := wire.Read(conn, nil); err != nil { // the MONITOR request
 			conn.Close()
 			close(accepted)
 			return
@@ -411,7 +414,7 @@ func TestMonitorResumesAfterTimeout(t *testing.T) {
 
 	write(mkFrame(1, KindProjection).wireMsg())
 	next(1)
-	for _, cut := range []int{lenPrefix + 20, 2} { // in the body, in the prefix
+	for _, cut := range []int{wire.PrefixLen + 20, 2} { // in the body, in the prefix
 		seq := mon.lastSeq + 1
 		msg := mkFrame(seq, KindProjection).wireMsg()
 		write(msg[:cut])
@@ -583,7 +586,7 @@ func TestMirrorRelaysBytesVerbatim(t *testing.T) {
 	go func() { mirrorDone <- mirror.Run() }()
 
 	big := mkFrame(2, KindProjection)
-	big.Rows, big.Cols = 1, 3*maxFirstRead/2+1
+	big.Rows, big.Cols = 1, 3<<19+1 // 3 MiB of samples, past wire's 1 MiB first read
 	big.Data = make([]uint16, big.Cols)
 	for i := range big.Data {
 		big.Data[i] = uint16(i * 31)
@@ -605,7 +608,7 @@ func TestMirrorRelaysBytesVerbatim(t *testing.T) {
 		if !bytes.Equal(msg, f.wireMsg()) {
 			t.Fatalf("frame %d: %d bytes behind the mirror differ from the %d published", i+1, len(msg), len(f.wireMsg()))
 		}
-		got, err := DecodeFrame(msg[lenPrefix:])
+		got, err := DecodeFrame(msg[wire.PrefixLen:])
 		if err != nil || got.Seq != f.Seq || !slices.Equal(got.Data, f.Data) {
 			t.Fatalf("frame %d does not decode to what was published (err %v)", i+1, err)
 		}
@@ -717,7 +720,7 @@ func TestServerWritesEachFrameOnce(t *testing.T) {
 	defer client.Close()
 	cc := &countingConn{Conn: server}
 	go srv.serveConn(cc)
-	if err := writeMsg(client, []byte("MONITOR det1\n")); err != nil {
+	if err := wire.Write(client, []byte("MONITOR det1\n")); err != nil {
 		t.Fatal(err)
 	}
 	waitMonitors(t, srv, "det1", 1)
@@ -728,11 +731,11 @@ func TestServerWritesEachFrameOnce(t *testing.T) {
 		}
 	}
 	for seq := uint64(1); seq <= n; seq++ {
-		raw, err := readMsg(client)
+		msg, err := wire.Read(client, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f, err := DecodeFrame(raw); err != nil || f.Seq != seq {
+		if f, err := DecodeFrame(msg[wire.PrefixLen:]); err != nil || f.Seq != seq {
 			t.Fatalf("frame %d: %+v, %v", seq, f, err)
 		}
 	}
@@ -749,15 +752,15 @@ func TestUnsupportedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeMsg(conn, []byte("PUT something\n")); err != nil {
+	if err := wire.Write(conn, []byte("PUT something\n")); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	resp, err := readMsg(conn)
+	msg, err := wire.Read(conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(resp) != "ERROR unsupported request" {
+	if resp := msg[wire.PrefixLen:]; string(resp) != "ERROR unsupported request" {
 		t.Fatalf("resp = %q", resp)
 	}
 }
@@ -810,7 +813,7 @@ func BenchmarkMirrorRelay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		binary.LittleEndian.PutUint64(msg[lenPrefix:], uint64(i+1))
+		binary.LittleEndian.PutUint64(msg[wire.PrefixLen:], uint64(i+1))
 		if _, err := m.relay(msg); err != nil {
 			b.Fatal(err)
 		}

@@ -2,7 +2,8 @@
 # check.sh — the same gate as `make check`, for environments without make:
 # formatting, static analysis, build, the race-enabled test suite, the
 # benchmark module's own vet/tests/smoke run, a fuzz smoke pass over the
-# codec round-trip targets and the FFT convolution's differential target,
+# codec round-trip targets, the socket framing under split reads and
+# deadlines, and the FFT convolution's differential target,
 # and per-package coverage floors on the layers the tracing work leans on.
 set -eu
 
@@ -153,6 +154,7 @@ go test -run '^$' -fuzz '^FuzzTIFFRoundTrip$' -fuzztime 5s ./internal/tiff
 go test -run '^$' -fuzz '^FuzzScenarioSpec$' -fuzztime 5s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzEventJSON$' -fuzztime 5s ./internal/obslog
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/pva
+go test -run '^$' -fuzz '^FuzzFraming$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzConvolveBatch$' -fuzztime 5s ./internal/fft
 
 echo "== coverage floors =="
