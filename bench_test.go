@@ -333,11 +333,12 @@ func BenchmarkPreprocessAblation(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var rmse float64
 			for i := 0; i < b.N; i++ {
-				work := tomo.MinusLogSinogram(sino)
-				if tc.pre != (tomo.PreprocessOptions{}) {
-					work = tomo.Preprocess(sino, tc.pre)
+				// Preprocess with no steps enabled is the bare -log.
+				work := tomo.Preprocess(sino, tc.pre)
+				rec, err := tomo.ReconstructSlice(work, tomo.ReconOptions{Filter: tomo.SheppLoganFilter})
+				if err != nil {
+					b.Fatal(err)
 				}
-				rec := tomo.FBP(work, tomo.FBPOptions{Filter: tomo.SheppLoganFilter})
 				rmse = circleRMSE(rec.Pix, ref.Pix, 64)
 			}
 			b.ReportMetric(rmse, "rmse")

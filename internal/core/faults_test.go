@@ -8,68 +8,8 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/flow"
-	"repro/internal/sim"
 	"repro/internal/transfer"
 )
-
-func TestGatedCampaignBoundsHPCConcurrency(t *testing.T) {
-	b := newTestBeamline()
-	pools := NewWorkerPools(b.Engine)
-	res := b.RunGatedCampaign(nil, pools, 30)
-	for _, row := range res.Rows {
-		if row.Summary.N != 30 {
-			t.Fatalf("%s: N=%d", row.Flow, row.Summary.N)
-		}
-	}
-	for name, rate := range res.SuccessRate {
-		if rate != 1 {
-			t.Errorf("%s success rate %v", name, rate)
-		}
-	}
-	// With 60 HPC flows through 2 slots, the pool must have queued.
-	if pools.HPC.PeakQueue() == 0 {
-		t.Error("HPC pool never queued; the concurrency gate did nothing")
-	}
-	// Staging at width 8 with ~1-2 min flows and 3-5 min cadence should
-	// queue rarely or never.
-	if pools.Staging.PeakQueue() > pools.HPC.PeakQueue() {
-		t.Errorf("staging queue %d exceeds HPC queue %d; gating inverted",
-			pools.Staging.PeakQueue(), pools.HPC.PeakQueue())
-	}
-}
-
-func TestScheduledPruningKeepsTiersBounded(t *testing.T) {
-	b := newTestBeamline()
-	// Shrink retention so pruning visibly reclaims within the test
-	// horizon.
-	b.Detector.Retention = 2 * time.Hour
-	b.DataSrv.Retention = 2 * time.Hour
-	b.StartPruningFlows(1*time.Hour, 12*time.Hour)
-	b.Engine.Go("scans", func(p *sim.Proc) {
-		for i := 0; i < 40; i++ {
-			scan, err := b.NewScan(p, i)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			b.NewFile832Flow(nil, p, scan)
-			p.Sleep(10 * time.Minute)
-		}
-	})
-	b.Engine.Run()
-	if b.Detector.PrunedBytes == 0 || b.DataSrv.PrunedBytes == 0 {
-		t.Fatalf("pruning reclaimed nothing: detector %d, datasrv %d",
-			b.Detector.PrunedBytes, b.DataSrv.PrunedBytes)
-	}
-	runs := b.Flows.Runs(FlowPrune)
-	if len(runs) != 12 {
-		t.Fatalf("prune rounds = %d, want 12 hourly rounds", len(runs))
-	}
-	// The tiers hold far less than the total produced.
-	if b.Detector.Used() >= 40*18e9 {
-		t.Fatalf("detector still holds %d bytes; retention not enforced", b.Detector.Used())
-	}
-}
 
 func TestCampaignWithTransientFaultsStillSucceeds(t *testing.T) {
 	// Transient WAN faults are absorbed by transfer retries and flow

@@ -311,7 +311,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestDXchangeRoundTrip(t *testing.T) {
 	truth := phantom.SheppLogan3D(16, 4)
 	theta := tomo.UniformAngles(8)
-	acq := tomo.Acquire(truth, theta, 16, tomo.DefaultAcquire())
+	acq := tomo.Acquire(truth, theta, 16, testAcquire)
 	meta := ScanMeta{
 		ScanID: "20260704_001", Beamline: "8.3.2", Sample: "shepp",
 		Instrument: "microCT", Operator: "als", StartTime: "2026-07-04T08:00:00Z",
@@ -355,7 +355,7 @@ func TestDXchangeRejectsInvalid(t *testing.T) {
 
 func BenchmarkWriteDXchange(b *testing.B) {
 	truth := phantom.SheppLogan3D(32, 8)
-	acq := tomo.Acquire(truth, tomo.UniformAngles(32), 32, tomo.DefaultAcquire())
+	acq := tomo.Acquire(truth, tomo.UniformAngles(32), 32, testAcquire)
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -364,4 +364,10 @@ func BenchmarkWriteDXchange(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// testAcquire is a mid-quality acquisition model: photon noise, gain
+// stripes, dark current and the odd zinger.
+var testAcquire = tomo.AcquireOptions{
+	I0: 1e4, GainVariation: 0.02, DarkLevel: 50, ZingerProb: 1e-4, ZingerScale: 5, Seed: 1,
 }

@@ -254,28 +254,3 @@ func (c *Cluster) dispatch(part *Partition) {
 		head.grant.Fire()
 	}
 }
-
-// BackgroundLoad keeps a partition partially occupied by other users' jobs:
-// it spawns a generator process that submits `width`-node filler jobs with
-// the given duration sampler, keeping roughly `target` nodes busy. It is
-// how the Table 2 experiment reproduces NERSC queue-wait variance.
-func (c *Cluster) BackgroundLoad(partition, qos string, target, width int, dur func() time.Duration) {
-	if width < 1 {
-		width = 1
-	}
-	slots := target / width
-	for i := 0; i < slots; i++ {
-		c.e.Go(fmt.Sprintf("%s-bg-%d", c.Name, i), func(p *sim.Proc) {
-			for {
-				d := dur()
-				if d <= 0 {
-					return // sampler signals shutdown
-				}
-				c.Submit(nil, p, JobSpec{
-					Name: "background", Partition: partition, QOS: qos, Nodes: width,
-					Run: func(_ context.Context, p *sim.Proc) error { p.Sleep(d); return nil },
-				})
-			}
-		})
-	}
-}

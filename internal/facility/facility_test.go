@@ -155,30 +155,6 @@ func TestQueueWaitUnderLoad(t *testing.T) {
 	}
 }
 
-func TestBackgroundLoadKeepsNodesBusy(t *testing.T) {
-	e := sim.New(epoch)
-	c := NewCluster(e, "c")
-	c.AddPartition("cpu", 8, nil)
-	remaining := 6
-	c.BackgroundLoad("cpu", "regular", 4, 2, func() time.Duration {
-		if remaining == 0 {
-			return 0
-		}
-		remaining--
-		return 30 * time.Minute
-	})
-	e.Run()
-	jobs := c.Jobs()
-	if len(jobs) != 6 {
-		t.Fatalf("background jobs = %d, want 6", len(jobs))
-	}
-	for _, j := range jobs {
-		if j.State != Completed || j.Nodes != 2 {
-			t.Fatalf("bad background job %+v", j)
-		}
-	}
-}
-
 func TestPilotColdThenWarm(t *testing.T) {
 	e := sim.New(epoch)
 	pe := NewPilotEndpoint(e, "polaris", 2, 3*time.Minute)

@@ -106,38 +106,3 @@ func TestClassStringsAndSentinels(t *testing.T) {
 		t.Error("unknown-class fault matched ErrTransient")
 	}
 }
-
-// TestClassifyHTTPStatusSweep pins the full mapping over every status code
-// a server can plausibly send: informational/success/redirect are Unknown,
-// 408 and 429 are the retryable 4xx exceptions, other 4xx are Permanent,
-// and all 5xx are Transient.
-func TestClassifyHTTPStatusSweep(t *testing.T) {
-	for code := 100; code < 600; code++ {
-		var want Class
-		switch {
-		case code == 408 || code == 429:
-			want = Transient
-		case code >= 500:
-			want = Transient
-		case code >= 400:
-			want = Permanent
-		default:
-			want = Unknown
-		}
-		if got := ClassifyHTTPStatus(code); got != want {
-			t.Errorf("status %d = %v, want %v", code, got, want)
-		}
-	}
-	// Out-of-range inputs stay Unknown below 400 and Transient at/above
-	// 500 by construction; pin the boundaries explicitly.
-	boundaries := map[int]Class{
-		399: Unknown, 400: Permanent, 407: Permanent, 409: Permanent,
-		428: Permanent, 430: Permanent, 499: Permanent, 500: Transient,
-		599: Transient, 600: Transient,
-	}
-	for code, want := range boundaries {
-		if got := ClassifyHTTPStatus(code); got != want {
-			t.Errorf("boundary %d = %v, want %v", code, got, want)
-		}
-	}
-}

@@ -140,20 +140,3 @@ func Classify(err error) Class {
 func Retryable(err error) bool {
 	return err != nil && Classify(err).Retryable()
 }
-
-// ClassifyHTTPStatus maps an HTTP response status to a class, following
-// the convention the SFAPI and transfer clients share: server-side and
-// congestion statuses (5xx, 408 Request Timeout, 429 Too Many Requests)
-// are worth retrying; any other 4xx is a permanent request defect.
-// Non-error statuses classify as Unknown.
-func ClassifyHTTPStatus(code int) Class {
-	switch {
-	case code == 408 || code == 429:
-		return Transient
-	case code >= 500:
-		return Transient
-	case code >= 400:
-		return Permanent
-	}
-	return Unknown
-}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"testing"
 )
 
@@ -114,26 +113,5 @@ func TestRetryableClasses(t *testing.T) {
 	}
 	if Unknown.String() != "unknown" {
 		t.Errorf("Unknown.String() = %q", Unknown.String())
-	}
-}
-
-func TestClassifyHTTPStatus(t *testing.T) {
-	cases := map[int]Class{
-		http.StatusOK:                  Unknown,
-		http.StatusCreated:             Unknown,
-		http.StatusBadRequest:          Permanent,
-		http.StatusUnauthorized:        Permanent,
-		http.StatusForbidden:           Permanent,
-		http.StatusNotFound:            Permanent,
-		http.StatusRequestTimeout:      Transient,
-		http.StatusTooManyRequests:     Transient,
-		http.StatusInternalServerError: Transient,
-		http.StatusBadGateway:          Transient,
-		http.StatusServiceUnavailable:  Transient,
-	}
-	for code, want := range cases {
-		if got := ClassifyHTTPStatus(code); got != want {
-			t.Errorf("status %d = %v, want %v", code, got, want)
-		}
 	}
 }

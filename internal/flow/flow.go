@@ -216,17 +216,6 @@ func (s *Server) SetObserver(o CompletionObserver) {
 	}
 }
 
-// AddObserver attaches an additional completion observer; observers are
-// notified in attachment order.
-func (s *Server) AddObserver(o CompletionObserver) {
-	if o == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.observers = append(s.observers, o)
-}
-
 // AddStartObserver attaches a start observer; observers are notified in
 // attachment order, outside the server lock, after the run is visible in
 // the history.

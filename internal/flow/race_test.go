@@ -157,8 +157,8 @@ type startFunc func(ctx context.Context, flow string)
 
 func (f startFunc) RunStarted(ctx context.Context, flow string) { f(ctx, flow) }
 
-// TestMultipleObservers verifies AddObserver fan-out and the start
-// observer hook firing with the run-correlated context.
+// TestMultipleObservers verifies that the completion observer and the
+// start observer both fire, the latter with the run-correlated context.
 func TestMultipleObservers(t *testing.T) {
 	s := NewServer()
 	var mu sync.Mutex
@@ -167,11 +167,6 @@ func TestMultipleObservers(t *testing.T) {
 	s.SetObserver(obsFunc(func(flow, outcome string) {
 		mu.Lock()
 		completions = append(completions, "a:"+flow+":"+outcome)
-		mu.Unlock()
-	}))
-	s.AddObserver(obsFunc(func(flow, outcome string) {
-		mu.Lock()
-		completions = append(completions, "b:"+flow+":"+outcome)
 		mu.Unlock()
 	}))
 	s.AddStartObserver(startFunc(func(ctx context.Context, flow string) {
@@ -188,8 +183,8 @@ func TestMultipleObservers(t *testing.T) {
 	if startedRun != c.Run.ID {
 		t.Fatalf("start observer saw run %d, want %d", startedRun, c.Run.ID)
 	}
-	want := []string{"a:obs_flow:succeeded", "b:obs_flow:succeeded"}
-	if len(completions) != 2 || completions[0] != want[0] || completions[1] != want[1] {
+	want := []string{"a:obs_flow:succeeded"}
+	if len(completions) != 1 || completions[0] != want[0] {
 		t.Fatalf("completions = %v, want %v", completions, want)
 	}
 }

@@ -12,6 +12,9 @@
 //   - ctxfirst: context.Context travels as the first parameter and never
 //     hides in struct fields.
 //   - testsleep: tests synchronize on observable state, not time.Sleep.
+//   - deadcode: every production declaration under internal/ is reached
+//     from a binary, a benchmark driver or an init, or is allowlisted
+//     with the reason only tests reach it.
 //
 // Analyzers are semantic, not textual: the driver type-checks every
 // package (method-set aware, alias-proof), so `import t "time"` or a
@@ -58,7 +61,7 @@ type Analyzer struct {
 
 // All is the analyzer registry, in reporting order.
 var All = []*Analyzer{Simclock, Wrapcheck, CtxFirst, TestSleep, Stdlog,
-	Lockguard, Lockorder, Nocopy, Hotalloc}
+	Lockguard, Lockorder, Nocopy, Hotalloc, Deadcode}
 
 // ByName returns the registered analyzer with the given name, if any.
 func ByName(name string) (*Analyzer, bool) {
@@ -191,6 +194,14 @@ type Config struct {
 	// log package is forbidden (library code journals through obslog);
 	// empty means every package. There is deliberately no allowlist.
 	StdlogScope []string
+
+	// DeadcodeAllow keeps declarations in internal packages that only
+	// tests reach, keyed "pkgpath.Name" or "pkgpath.Recv.Name" (or
+	// a bare package path for a whole package), each mapped to its
+	// reason: a reference the product is compared against, an observer
+	// a test reads product state through, a fixture that builds input
+	// the product reads, or a ROADMAP item that is pending on it.
+	DeadcodeAllow map[string]string
 }
 
 // DefaultConfig is the gate enforced on this repository.
@@ -231,6 +242,41 @@ func DefaultConfig() *Config {
 			"repro/internal/sched.item": true,
 		},
 		StdlogScope: []string{"repro/internal"},
+		DeadcodeAllow: map[string]string{
+			"repro/internal/leakcheck": "observer: every TestMain reads the goroutines the product leaves behind through it",
+
+			"repro/internal/core.FileShareDeviation":          "observer: campaign tests and the root campaign benchmark read the scheduler's weighted-fair shares through it",
+			"repro/internal/core.StreamingService.FramesSeen": "observer: streaming tests read how many frames the service consumed",
+			"repro/internal/dxfile.Writer.WriteFloat32":       "fixture: tests write float32 datasets the reader must decode",
+			"repro/internal/dxfile.Reader.Datasets":           "observer: tests read the dataset list a written file carries",
+			"repro/internal/dxfile.Reader.Dims":               "observer: tests read the shape and dtype a written dataset carries",
+			"repro/internal/facility.SFAPI.Wait":              "observer: SFAPI tests wait on the state of a job the server ran",
+			"repro/internal/facility.SFAPI.WaitCtx":           "observer: SFAPI tests wait on a job's state under a deadline",
+			"repro/internal/fft.Forward":                      "reference: refFilterSinogram and refPaganinFilter transform through it",
+			"repro/internal/fft.Inverse":                      "reference: refFilterSinogram and refPaganinFilter transform through it",
+			"repro/internal/fft.plan.Inverse2D":               "reference: refGridrec inverts its full grid through it",
+			"repro/internal/monitor.Registry.Counter":         "observer: metric tests read counter values the product recorded",
+			"repro/internal/monitor.Registry.Gauge":           "observer: metric tests read gauge values the product recorded",
+			"repro/internal/monitor.Registry.SeriesCount":     "observer: cardinality tests read how many label sets a metric holds",
+			"repro/internal/monitor.Registry.CounterSeries":   "observer: exposition tests list the counter series a metric holds",
+			"repro/internal/phantom.SheppLogan":               "fixture: reconstruction tests project the 2-D phantom as their input",
+			"repro/internal/pva.Mirror.Missed":                "observer: mirror tests read the frames a slow monitor lost",
+			"repro/internal/scenario.Verification.Pass":       "observer: golden tests read a replay's end-to-end verdict",
+			"repro/internal/scicat.Catalog.Samples":           "observer: catalog tests read the sample index ingestion built",
+			"repro/internal/sim.Signal.Fired":                 "observer: engine tests read whether a signal fired",
+			"repro/internal/sim.Resource.InUse":               "observer: engine tests read a resource's holders",
+			"repro/internal/sim.Resource.Queued":              "observer: engine tests read a resource's waiters",
+			"repro/internal/storage.Store.Count":              "observer: storage and pipeline tests read how many files a tier holds",
+			"repro/internal/telemetry.Plane.HealthFor":        "pending: ROADMAP item 13 gives the per-facility verdict a consumer",
+			"repro/internal/tomo.Sinogram.Clone":              "fixture: tests copy a sinogram before poisoning it",
+			"repro/internal/tomo.ProjectionSet.At":            "observer: tests read single samples of a projection set",
+			"repro/internal/tomo.ProjectionSet.SizeBytes":     "observer: a test reads the raw footprint of a paper-sized scan",
+			"repro/internal/tomo.IncrementalRecon.Accumulate": "reference: tests compare the preview's XY slice against it",
+			"repro/internal/tomo.IncrementalRecon.badRow":     "reference: the cold panic path of Accumulate",
+			"repro/internal/trace.Span.Attrs":                 "observer: tracing tests read a span's attributes",
+			"repro/internal/trace.Span.StartTime":             "observer: tracing tests read a span's start stamp",
+			"repro/internal/trace.Span.Children":              "observer: tracing tests walk the span tree the product built",
+		},
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -63,22 +64,101 @@ func TestHotallocGolden(t *testing.T) {
 	testFixture(t, "hotalloc", []*Analyzer{Hotalloc}, &Config{})
 }
 
-// TestRepoIsClean is the gate's self-check: the production configuration
-// over the whole repository must come back empty, i.e. `go run
-// ./cmd/repolint ./...` exits 0.
-func TestRepoIsClean(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := filepath.Join(wd, "..", "..")
-	diags, err := LoadAndRun(root, nil, All, DefaultConfig())
+func TestDeadcodeGolden(t *testing.T) {
+	testFixture(t, "deadcode", []*Analyzer{Deadcode}, &Config{
+		DeadcodeAllow: map[string]string{
+			"fixture/internal/lib.Kept": "fixture: allowlisted by name",
+			"fixture/internal/allowed":  "fixture: allowlisted wholesale",
+		},
+	})
+	// Without a package main in the load there are no roots to judge by.
+	diags, err := LoadAndRun(filepath.Join("testdata", "deadcode"), []string{"./internal/..."},
+		[]*Analyzer{Deadcode}, &Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
+		t.Errorf("rootless load reported %s", d)
+	}
+}
+
+// Every DeadcodeAllow entry carries a one-line reason of exactly one
+// class, and is still needed: without the allowlist, the analyzer reports
+// the declaration (or package) it names.
+func TestDeadcodeAllowlist(t *testing.T) {
+	cfg := DefaultConfig()
+	classes := []string{"reference: ", "observer: ", "fixture: ", "pending: "}
+	for key, reason := range cfg.DeadcodeAllow {
+		n := 0
+		for _, c := range classes {
+			if strings.HasPrefix(reason, c) {
+				n++
+			}
+		}
+		if n != 1 || strings.Contains(reason, "\n") || strings.Contains(reason, "unused") {
+			t.Errorf("DeadcodeAllow[%q] = %q: want one line starting with one of %q", key, reason, classes)
+		}
+	}
+	root, pkgs := loadRepo(t)
+	bare := *cfg
+	bare.DeadcodeAllow = nil
+	diags := RunAnalyzers(pkgs, []*Analyzer{Deadcode}, &bare)
+	reported := map[string]bool{}
+	for _, d := range diags {
+		rel, err := filepath.Rel(root, filepath.Dir(d.Pos.Filename))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := cfg.ModulePath + "/" + filepath.ToSlash(rel)
+		reported[pkg] = true
+		reported[pkg+"."+strings.Fields(d.Message)[1]] = true // "<kind> <name> is ..."
+	}
+	for key := range cfg.DeadcodeAllow {
+		if !reported[key] {
+			t.Errorf("DeadcodeAllow entry %q is stale: nothing it names is unreachable", key)
+		}
+	}
+}
+
+// TestRepoIsClean is the gate's self-check: the production configuration
+// over the whole repository must come back empty, i.e. `go run
+// ./cmd/repolint ./...` exits 0.
+func TestRepoIsClean(t *testing.T) {
+	_, pkgs := loadRepo(t)
+	for _, d := range RunAnalyzers(pkgs, All, DefaultConfig()) {
 		t.Errorf("%s", d)
 	}
+}
+
+var repo struct {
+	once sync.Once
+	root string
+	pkgs []*Package
+	err  error
+}
+
+// loadRepo type-checks the whole repository once for every test that
+// runs analyzers over it.
+func loadRepo(t *testing.T) (root string, pkgs []*Package) {
+	t.Helper()
+	repo.once.Do(func() {
+		wd, err := os.Getwd()
+		if err != nil {
+			repo.err = err
+			return
+		}
+		repo.root = filepath.Join(wd, "..", "..")
+		loader, err := NewLoader(repo.root)
+		if err != nil {
+			repo.err = err
+			return
+		}
+		repo.pkgs, repo.err = loader.Load()
+	})
+	if repo.err != nil {
+		t.Fatal(repo.err)
+	}
+	return repo.root, repo.pkgs
 }
 
 func TestByName(t *testing.T) {

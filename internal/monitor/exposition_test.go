@@ -117,7 +117,7 @@ func TestExpositionDeterministicOrdering(t *testing.T) {
 		names := []string{"zeta_seconds", "alpha_seconds", "mid_seconds"}
 		for _, i := range order {
 			r.ObserveL(names[i], float64(i+1), L("stage", "s"))
-			r.Add("runs_total", 1)
+			r.AddL("runs_total", 1)
 		}
 		return scrape(t, r)
 	}

@@ -61,32 +61,13 @@ func (r *Registry) seriesLocked(name string, labels []Label) string {
 	if set[full] {
 		return full
 	}
-	limit := MaxSeriesPerMetric
-	if l, ok := r.limits[name]; ok && l > 0 {
-		limit = l
-	}
-	if len(set) >= limit {
+	if len(set) >= MaxSeriesPerMetric {
 		over := SeriesName(name, L("overflow", "true"))
 		set[over] = true
 		return over
 	}
 	set[full] = true
 	return full
-}
-
-// SetSeriesLimit overrides the cardinality bound for one bare metric
-// name — for metrics whose label space is known and bounded by
-// configuration (per-tenant counters in a campaign) rather than by data.
-// A non-positive limit restores the MaxSeriesPerMetric default. Series
-// already materialized are kept even if the new limit is lower.
-func (r *Registry) SetSeriesLimit(name string, limit int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if limit <= 0 {
-		delete(r.limits, name)
-		return
-	}
-	r.limits[name] = limit
 }
 
 // AddL increments the counter series `name{labels}`, collapsing into the

@@ -1,7 +1,6 @@
 // Package monitor provides the observability the paper's operations
 // depend on: a metrics registry with an HTTP exposition endpoint (the
-// Grafana dashboards that watch Globus transfer bandwidth) and a
-// bandwidth sampler that turns link counters into time series. Health
+// Grafana dashboards that watch Globus transfer bandwidth). Health
 // checking lives in internal/telemetry, which scores facilities from
 // the series this registry feeds.
 package monitor
@@ -12,10 +11,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
-// DefaultBuckets are the histogram upper bounds Observe uses: wide enough
+// DefaultBuckets are the histogram upper bounds ObserveL uses: wide enough
 // to span millisecond streaming previews and half-hour reconstruction
 // flows on one axis (seconds).
 var DefaultBuckets = []float64{0.001, 0.01, 0.1, 1, 10, 60, 300, 1200, 3600}
@@ -50,8 +48,6 @@ type Registry struct {
 	// series tracks, per bare metric name, the label sets materialized
 	// through AddL/ObserveL/SetL — the state behind MaxSeriesPerMetric.
 	series map[string]map[string]bool // guarded by mu
-	// limits overrides MaxSeriesPerMetric per bare metric name.
-	limits map[string]int // guarded by mu
 }
 
 // NewRegistry creates an empty registry.
@@ -61,17 +57,7 @@ func NewRegistry() *Registry {
 		gauges:     map[string]float64{},
 		histograms: map[string]*histogram{},
 		series:     map[string]map[string]bool{},
-		limits:     map[string]int{},
 	}
-}
-
-// Add increments a counter.
-//
-//perf:hot
-func (r *Registry) Add(name string, delta float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters[name] += delta
 }
 
 // Set stores a gauge value.
@@ -81,24 +67,6 @@ func (r *Registry) Set(name string, value float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gauges[name] = value
-}
-
-// Observe records one value (in seconds) into the named histogram,
-// creating it with DefaultBuckets on first use. Like counters, the name
-// carries its label set baked in, e.g.
-// `flow_stage_seconds{flow="nersc_recon_flow",stage="globus_to_cfs"}`.
-func (r *Registry) Observe(name string, v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.histograms[name]
-	if h == nil {
-		h = &histogram{
-			buckets: DefaultBuckets,
-			counts:  make([]uint64, len(DefaultBuckets)+1),
-		}
-		r.histograms[name] = h
-	}
-	h.observe(v)
 }
 
 // HistogramSnapshot is a point-in-time copy of one histogram. Counts are
@@ -257,32 +225,4 @@ func (r *Registry) Handler() http.Handler {
 			}
 		}
 	})
-}
-
-// Sample is one point of a bandwidth time series.
-type Sample struct {
-	At    time.Time
-	Value float64
-}
-
-// BandwidthSeries converts cumulative byte counters into per-interval
-// bandwidth (bytes/second), the series the Grafana transfer dashboard
-// plots. points[i] pairs a timestamp with the cumulative total at that
-// instant.
-func BandwidthSeries(points []Sample) []Sample {
-	if len(points) < 2 {
-		return nil
-	}
-	out := make([]Sample, 0, len(points)-1)
-	for i := 1; i < len(points); i++ {
-		dt := points[i].At.Sub(points[i-1].At).Seconds()
-		if dt <= 0 {
-			continue
-		}
-		out = append(out, Sample{
-			At:    points[i].At,
-			Value: (points[i].Value - points[i-1].Value) / dt,
-		})
-	}
-	return out
 }

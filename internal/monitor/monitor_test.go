@@ -15,8 +15,8 @@ var t0 = time.Date(2026, 7, 4, 8, 0, 0, 0, time.UTC)
 
 func TestCountersAndGauges(t *testing.T) {
 	r := NewRegistry()
-	r.Add("transfers_total", 1)
-	r.Add("transfers_total", 2)
+	r.AddL("transfers_total", 1)
+	r.AddL("transfers_total", 2)
 	r.Set("queue_depth", 7)
 	r.Set("queue_depth", 3)
 	if r.Counter("transfers_total") != 3 {
@@ -39,7 +39,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				r.Add("c", 1)
+				r.AddL("c", 1)
 				r.Set("g", float64(j))
 			}
 		}()
@@ -52,7 +52,7 @@ func TestRegistryConcurrent(t *testing.T) {
 
 func TestMetricsHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Add("b_total", 5)
+	r.AddL("b_total", 5)
 	r.Set("a_gauge", 1.5)
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
@@ -72,40 +72,10 @@ func TestMetricsHandler(t *testing.T) {
 	}
 }
 
-func TestBandwidthSeries(t *testing.T) {
-	points := []Sample{
-		{t0, 0},
-		{t0.Add(10 * time.Second), 100e9},
-		{t0.Add(20 * time.Second), 100e9}, // idle interval
-		{t0.Add(30 * time.Second), 400e9},
-	}
-	bw := BandwidthSeries(points)
-	if len(bw) != 3 {
-		t.Fatalf("series length %d", len(bw))
-	}
-	if bw[0].Value != 10e9 {
-		t.Errorf("first interval %v B/s, want 10e9", bw[0].Value)
-	}
-	if bw[1].Value != 0 {
-		t.Errorf("idle interval %v", bw[1].Value)
-	}
-	if bw[2].Value != 30e9 {
-		t.Errorf("third interval %v", bw[2].Value)
-	}
-	if BandwidthSeries(points[:1]) != nil {
-		t.Error("single point should give no series")
-	}
-	// Zero-dt points are skipped.
-	deg := []Sample{{t0, 0}, {t0, 5}}
-	if len(BandwidthSeries(deg)) != 0 {
-		t.Error("zero-dt interval should be skipped")
-	}
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	r := NewRegistry()
-	r.Observe("h", 0.5)
-	r.Observe("h", 30)
+	r.ObserveL("h", 0.5)
+	r.ObserveL("h", 30)
 	h, _ := r.Histogram("h")
 	// rank q*2 against cumulative counts {...,le1:1,le10:1,le60:2,...}:
 	// p50 interpolates to the top of the le=1 bucket, p95/p99 inside
@@ -125,7 +95,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	// Observations beyond the last finite bucket clamp to that bound.
 	r2 := NewRegistry()
-	r2.Observe("tail", 10000)
+	r2.ObserveL("tail", 10000)
 	ht, _ := r2.Histogram("tail")
 	if got := ht.Quantile(0.5); got != 3600 {
 		t.Errorf("+Inf-bucket quantile = %v, want 3600 (last finite bound)", got)
@@ -137,9 +107,9 @@ func TestExpositionGolden(t *testing.T) {
 	// sorted, then per-histogram buckets, _sum, _count, and the p50/p95/
 	// p99 quantile estimates in summary style.
 	r := NewRegistry()
-	r.Add("requests_total", 3)
-	r.Observe(`stage_seconds{stage="copy"}`, 0.5)
-	r.Observe(`stage_seconds{stage="copy"}`, 30)
+	r.AddL("requests_total", 3)
+	r.ObserveL(`stage_seconds{stage="copy"}`, 0.5)
+	r.ObserveL(`stage_seconds{stage="copy"}`, 30)
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL)
@@ -174,7 +144,7 @@ func TestHistogramObserveAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	name := `flow_stage_seconds{flow="nersc_recon_flow",stage="globus_to_cfs"}`
 	for _, v := range []float64{0.0005, 0.5, 5, 50, 5000} {
-		r.Observe(name, v)
+		r.ObserveL(name, v)
 	}
 	h, ok := r.Histogram(name)
 	if !ok {
@@ -202,10 +172,10 @@ func TestHistogramObserveAndSnapshot(t *testing.T) {
 
 func TestHistogramExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Add("plain_total", 2)
-	r.Observe(`stage_seconds{stage="copy"}`, 0.5)
-	r.Observe(`stage_seconds{stage="copy"}`, 30)
-	r.Observe("unlabeled_seconds", 1)
+	r.AddL("plain_total", 2)
+	r.ObserveL(`stage_seconds{stage="copy"}`, 0.5)
+	r.ObserveL(`stage_seconds{stage="copy"}`, 30)
+	r.ObserveL("unlabeled_seconds", 1)
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL)
@@ -240,7 +210,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				r.Observe("h", float64(j))
+				r.ObserveL("h", float64(j))
 			}
 		}()
 	}

@@ -7,7 +7,7 @@ import (
 	"unicode/utf8"
 )
 
-// lineEncoder is the journal's one JSONL encoder: every dump, sink and
+// lineEncoder is the journal's one JSONL encoder: every dump and
 // digest renders events through it. A line is byte for byte what
 // encoding/json writes for an Event followed by '\n' — same key order,
 // omitempty, HTML-safe string escaping, U+FFFD for invalid UTF-8 and

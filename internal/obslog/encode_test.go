@@ -127,13 +127,6 @@ func TestWriteJSONLErrors(t *testing.T) {
 	if _, err := bad.Digest(); err == nil {
 		t.Error("Digest of an unencodable time went unreported")
 	}
-	// ...and a JSONL sink drops it rather than writing half a line.
-	var buf bytes.Buffer
-	bad.AddSink(NewJSONLSink(&buf))
-	bad.Emit(context.Background(), LevelInfo, "c", "m")
-	if buf.Len() != 0 {
-		t.Errorf("sink wrote %q for an unencodable event", buf.Bytes())
-	}
 }
 
 func TestDigestMatchesDump(t *testing.T) {

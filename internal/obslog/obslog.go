@@ -155,7 +155,6 @@ type Journal struct {
 	mu       sync.Mutex
 	clock    Clock
 	capacity int
-	min      Level     // guarded by mu
 	ring     [][]Event // guarded by mu; ringChunk-event chunks, added on demand up to capacity
 	next     uint64    // guarded by mu; next sequence number (first event is 1)
 	head     int       // guarded by mu; ring index of the oldest retained event
@@ -200,16 +199,6 @@ func (j *Journal) growLocked() {
 	}
 }
 
-// SetLevel drops events below min from the journal and its sinks.
-func (j *Journal) SetLevel(min Level) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.min = min
-}
-
 // AddSink attaches a sink; it observes events emitted from now on.
 func (j *Journal) AddSink(s Sink) {
 	if j == nil || s == nil {
@@ -221,8 +210,7 @@ func (j *Journal) AddSink(s Sink) {
 }
 
 // Emit records one event, stamping it from the journal clock and pulling
-// the run ID and active span from ctx. Events below the minimum level are
-// dropped. Nil journals drop everything.
+// the run ID and active span from ctx. Nil journals drop everything.
 //
 // A full ring overwrites in place; a filling one allocates only when it
 // starts a new chunk (growLocked).
@@ -237,9 +225,6 @@ func (j *Journal) Emit(ctx context.Context, level Level, component, msg string, 
 	span := trace.FromContext(ctx).Name()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if level < j.min {
-		return
-	}
 	j.next++
 	if j.count < j.capacity {
 		j.growLocked()

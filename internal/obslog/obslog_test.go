@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -114,27 +113,9 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-func TestLevelGate(t *testing.T) {
-	j := New(newStepClock(), 16)
-	j.SetLevel(LevelWarn)
-	ctx := NewContext(context.Background(), j)
-	Debug(ctx, "c", "dropped")
-	Info(ctx, "c", "dropped")
-	Warn(ctx, "c", "kept")
-	if got := j.Len(); got != 1 {
-		t.Fatalf("Len = %d, want 1 after level gate", got)
-	}
-	// Suppressed events must not consume sequence numbers, or two runs
-	// that differ only in level would diverge.
-	if got := j.Events(Filter{})[0].Seq; got != 1 {
-		t.Fatalf("kept event Seq = %d, want 1", got)
-	}
-}
-
 func TestNilSafety(t *testing.T) {
 	var j *Journal
 	j.Emit(context.Background(), LevelInfo, "c", "dropped")
-	j.SetLevel(LevelError)
 	j.AddSink(NewTextSink(&bytes.Buffer{}))
 	if j.Len() != 0 || j.LastSeq() != 0 || j.Evicted() != 0 || j.Events(Filter{}) != nil {
 		t.Fatal("nil journal must report empty state")
@@ -158,38 +139,6 @@ func TestTextSink(t *testing.T) {
 	want := `2026-01-01T00:00:00Z WARN  [transfer] retrying run=3 attempt=2 path="a b.h5"` + "\n"
 	if line != want {
 		t.Fatalf("text line:\n got %q\nwant %q", line, want)
-	}
-}
-
-func TestJSONLSinkMatchesWriteJSONL(t *testing.T) {
-	var live bytes.Buffer
-	j := New(newStepClock(), 16)
-	j.AddSink(NewJSONLSink(&live))
-	ctx := WithRun(NewContext(context.Background(), j), 2)
-	Info(ctx, "flow", "run started", F("flow", "x"))
-	Error(ctx, "flow", "run failed", F("fault", "transient"))
-
-	var dump bytes.Buffer
-	if err := j.WriteJSONL(&dump, Filter{}); err != nil {
-		t.Fatal(err)
-	}
-	if live.String() != dump.String() {
-		t.Fatalf("streamed JSONL differs from dumped JSONL:\n%s\n---\n%s", live.String(), dump.String())
-	}
-	// Each line decodes back to the event it encoded.
-	lines := strings.Split(strings.TrimSpace(dump.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d JSONL lines, want 2", len(lines))
-	}
-	var e Event
-	if err := json.Unmarshal([]byte(lines[1]), &e); err != nil {
-		t.Fatal(err)
-	}
-	if e.Seq != 2 || e.Run != 2 || e.Msg != "run failed" {
-		t.Fatalf("decoded event %+v", e)
-	}
-	if !strings.Contains(lines[1], `"level":"ERROR"`) {
-		t.Fatalf("level not rendered by name: %s", lines[1])
 	}
 }
 

@@ -47,29 +47,6 @@ func (s *TextSink) Write(e Event) {
 	io.WriteString(s.W, b.String())
 }
 
-// JSONLSink streams every accepted event as one JSON object per line —
-// the machine-readable form the determinism gate compares byte for byte.
-type JSONLSink struct {
-	enc lineEncoder
-}
-
-// NewJSONLSink returns a JSONL sink writing to w.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: lineEncoder{w: w}}
-}
-
-// Write encodes one event as a JSON line and writes it through. Field
-// order follows the Event struct, so identical journals encode to
-// identical bytes.
-func (s *JSONLSink) Write(e Event) {
-	if s == nil || s.enc.w == nil {
-		return
-	}
-	if s.enc.encode(&e) == nil {
-		s.enc.flush()
-	}
-}
-
 // WriteJSONL dumps the retained events matching f to w, one JSON object
 // per line, oldest first. Two journals with identical contents produce
 // identical bytes — the property scripts/check.sh's determinism stage

@@ -158,14 +158,23 @@ func DecodeFrame(raw []byte) (*Frame, error) {
 // Each named channel fans frames out to its monitors; slow monitors drop
 // frames at the per-monitor buffer limit.
 type Server struct {
-	ln  net.Listener
-	hwm int
+	ln   net.Listener
+	hwm  int
+	done chan struct{} // closed by Close
 
 	mu       sync.Mutex
-	channels map[string]map[int]chan []byte // guarded by mu
-	nextID   int                            // guarded by mu
-	dropped  int                            // guarded by mu
-	closed   bool                           // guarded by mu
+	channels map[string]map[int]*queue // guarded by mu
+	nextID   int                       // guarded by mu
+	dropped  int                       // guarded by mu
+	closed   bool                      // guarded by mu
+}
+
+// queue is one monitor's frame buffer. It is never closed, so a publisher
+// holding it can always send; gone is closed when the monitor's
+// connection stops draining it.
+type queue struct {
+	ch   chan []byte
+	gone chan struct{}
 }
 
 // NewServer listens on addr. hwm is the per-monitor frame buffer
@@ -178,7 +187,7 @@ func NewServer(addr string, hwm int) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, hwm: hwm, channels: map[string]map[int]chan []byte{}}
+	s := &Server{ln: ln, hwm: hwm, done: make(chan struct{}), channels: map[string]map[int]*queue{}}
 	go s.acceptLoop()
 	return s, nil
 }
@@ -208,28 +217,45 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	channel := strings.TrimSpace(strings.TrimPrefix(line, "MONITOR "))
-	ch := make(chan []byte, s.hwm)
+	q := &queue{ch: make(chan []byte, s.hwm), gone: make(chan struct{})}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
 	if s.channels[channel] == nil {
-		s.channels[channel] = map[int]chan []byte{}
+		s.channels[channel] = map[int]*queue{}
 	}
 	s.nextID++
 	id := s.nextID
-	s.channels[channel][id] = ch
+	s.channels[channel][id] = q
 	s.mu.Unlock()
 	defer func() {
+		close(q.gone)
 		s.mu.Lock()
 		delete(s.channels[channel], id)
 		s.mu.Unlock()
 	}()
-	// The channel carries whole wire messages: one Write per frame.
-	for msg := range ch {
-		if _, err := conn.Write(msg); err != nil {
-			return
+	// The queue carries whole wire messages: one Write per frame. After
+	// Close, what was queued before it is flushed, then the monitor hangs
+	// up.
+	for {
+		select {
+		case msg := <-q.ch:
+			if _, err := conn.Write(msg); err != nil {
+				return
+			}
+		case <-s.done:
+			for {
+				select {
+				case msg := <-q.ch:
+					if _, err := conn.Write(msg); err != nil {
+						return
+					}
+				default:
+					return
+				}
+			}
 		}
 	}
 }
@@ -249,19 +275,25 @@ func (s *Server) publishWire(channel string, msg []byte, kind FrameKind) error {
 		s.mu.Unlock()
 		return fmt.Errorf("pva: server closed")
 	}
-	monitors := make([]chan []byte, 0, len(s.channels[channel]))
-	for _, ch := range s.channels[channel] {
-		monitors = append(monitors, ch)
+	monitors := make([]*queue, 0, len(s.channels[channel]))
+	for _, q := range s.channels[channel] {
+		monitors = append(monitors, q)
 	}
 	s.mu.Unlock()
 
-	for _, ch := range monitors {
+	for _, q := range monitors {
 		if kind == KindEndOfScan {
-			ch <- msg
+			// Blocks until delivered, unless the monitor or the server
+			// goes away first.
+			select {
+			case q.ch <- msg:
+			case <-q.gone:
+			case <-s.done:
+			}
 			continue
 		}
 		select {
-		case ch <- msg:
+		case q.ch <- msg:
 		default:
 			s.mu.Lock()
 			s.dropped++
@@ -285,16 +317,15 @@ func (s *Server) Dropped() int {
 	return s.dropped
 }
 
-// Close shuts the server down.
+// Close shuts the server down: monitors flush what is queued and hang
+// up, and publishers blocked on an end-of-scan return.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
+		close(s.done)
 		for _, monitors := range s.channels {
-			for id, ch := range monitors {
-				close(ch)
-				delete(monitors, id)
-			}
+			clear(monitors)
 		}
 	}
 	s.mu.Unlock()

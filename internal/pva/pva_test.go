@@ -798,15 +798,10 @@ func BenchmarkMirrorRelay(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer dst.Close()
-	queue := make(chan []byte, 1)
+	q := &queue{ch: make(chan []byte, 1), gone: make(chan struct{})}
 	dst.mu.Lock()
-	dst.channels["det1"] = map[int]chan []byte{0: queue}
+	dst.channels["det1"] = map[int]*queue{0: q}
 	dst.mu.Unlock()
-	defer func() { // Close closes every queue it finds; leave it none of ours
-		dst.mu.Lock()
-		delete(dst.channels, "det1")
-		dst.mu.Unlock()
-	}()
 	m := &Mirror{monitor: &Monitor{}, dst: dst, channel: "det1"}
 	f := &Frame{ScanID: "bench-000001", Rows: 32, Cols: 128, Data: make([]uint16, 32*128)}
 	msg := f.wireMsg()
@@ -817,7 +812,7 @@ func BenchmarkMirrorRelay(b *testing.B) {
 		if _, err := m.relay(msg); err != nil {
 			b.Fatal(err)
 		}
-		<-queue
+		<-q.ch
 	}
 	if m.Relayed != b.N || m.Missed() != 0 {
 		b.Fatalf("relayed %d of %d, missed %d", m.Relayed, b.N, m.Missed())

@@ -5,11 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/flow"
 	"repro/internal/sim"
 )
 
-// A queued run must not hold flow-limiter tokens: the scheduler calls
+// A queued run must not hold concurrency-limiter tokens: the scheduler calls
 // the work function only at dispatch, so concurrency slots are acquired
 // by executing runs, never by runs sitting in a tenant queue. The
 // regression this guards: if tokens were taken at submit time, a deep
@@ -18,14 +17,14 @@ import (
 func TestQueuedRunsHoldNoLimiterTokens(t *testing.T) {
 	e := sim.New(epoch)
 	s := New(e, Config{Workers: 1})
-	lim := flow.NewSimLimiter(e, 2)
+	lim := sim.NewResource(e, 2)
 	tn := Tenant{Beamline: "bl0", Class: ClassFile, Weight: 1}
 
 	s.StartWorkers()
 	produced := e.Go("producer", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			s.Submit(context.Background(), tn, "f", func(_ context.Context, wp *sim.Proc) {
-				lim.Acquire(flow.SimEnv{P: wp})
+				lim.Acquire(wp)
 				wp.Sleep(time.Minute)
 				lim.Release()
 			})
@@ -38,7 +37,7 @@ func TestQueuedRunsHoldNoLimiterTokens(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			p.Sleep(90 * time.Second)
 			t0 := p.Now()
-			lim.Acquire(flow.SimEnv{P: p})
+			lim.Acquire(p)
 			if w := p.Now().Sub(t0); w != 0 {
 				t.Errorf("probe %d blocked %v on the limiter while runs were queued", i, w)
 			}
@@ -51,7 +50,7 @@ func TestQueuedRunsHoldNoLimiterTokens(t *testing.T) {
 	})
 	e.Run()
 
-	if pq := lim.PeakQueue(); pq != 0 {
+	if pq := lim.PeakQueue; pq != 0 {
 		t.Fatalf("limiter peak queue %d, want 0 (queued runs leaked tokens)", pq)
 	}
 	rep := s.Snapshot()

@@ -30,7 +30,7 @@ func TestSameTimeWakeOrder(t *testing.T) {
 		p.Sleep(time.Second)
 		mark("firer")
 		sig.Fire() // "waiter" goes behind sleeper2, which is already queued
-		p.Engine().Go("spawned", func(*Proc) { mark("spawned") })
+		e.Go("spawned", func(*Proc) { mark("spawned") })
 		p.Sleep(0)
 		mark("firer again")
 	})

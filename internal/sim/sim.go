@@ -233,9 +233,6 @@ func (e *Engine) RunUntil(deadline time.Time) time.Time {
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Time { return p.e.clock }
 
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.e }
-
 // park blocks the process until its event, which the caller has queued or
 // left with a Signal or Resource, is dispatched. The process gives the sim
 // thread to the next event's process first — and keeps it, without
@@ -365,13 +362,6 @@ func (r *Resource) Release() {
 	if r.inUse < 0 {
 		panic("sim: Release without Acquire")
 	}
-}
-
-// Use runs fn while holding the resource.
-func (r *Resource) Use(p *Proc, fn func()) {
-	r.Acquire(p)
-	defer r.Release()
-	fn()
 }
 
 // WallClock adapts the operating-system clock to the Clock interfaces the

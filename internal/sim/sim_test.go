@@ -198,19 +198,6 @@ func TestResourceFIFO(t *testing.T) {
 	}
 }
 
-func TestResourceUse(t *testing.T) {
-	e := New(epoch)
-	r := NewResource(e, 1)
-	ran := false
-	e.Go("u", func(p *Proc) {
-		r.Use(p, func() { ran = true })
-	})
-	e.Run()
-	if !ran || r.InUse() != 0 {
-		t.Fatal("Use did not run or did not release")
-	}
-}
-
 func TestReleaseWithoutAcquirePanics(t *testing.T) {
 	e := New(epoch)
 	r := NewResource(e, 1)
@@ -251,7 +238,7 @@ func TestNestedSpawn(t *testing.T) {
 	var childEnd time.Time
 	e.Go("parent", func(p *Proc) {
 		p.Sleep(time.Second)
-		child := p.Engine().Go("child", func(c *Proc) {
+		child := e.Go("child", func(c *Proc) {
 			c.Sleep(2 * time.Second)
 			childEnd = c.Now()
 		})

@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics used throughout the
-// benchmark harness: mean, standard deviation, median, range, percentiles
-// and fixed-width histograms. It mirrors the aggregation the paper applies
+// benchmark harness: mean, standard deviation, median, range and
+// percentiles. It mirrors the aggregation the paper applies
 // to Prefect flow-run durations when producing Table 2.
 package stats
 
@@ -89,49 +89,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return Quantile(sorted, p/100)
 }
 
-// Histogram is a fixed-width histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Counts  []int
-	Under   int // samples below Lo
-	Over    int // samples at or above Hi
-	Samples int
-}
-
-// NewHistogram creates a histogram with nbins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins < 1 {
-		nbins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.Samples++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
 // RMSE returns the root-mean-square error between a and b, which must have
 // equal length. It is the reconstruction-quality metric used by the
 // algorithm ablation (experiment A1).
@@ -148,32 +105,6 @@ func RMSE(a, b []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(a)))
-}
-
-// PSNR returns the peak signal-to-noise ratio in dB of reconstruction b
-// against reference a, using the dynamic range of a as the peak.
-func PSNR(a, b []float64) float64 {
-	if len(a) == 0 || len(a) != len(b) {
-		return math.NaN()
-	}
-	lo, hi := a[0], a[0]
-	for _, v := range a {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	peak := hi - lo
-	rmse := RMSE(a, b)
-	if rmse == 0 {
-		return math.Inf(1)
-	}
-	if peak == 0 {
-		peak = 1
-	}
-	return 20 * math.Log10(peak/rmse)
 }
 
 // Pearson returns the Pearson correlation coefficient between a and b.

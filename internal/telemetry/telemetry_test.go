@@ -323,8 +323,8 @@ func TestRegisterHistogramQuantile(t *testing.T) {
 	if _, pts, _ := pl.Query("lat_p95", "f", epoch.Add(time.Minute), 0); len(pts) != 0 {
 		t.Fatalf("abstaining signal recorded %v", pts)
 	}
-	reg.Observe("lat", 0.5)
-	reg.Observe("lat", 30)
+	reg.ObserveL("lat", 0.5)
+	reg.ObserveL("lat", 30)
 	pl.tick(context.Background(), epoch.Add(2*time.Minute))
 	agg, _, ok := pl.Query("lat_p95", "f", epoch.Add(2*time.Minute), 0)
 	if !ok || agg.Count != 1 {

@@ -152,12 +152,14 @@ func DecodeSlice(raw []byte) (*vol.Image, error) {
 	if len(raw) < 8 {
 		return nil, fmt.Errorf("tiled: slice payload too short")
 	}
-	w := int(binary.LittleEndian.Uint32(raw[0:]))
-	h := int(binary.LittleEndian.Uint32(raw[4:]))
-	if w < 0 || h < 0 || len(raw) != 8+4*w*h {
+	w := binary.LittleEndian.Uint32(raw[0:])
+	h := binary.LittleEndian.Uint32(raw[4:])
+	// Two uint32s multiply in uint64 without wrapping, so a header cannot
+	// claim more pixels than the payload carries.
+	if n := len(raw) - 8; n%4 != 0 || uint64(w)*uint64(h) != uint64(n/4) {
 		return nil, fmt.Errorf("tiled: slice payload %d bytes for %dx%d", len(raw), w, h)
 	}
-	im := vol.NewImage(w, h)
+	im := vol.NewImage(int(w), int(h))
 	for i := range im.Pix {
 		im.Pix[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[8+i*4:])))
 	}

@@ -179,3 +179,12 @@ func TestHTTPErrors(t *testing.T) {
 		}
 	}
 }
+
+// A 2³¹×2³¹ header wraps 8+4·w·h to 8, the length of the header alone;
+// decoding it must fail, not allocate.
+func TestDecodeSliceRejectsWrappingHeader(t *testing.T) {
+	raw := []byte{0, 0, 0, 0x80, 0, 0, 0, 0x80}
+	if im, err := DecodeSlice(raw); err == nil {
+		t.Fatalf("decoded a %dx%d slice from an 8-byte payload", im.W, im.H)
+	}
+}

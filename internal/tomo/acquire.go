@@ -21,18 +21,6 @@ type AcquireOptions struct {
 	Seed          int64
 }
 
-// DefaultAcquire returns a realistic mid-quality acquisition model.
-func DefaultAcquire() AcquireOptions {
-	return AcquireOptions{
-		I0:            1e4,
-		GainVariation: 0.02,
-		DarkLevel:     50,
-		ZingerProb:    1e-4,
-		ZingerScale:   5,
-		Seed:          1,
-	}
-}
-
 // Acquisition is a simulated raw scan: transmission counts plus the flat
 // and dark reference frames the file-writer stores alongside the data
 // (DXchange's data_white / data_dark).

@@ -70,18 +70,10 @@ func FindCenter(s *Sinogram, maxShift int) float64 {
 	return delta / 2
 }
 
-// ShiftSinogram returns a copy of s with every row resampled by -shift
-// detector pixels (linear interpolation, edge clamp), recentring a
-// sinogram whose rotation axis is offset by shift pixels.
-func ShiftSinogram(s *Sinogram, shift float64) *Sinogram {
-	out := NewSinogram(s.Theta, s.NCols)
-	ShiftSinogramInto(out, s, shift)
-	return out
-}
-
-// ShiftSinogramInto is the allocation-free core of ShiftSinogram,
-// resampling every row of s into dst (which must have matching
-// dimensions).
+// ShiftSinogramInto resamples every row of s by -shift detector pixels
+// into dst (linear interpolation, edge clamp; dst must have matching
+// dimensions), recentring a sinogram whose rotation axis is offset by
+// shift pixels. Allocation-free.
 //
 //perf:hot
 func ShiftSinogramInto(dst, s *Sinogram, shift float64) {

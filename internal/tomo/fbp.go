@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/fft"
-	"repro/internal/vol"
 )
 
 // Filter selects the apodization window applied to the ramp filter in
@@ -170,49 +169,4 @@ func pairOrder(n int) []int {
 		order = append(order, -1)
 	}
 	return order
-}
-
-// FilterSinogram returns a copy of s with every projection row convolved
-// with the windowed ramp filter (zero-padded to avoid circular wrap).
-// The filter taps come from a cached reconstruction plan, so repeated
-// calls on one geometry never rebuild the ramp.
-//
-// q = IFFT(FFT(p)·|f|): the τ from approximating the continuous transform
-// by the DFT cancels against the Δf of the inverse frequency integral, so
-// no pitch factor remains.
-func FilterSinogram(s *Sinogram, f Filter) *Sinogram {
-	p := mustPlan(s.Theta, s.NCols, ReconOptions{Algorithm: AlgFBP, Filter: f})
-	out := NewSinogram(s.Theta, s.NCols)
-	sc := p.GetScratch()
-	p.filterInto(out, s, sc.fbatch)
-	p.PutScratch(sc)
-	return out
-}
-
-// FBPOptions configures a filtered back projection.
-type FBPOptions struct {
-	Filter Filter
-	// Size is the output image side length; 0 means use NCols.
-	Size int
-}
-
-// FBP reconstructs a slice from its sinogram by filtered back projection —
-// the fast algorithm the streaming branch runs for sub-10-second previews.
-// It is a thin wrapper over a cached ReconPlan; hot loops should hold the
-// plan and a Scratch and call ReconstructInto directly.
-func FBP(s *Sinogram, opts FBPOptions) *vol.Image {
-	p := mustPlan(s.Theta, s.NCols, ReconOptions{Algorithm: AlgFBP, Filter: opts.Filter, Size: opts.Size})
-	return p.reconstruct(s)
-}
-
-// mustPlan backs the legacy one-shot entry points, whose signatures have
-// no error path; PlanRecon only fails on degenerate geometry (no angles,
-// no columns) or an unknown algorithm, neither reachable from them with
-// inputs the old code accepted.
-func mustPlan(theta []float64, ncols int, opts ReconOptions) *ReconPlan {
-	p, err := PlanRecon(theta, ncols, opts)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

@@ -144,37 +144,3 @@ func (p *ProjectionSet) Validate() error {
 func (p *ProjectionSet) SizeBytes() int64 {
 	return int64(p.NAngles) * int64(p.NRows) * int64(p.NCols) * 2
 }
-
-// Angles360 returns n angles evenly covering [0, 2π) — the full-rotation
-// acquisition mode used when the sample is wider than the detector or a
-// half-acquisition (offset-COR) scan is stitched.
-func Angles360(n int) []float64 {
-	th := make([]float64, n)
-	for i := range th {
-		th[i] = 2 * math.Pi * float64(i) / float64(n)
-	}
-	return th
-}
-
-// Convert360To180 folds a full-rotation sinogram onto [0, π) using the
-// parallel-beam symmetry p(θ+π, s) = p(θ, −s): opposing views are
-// mirrored and averaged, halving the angle count and improving photon
-// statistics. NAngles must be even and the angle set uniform over 2π.
-func Convert360To180(s *Sinogram) (*Sinogram, error) {
-	if s.NAngles%2 != 0 {
-		return nil, fmt.Errorf("tomo: 360° sinogram has odd angle count %d", s.NAngles)
-	}
-	half := s.NAngles / 2
-	theta := make([]float64, half)
-	copy(theta, s.Theta[:half])
-	out := NewSinogram(theta, s.NCols)
-	for a := 0; a < half; a++ {
-		front := s.Row(a)
-		back := s.Row(a + half)
-		dst := out.Row(a)
-		for c := 0; c < s.NCols; c++ {
-			dst[c] = (front[c] + back[s.NCols-1-c]) / 2
-		}
-	}
-	return out, nil
-}

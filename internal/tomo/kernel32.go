@@ -170,7 +170,7 @@ func (p *ReconPlan) sirtInto32(dst *vol.Image, s *Sinogram, sc *Scratch) {
 		x[i] = 0
 	}
 	n := p.Size
-	relax := float32(p.Relax)
+	relax := float32(sirtRelax)
 	bpScale := float32(math.Pi) / float32(p.NAngles)
 	for it := 0; it < p.Iterations; it++ {
 		for a := 0; a < p.NAngles; a++ {
@@ -193,7 +193,7 @@ func (p *ReconPlan) sirtInto32(dst *vol.Image, s *Sinogram, sc *Scratch) {
 				continue
 			}
 			x[i] += relax * sc.upd32[i] / c
-			if p.Positivity && x[i] < 0 {
+			if x[i] < 0 {
 				x[i] = 0
 			}
 		}
@@ -217,7 +217,8 @@ func (p *ReconPlan) sartInto32(dst *vol.Image, s *Sinogram, sc *Scratch) {
 		x[i] = 0
 	}
 	n := p.Size
-	scale := float32(p.Relax / math.Pi)
+	relax := sartRelax // a float64 variable, so relax/π rounds at run time
+	scale := float32(relax / math.Pi)
 	for it := 0; it < p.Iterations; it++ {
 		for a := 0; a < p.NAngles; a++ {
 			walkRays(sc.ax32, x, n, p.cosT[a], p.sinT[a])
@@ -236,7 +237,7 @@ func (p *ReconPlan) sartInto32(dst *vol.Image, s *Sinogram, sc *Scratch) {
 				p.cosT32[a:a+1], p.sinT32[a:a+1], p.xs32, p.loPx, p.hiPx, math.Pi)
 			for i := range x {
 				x[i] += scale * sc.upd32[i]
-				if p.Positivity && x[i] < 0 {
+				if x[i] < 0 {
 					x[i] = 0
 				}
 			}

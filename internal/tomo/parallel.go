@@ -81,7 +81,11 @@ func ReconstructSlice(s *Sinogram, opts ReconOptions) (*vol.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.reconstruct(work), nil
+	dst := vol.NewImage(p.Size, p.Size)
+	if err := p.ReconstructInto(dst, work, nil); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // ReconstructVolume reconstructs every detector row of ps into a volume,

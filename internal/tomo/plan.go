@@ -14,9 +14,9 @@ import (
 // per-row reconstruction-circle pixel bounds, the windowed ramp-filter
 // spectrum and its FFT plan (FBP), the oversampled-grid FFT plan,
 // half-sample phase table and grid geometry (gridrec), and the ray-weight
-// normalizations (SIRT/SART). Build one per volume — or let the package-level wrappers
-// fetch a cached plan — and share it across any number of goroutines;
-// all per-call mutable state lives in a Scratch.
+// normalizations (SIRT/SART). PlanRecon builds one per geometry and
+// caches it; share it across any number of goroutines — all per-call
+// mutable state lives in a Scratch.
 //
 // Concurrency contract: a ReconPlan is read-only after construction and
 // safe for concurrent use. A Scratch is NOT: use one Scratch per
@@ -28,8 +28,6 @@ type ReconPlan struct {
 	NCols      int
 	Size       int       // output image side length
 	Iterations int       // SIRT/SART only
-	Relax      float64   // SIRT/SART only
-	Positivity bool      // SIRT/SART only
 	Precision  Precision // kernel arithmetic tier
 	// CORShift, when non-zero, recenters each sinogram (into scratch)
 	// before reconstruction. Derive a shifted variant of a cached plan
@@ -131,15 +129,13 @@ type Scratch struct {
 // plan via WithCOR instead of multiplying cache entries per auto-COR
 // estimate.
 type planKey struct {
-	alg        Algorithm
-	filter     Filter
-	nangles    int
-	ncols      int
-	size       int
-	iters      int
-	relax      float64
-	positivity bool
-	prec       Precision
+	alg     Algorithm
+	filter  Filter
+	nangles int
+	ncols   int
+	size    int
+	iters   int
+	prec    Precision
 }
 
 // maxCachedPlans bounds the global plan cache; on overflow the cache is
@@ -183,15 +179,11 @@ func PlanRecon(theta []float64, ncols int, opts ReconOptions) (*ReconPlan, error
 		if key.iters <= 0 {
 			key.iters = 30
 		}
-		key.relax = 1
-		key.positivity = true
 	case AlgSART:
 		key.iters = opts.Iterations
 		if key.iters <= 0 {
 			key.iters = 5
 		}
-		key.relax = 0.5
-		key.positivity = true
 	default:
 		return nil, fmt.Errorf("tomo: unknown algorithm %q", opts.Algorithm)
 	}
@@ -245,8 +237,6 @@ func buildPlan(theta []float64, key planKey) *ReconPlan {
 		NCols:      key.ncols,
 		Size:       key.size,
 		Iterations: key.iters,
-		Relax:      key.relax,
-		Positivity: key.positivity,
 		Precision:  key.prec,
 		theta:      append([]float64(nil), theta...),
 	}
@@ -438,17 +428,6 @@ func (p *ReconPlan) ReconstructInto(dst *vol.Image, s *Sinogram, sc *Scratch) er
 	return nil
 }
 
-// reconstruct is the one-shot form: borrow a scratch, reconstruct into a
-// fresh image, return it. The thin public wrappers (FBP, Gridrec, SIRT,
-// SART) all reduce to this.
-func (p *ReconPlan) reconstruct(s *Sinogram) *vol.Image {
-	sc := p.GetScratch()
-	defer p.PutScratch(sc)
-	dst := vol.NewImage(p.Size, p.Size)
-	p.reconInto(dst, s, sc)
-	return dst
-}
-
 func (p *ReconPlan) reconInto(dst *vol.Image, s *Sinogram, sc *Scratch) {
 	work := s
 	if p.CORShift != 0 {
@@ -507,10 +486,23 @@ func (p *ReconPlan) backProjectInto(dst *vol.Image, s *Sinogram) {
 // precomputed taps: angle rows two per transform, one padded batch
 // convolution (filterPairs).
 //
+// q = IFFT(FFT(p)·|f|): the τ from approximating the continuous transform
+// by the DFT cancels against the Δf of the inverse frequency integral, so
+// no pitch factor remains.
+//
 //perf:hot
 func (p *ReconPlan) filterInto(dst, src *Sinogram, batch []complex128) {
 	filterPairs(p.fp, p.taps, batch, dst.Data, src.Data, p.NCols, p.order)
 }
+
+// The iterative solvers' relaxation factors: SIRT takes the whole
+// normalized update each iteration, SART half of it per angle. Both clamp
+// negative voxels to zero after every update (attenuation is never
+// negative).
+const (
+	sirtRelax = 1.0
+	sartRelax = 0.5
+)
 
 //perf:hot
 func (p *ReconPlan) sirtInto(x *vol.Image, s *Sinogram, sc *Scratch) {
@@ -536,8 +528,8 @@ func (p *ReconPlan) sirtInto(x *vol.Image, s *Sinogram, sc *Scratch) {
 			if c <= 1e-9 {
 				continue
 			}
-			x.Pix[i] += p.Relax * sc.upd.Pix[i] / c
-			if p.Positivity && x.Pix[i] < 0 {
+			x.Pix[i] += sirtRelax * sc.upd.Pix[i] / c
+			if x.Pix[i] < 0 {
 				x.Pix[i] = 0
 			}
 		}
@@ -549,7 +541,8 @@ func (p *ReconPlan) sartInto(x *vol.Image, s *Sinogram, sc *Scratch) {
 	for i := range x.Pix {
 		x.Pix[i] = 0
 	}
-	scale := p.Relax / math.Pi
+	relax := sartRelax // a float64 variable, so relax/π rounds at run time
+	scale := relax / math.Pi
 	for it := 0; it < p.Iterations; it++ {
 		for a := 0; a < p.NAngles; a++ {
 			axRow := sc.axOne.Row(0)
@@ -572,7 +565,7 @@ func (p *ReconPlan) sartInto(x *vol.Image, s *Sinogram, sc *Scratch) {
 				p.xs, p.loPx, p.hiPx, math.Pi, false, nil, nil)
 			for i := range x.Pix {
 				x.Pix[i] += scale * sc.upd.Pix[i]
-				if p.Positivity && x.Pix[i] < 0 {
+				if x.Pix[i] < 0 {
 					x.Pix[i] = 0
 				}
 			}

@@ -40,13 +40,6 @@ func MinusLog(p *ProjectionSet) *ProjectionSet {
 	return out
 }
 
-// MinusLogSinogram is MinusLog for a single sinogram.
-func MinusLogSinogram(s *Sinogram) *Sinogram {
-	out := NewSinogram(s.Theta, s.NCols)
-	minusLogRow(out.Data, s.Data)
-	return out
-}
-
 // minusLogRow stores -ln(max(src, 1e-6)) into dst; the two may alias.
 //
 //perf:hot
@@ -57,28 +50,6 @@ func minusLogRow(dst, src []float64) {
 		}
 		dst[i] = -math.Log(v)
 	}
-}
-
-// RemoveRings suppresses ring artifacts in a sinogram. Constant
-// per-detector-column gain errors appear as vertical stripes in the
-// sinogram (and rings after reconstruction); this subtracts each column's
-// deviation from a moving-average-smoothed column-mean profile, the
-// classic Raven/Münch-style correction.
-func RemoveRings(s *Sinogram, window int) *Sinogram {
-	if window < 1 {
-		window = 9
-	}
-	out := s.Clone()
-	profile := make([]float64, 2*s.NCols)
-	sum, smooth := profile[:s.NCols], profile[s.NCols:]
-	for a := 0; a < s.NAngles; a++ {
-		addRow(sum, s.Row(a))
-	}
-	ringProfile(sum, smooth, s.NAngles, window)
-	for a := 0; a < s.NAngles; a++ {
-		subtractRow(out.Row(a), sum)
-	}
-	return out
 }
 
 //perf:hot
@@ -123,17 +94,6 @@ func ringProfile(sum, smooth []float64, nangles, window int) {
 	for c := range sum {
 		sum[c] -= smooth[c]
 	}
-}
-
-// RemoveOutliers replaces "zingers" — isolated samples more than
-// threshold above the local median (from cosmic rays or hot pixels) — with
-// the median of their 1D neighborhood within each projection row.
-func RemoveOutliers(s *Sinogram, threshold float64) *Sinogram {
-	out := NewSinogram(s.Theta, s.NCols)
-	for a := 0; a < s.NAngles; a++ {
-		removeOutliersRow(out.Row(a), s.Row(a), threshold)
-	}
-	return out
 }
 
 // removeOutliersRow copies src into dst, replacing every sample more than
@@ -197,24 +157,6 @@ func median(win *[4]float64, n int) float64 {
 //perf:hot
 func floatLess(x, y float64) bool {
 	return x < y || (x != x && y == y)
-}
-
-// PaganinFilter applies single-distance phase retrieval to each projection
-// row: a low-pass 1/(1 + alpha·k²) filter in the detector-axis frequency
-// domain. It is the 1D analogue of TomoPy's retrieve_phase, trading
-// resolution for dramatically improved contrast on weakly absorbing
-// samples. alpha ≥ 0; alpha = 0 is the identity.
-func PaganinFilter(s *Sinogram, alpha float64) *Sinogram {
-	out := s.Clone()
-	if alpha <= 0 {
-		return out
-	}
-	m := fft.NextPow2(s.NCols)
-	pl, buf := fft.PlanFor(m), make([]complex128, m)
-	for a := 0; a < s.NAngles; a++ {
-		paganinRow(out.Row(a), alpha, pl, buf)
-	}
-	return out
 }
 
 // paganinRow low-pass filters one row in place through pl, whose length is

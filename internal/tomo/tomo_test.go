@@ -128,7 +128,7 @@ func TestFilterSinogramRemovesDC(t *testing.T) {
 	for i := range s.Data {
 		s.Data[i] = 5
 	}
-	f := FilterSinogram(s, RamLak)
+	f := filterSinogram(s, RamLak)
 	for a := 0; a < f.NAngles; a++ {
 		var mean float64
 		for _, v := range f.Row(a) {
@@ -141,6 +141,21 @@ func TestFilterSinogramRemovesDC(t *testing.T) {
 			t.Fatalf("row %d mean %v; ramp filter should suppress DC", a, mean)
 		}
 	}
+}
+
+// recon reconstructs s through the product entry point.
+func recon(t testing.TB, s *Sinogram, opts ReconOptions) *vol.Image {
+	t.Helper()
+	rec, err := ReconstructSlice(s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// residual is the RMS projection-domain residual ‖A·x − b‖ / √N.
+func residual(x *vol.Image, s *Sinogram) float64 {
+	return stats.RMSE(Project(x, s.Theta, s.NCols).Data, s.Data)
 }
 
 func reconQuality(t *testing.T, rec *vol.Image, truth *vol.Image) (corr, rmse float64) {
@@ -168,7 +183,7 @@ func TestFBPSheppLogan(t *testing.T) {
 	n := 64
 	im := phantom.SheppLogan(n)
 	s := Project(im, UniformAngles(128), n)
-	rec := FBP(s, FBPOptions{Filter: SheppLoganFilter})
+	rec := recon(t, s, ReconOptions{Filter: SheppLoganFilter})
 	corr, rmse := reconQuality(t, rec, im)
 	if corr < 0.9 {
 		t.Errorf("FBP correlation %v < 0.9", corr)
@@ -183,7 +198,7 @@ func TestFBPAmplitudeCalibrated(t *testing.T) {
 	n := 64
 	im := disk(n, 0.6, 2.0)
 	s := Project(im, UniformAngles(180), n)
-	rec := FBP(s, FBPOptions{Filter: RamLak})
+	rec := recon(t, s, ReconOptions{Filter: RamLak})
 	// Average over the disk interior.
 	var sum float64
 	var cnt int
@@ -217,10 +232,10 @@ func TestSIRTImprovesWithIterations(t *testing.T) {
 	n := 48
 	im := phantom.SheppLogan(n)
 	s := Project(im, UniformAngles(60), n)
-	r5 := SIRT(s, SIRTOptions{Iterations: 3})
-	r100 := SIRT(s, SIRTOptions{Iterations: 100})
-	if Residual(r100, s) >= Residual(r5, s) {
-		t.Errorf("residual did not decrease: %v -> %v", Residual(r5, s), Residual(r100, s))
+	r5 := recon(t, s, ReconOptions{Algorithm: AlgSIRT, Iterations: 3})
+	r100 := recon(t, s, ReconOptions{Algorithm: AlgSIRT, Iterations: 100})
+	if residual(r100, s) >= residual(r5, s) {
+		t.Errorf("residual did not decrease: %v -> %v", residual(r5, s), residual(r100, s))
 	}
 	corr, _ := reconQuality(t, r100, im)
 	if corr < 0.9 {
@@ -232,7 +247,7 @@ func TestSARTReconstructs(t *testing.T) {
 	n := 48
 	im := phantom.SheppLogan(n)
 	s := Project(im, UniformAngles(60), n)
-	rec := SART(s, SARTOptions{Iterations: 3})
+	rec := recon(t, s, ReconOptions{Algorithm: AlgSART, Iterations: 3})
 	corr, _ := reconQuality(t, rec, im)
 	if corr < 0.85 {
 		t.Errorf("SART correlation %v < 0.85", corr)
@@ -272,6 +287,16 @@ func TestNormalizeClampsDenominator(t *testing.T) {
 	}
 }
 
+// transmission converts line integrals to the transmission values
+// Preprocess takes.
+func transmission(s *Sinogram) *Sinogram {
+	tr := NewSinogram(s.Theta, s.NCols)
+	for i, v := range s.Data {
+		tr.Data[i] = math.Exp(-v)
+	}
+	return tr
+}
+
 func TestRemoveRingsSuppressesStripes(t *testing.T) {
 	// Add a constant column offset (gain stripe) to a smooth sinogram.
 	im := disk(64, 0.7, 1)
@@ -280,7 +305,9 @@ func TestRemoveRingsSuppressesStripes(t *testing.T) {
 	for a := 0; a < s.NAngles; a++ {
 		s.Row(a)[stripeCol] += 0.5
 	}
-	clean := RemoveRings(s, 9)
+	tr := transmission(s)
+	s = Preprocess(tr, PreprocessOptions{})
+	clean := Preprocess(tr, PreprocessOptions{RingWindow: 9})
 	// Stripe deviation from neighbors should shrink drastically.
 	dev := func(sg *Sinogram) float64 {
 		var d float64
@@ -301,24 +328,14 @@ func TestRemoveOutliers(t *testing.T) {
 		s.Row(0)[c] = 1
 	}
 	s.Row(0)[7] = 100 // zinger
-	out := RemoveOutliers(s, 5)
-	if out.Row(0)[7] != 1 {
+	// Transmission 1 is a zero line integral.
+	out := Preprocess(s, PreprocessOptions{OutlierThreshold: 5})
+	if out.Row(0)[7] != 0 {
 		t.Errorf("zinger not removed: %v", out.Row(0)[7])
 	}
 	// Non-outliers untouched.
-	if out.Row(0)[3] != 1 {
+	if out.Row(0)[3] != 0 {
 		t.Error("non-outlier modified")
-	}
-}
-
-func TestPaganinIdentityAtZero(t *testing.T) {
-	im := disk(32, 0.5, 1)
-	s := Project(im, UniformAngles(8), 32)
-	out := PaganinFilter(s, 0)
-	for i := range s.Data {
-		if s.Data[i] != out.Data[i] {
-			t.Fatal("alpha=0 should be the identity")
-		}
 	}
 }
 
@@ -329,8 +346,9 @@ func TestPaganinSmooths(t *testing.T) {
 	for c := range row {
 		row[c] = 1 + 0.5*math.Pow(-1, float64(c)) // alternating = Nyquist
 	}
-	out := PaganinFilter(s, 0.1)
-	varIn := variance(row)
+	tr := transmission(s)
+	out := Preprocess(tr, PreprocessOptions{PaganinAlpha: 0.1})
+	varIn := variance(Preprocess(tr, PreprocessOptions{}).Row(0))
 	varOut := variance(out.Row(0))
 	if varOut > varIn*0.5 {
 		t.Errorf("Paganin did not smooth: var %v -> %v", varIn, varOut)
@@ -346,11 +364,7 @@ func TestPreprocessChain(t *testing.T) {
 	im := disk(32, 0.5, 1)
 	s := Project(im, UniformAngles(16), 32)
 	// Convert to transmission so Preprocess's -log is meaningful.
-	tr := s.Clone()
-	for i, v := range tr.Data {
-		tr.Data[i] = math.Exp(-v)
-	}
-	out := Preprocess(tr, PreprocessOptions{
+	out := Preprocess(transmission(s), PreprocessOptions{
 		OutlierThreshold: 10, RingWindow: 5, PaganinAlpha: 0.001,
 	})
 	// Result should approximate the original line integrals.
@@ -389,8 +403,8 @@ func TestFindCenter(t *testing.T) {
 func TestShiftSinogramRecenters(t *testing.T) {
 	im := phantom.SheppLogan(64)
 	s := Project(im, UniformAngles(32), 64)
-	shifted := ShiftSinogram(s, -2) // move rows right by 2
-	back := ShiftSinogram(shifted, 2)
+	shifted := shiftSinogram(s, -2) // move rows right by 2
+	back := shiftSinogram(shifted, 2)
 	// Interior samples should round-trip.
 	var worst float64
 	for a := 0; a < s.NAngles; a++ {
@@ -526,8 +540,9 @@ func TestProjectionSetSizeBytes(t *testing.T) {
 func TestAcquireDeterministic(t *testing.T) {
 	truth := phantom.SheppLogan3D(16, 2)
 	theta := UniformAngles(8)
-	a1 := Acquire(truth, theta, 16, DefaultAcquire())
-	a2 := Acquire(truth, theta, 16, DefaultAcquire())
+	opts := AcquireOptions{I0: 1e4, GainVariation: 0.02, DarkLevel: 50, ZingerProb: 1e-4, ZingerScale: 5, Seed: 1}
+	a1 := Acquire(truth, theta, 16, opts)
+	a2 := Acquire(truth, theta, 16, opts)
 	for i := range a1.Raw.Data {
 		if a1.Raw.Data[i] != a2.Raw.Data[i] {
 			t.Fatal("same seed should reproduce acquisition")
@@ -550,7 +565,7 @@ func BenchmarkFBP64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FBP(s, FBPOptions{Filter: SheppLoganFilter})
+		recon(b, s, ReconOptions{Filter: SheppLoganFilter})
 	}
 }
 
@@ -570,7 +585,7 @@ func BenchmarkSIRT64x10(b *testing.B) {
 	s := Project(im, UniformAngles(90), 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SIRT(s, SIRTOptions{Iterations: 10})
+		recon(b, s, ReconOptions{Algorithm: AlgSIRT, Iterations: 10})
 	}
 }
 
@@ -582,54 +597,5 @@ func BenchmarkReconstructVolumeParallel(b *testing.B) {
 		if _, err := ReconstructVolume(context.Background(), ps, ReconOptions{Filter: Hann}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestAngles360(t *testing.T) {
-	th := Angles360(4)
-	wants := []float64{0, math.Pi / 2, math.Pi, 3 * math.Pi / 2}
-	for i, w := range wants {
-		if math.Abs(th[i]-w) > 1e-12 {
-			t.Fatalf("theta[%d] = %v, want %v", i, th[i], w)
-		}
-	}
-}
-
-func TestConvert360To180MatchesHalfScan(t *testing.T) {
-	// A full-rotation scan folded to 180° must match the direct 180°
-	// sinogram of the same object.
-	im := phantom.SheppLogan(48)
-	full := Project(im, Angles360(96), 48)
-	folded, err := Convert360To180(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := Project(im, UniformAngles(48), 48)
-	if folded.NAngles != 48 {
-		t.Fatalf("folded angles = %d", folded.NAngles)
-	}
-	var worst float64
-	for i := range direct.Data {
-		if e := math.Abs(folded.Data[i] - direct.Data[i]); e > worst {
-			worst = e
-		}
-	}
-	// Mirror symmetry is exact in the continuous transform; discrete
-	// sampling leaves small interpolation residue.
-	if worst > 0.03 {
-		t.Fatalf("fold residual %v", worst)
-	}
-	// And the folded sinogram reconstructs the object.
-	rec := FBP(folded, FBPOptions{Filter: SheppLoganFilter})
-	corr, _ := reconQuality(t, rec, im)
-	if corr < 0.85 { // 48 angles at 48 px: modest angular sampling
-		t.Fatalf("folded reconstruction correlation %v", corr)
-	}
-}
-
-func TestConvert360To180RejectsOdd(t *testing.T) {
-	s := NewSinogram(Angles360(5), 8)
-	if _, err := Convert360To180(s); err == nil {
-		t.Fatal("odd angle count should error")
 	}
 }

@@ -113,17 +113,6 @@ func (s *Service) Endpoint(name string) (*Endpoint, error) {
 // Tasks returns all submitted tasks in submission order.
 func (s *Service) Tasks() []*Task { return s.tasks }
 
-// SucceededCount returns the number of succeeded tasks.
-func (s *Service) SucceededCount() int {
-	n := 0
-	for _, t := range s.tasks {
-		if t.State == Succeeded {
-			n++
-		}
-	}
-	return n
-}
-
 // Submit performs a transfer of the given paths (each may be an exact path
 // or a directory prefix ending in "/", which transfers every file under
 // it) from src to dst, blocking the calling process until the task

@@ -255,8 +255,8 @@ func TestChecksumVerifyDetectsCorruption(t *testing.T) {
 		fx.svc.Submit(nil, p, "t1", "als", "cfs", []string{"ok"})
 	})
 	fx.e.Run()
-	if fx.svc.SucceededCount() != 1 || len(fx.svc.Tasks()) != 1 {
-		t.Fatalf("accounting: %d/%d", fx.svc.SucceededCount(), len(fx.svc.Tasks()))
+	if tasks := fx.svc.Tasks(); len(tasks) != 1 || tasks[0].State != Succeeded {
+		t.Fatalf("accounting: %+v", tasks)
 	}
 }
 

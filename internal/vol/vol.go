@@ -31,16 +31,6 @@ func (im *Image) At(x, y int) float64 { return im.Pix[y*im.W+x] }
 // Set stores v at (x, y).
 func (im *Image) Set(x, y int, v float64) { im.Pix[y*im.W+x] = v }
 
-// Row returns the y-th row as a slice aliasing the image storage.
-func (im *Image) Row(y int) []float64 { return im.Pix[y*im.W : (y+1)*im.W] }
-
-// Clone returns a deep copy.
-func (im *Image) Clone() *Image {
-	c := NewImage(im.W, im.H)
-	copy(c.Pix, im.Pix)
-	return c
-}
-
 // Fill sets every sample to v.
 func (im *Image) Fill(v float64) {
 	for i := range im.Pix {
@@ -116,33 +106,6 @@ func (im *Image) Bilinear(x, y float64) float64 {
 	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy
 }
 
-// Downsample2 returns a half-resolution image by 2×2 box averaging; odd
-// trailing rows/columns are folded into the last output cell. It is the
-// reduction step of the multiscale (Zarr-style) pyramid.
-func (im *Image) Downsample2() *Image {
-	w := (im.W + 1) / 2
-	h := (im.H + 1) / 2
-	out := NewImage(w, h)
-	for oy := 0; oy < h; oy++ {
-		for ox := 0; ox < w; ox++ {
-			var sum float64
-			var n int
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					x := ox*2 + dx
-					y := oy*2 + dy
-					if x < im.W && y < im.H {
-						sum += im.At(x, y)
-						n++
-					}
-				}
-			}
-			out.Set(ox, oy, sum/float64(n))
-		}
-	}
-	return out
-}
-
 // Volume is a dense stack of D slices, each W×H, stored slice-major.
 type Volume struct {
 	W, H, D int
@@ -179,28 +142,6 @@ func (v *Volume) SetSlice(z int, im *Image) {
 	copy(v.Data[z*v.W*v.H:(z+1)*v.W*v.H], im.Pix)
 }
 
-// OrthoSlices returns the three central orthogonal cross sections
-// (XY, XZ, YZ) — the "three-slice preview" the streaming service returns
-// to the beamline.
-func (v *Volume) OrthoSlices() (xy, xz, yz *Image) {
-	xy = v.Slice(v.D / 2).Clone()
-	xz = NewImage(v.W, v.D)
-	yc := v.H / 2
-	for z := 0; z < v.D; z++ {
-		for x := 0; x < v.W; x++ {
-			xz.Set(x, z, v.At(x, yc, z))
-		}
-	}
-	yz = NewImage(v.H, v.D)
-	xc := v.W / 2
-	for z := 0; z < v.D; z++ {
-		for y := 0; y < v.H; y++ {
-			yz.Set(y, z, v.At(xc, y, z))
-		}
-	}
-	return xy, xz, yz
-}
-
 // Downsample2 box-averages the volume by 2 in every axis, producing the
 // next level of a multiscale pyramid.
 func (v *Volume) Downsample2() *Volume {
@@ -226,18 +167,6 @@ func (v *Volume) Downsample2() *Volume {
 				}
 				out.Set(ox, oy, oz, sum/float64(n))
 			}
-		}
-	}
-	return out
-}
-
-// Threshold returns a binary mask volume: 1 where the voxel value is ≥ t,
-// else 0. It is the segmentation primitive used by the proppant case study.
-func (v *Volume) Threshold(t float64) *Volume {
-	out := NewVolume(v.W, v.H, v.D)
-	for i, x := range v.Data {
-		if x >= t {
-			out.Data[i] = 1
 		}
 	}
 	return out

@@ -26,25 +26,6 @@ func TestNewImagePanicsOnNegative(t *testing.T) {
 	NewImage(-1, 4)
 }
 
-func TestRowAliases(t *testing.T) {
-	im := NewImage(3, 2)
-	row := im.Row(1)
-	row[0] = 9
-	if im.At(0, 1) != 9 {
-		t.Fatal("Row should alias storage")
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	im := NewImage(2, 2)
-	im.Set(0, 0, 1)
-	c := im.Clone()
-	c.Set(0, 0, 5)
-	if im.At(0, 0) != 1 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestMinMaxMeanFill(t *testing.T) {
 	im := NewImage(2, 2)
 	im.Fill(3)
@@ -103,41 +84,32 @@ func TestBilinearExactAtPixels(t *testing.T) {
 }
 
 func TestDownsample2(t *testing.T) {
-	im := NewImage(4, 4)
-	im.Fill(2)
-	ds := im.Downsample2()
-	if ds.W != 2 || ds.H != 2 {
-		t.Fatalf("downsampled dims %dx%d", ds.W, ds.H)
-	}
-	for _, v := range ds.Pix {
-		if v != 2 {
-			t.Fatal("box average of constant image should be constant")
-		}
-	}
-	// Odd dimensions.
-	odd := NewImage(3, 5)
-	ds2 := odd.Downsample2()
-	if ds2.W != 2 || ds2.H != 3 {
-		t.Fatalf("odd downsample dims %dx%d, want 2x3", ds2.W, ds2.H)
+	// Odd dimensions round up on every axis.
+	ds := NewVolume(3, 5, 7).Downsample2()
+	if ds.W != 2 || ds.H != 3 || ds.D != 4 {
+		t.Fatalf("odd downsample dims %dx%dx%d, want 2x3x4", ds.W, ds.H, ds.D)
 	}
 }
 
-// Property: downsampling preserves the mean of a constant image and halves
-// dimensions (rounding up).
+// Property: downsampling preserves the value of a constant volume and
+// halves dimensions (rounding up).
 func TestDownsampleProperty(t *testing.T) {
-	f := func(w8, h8 uint8, val float64) bool {
-		w := int(w8%30) + 1
-		h := int(h8%30) + 1
+	f := func(w8, h8, d8 uint8, val float64) bool {
+		w := int(w8%12) + 1
+		h := int(h8%12) + 1
+		d := int(d8%12) + 1
 		if math.IsNaN(val) || math.IsInf(val, 0) || math.Abs(val) > 1e300 {
 			return true // 2x2x2 box sum would overflow
 		}
-		im := NewImage(w, h)
-		im.Fill(val)
-		ds := im.Downsample2()
-		if ds.W != (w+1)/2 || ds.H != (h+1)/2 {
+		v := NewVolume(w, h, d)
+		for i := range v.Data {
+			v.Data[i] = val
+		}
+		ds := v.Downsample2()
+		if ds.W != (w+1)/2 || ds.H != (h+1)/2 || ds.D != (d+1)/2 {
 			return false
 		}
-		for _, v := range ds.Pix {
+		for _, v := range ds.Data {
 			if math.Abs(v-val) > 1e-9*math.Max(1, math.Abs(val)) {
 				return false
 			}
@@ -184,30 +156,6 @@ func TestSetSlice(t *testing.T) {
 	v.SetSlice(0, NewImage(3, 2))
 }
 
-func TestOrthoSlices(t *testing.T) {
-	v := NewVolume(4, 6, 8)
-	v.Set(2, 3, 4, 9) // center-ish voxel
-	xy, xz, yz := v.OrthoSlices()
-	if xy.W != 4 || xy.H != 6 {
-		t.Fatalf("xy dims %dx%d", xy.W, xy.H)
-	}
-	if xz.W != 4 || xz.H != 8 {
-		t.Fatalf("xz dims %dx%d", xz.W, xz.H)
-	}
-	if yz.W != 6 || yz.H != 8 {
-		t.Fatalf("yz dims %dx%d", yz.W, yz.H)
-	}
-	if xy.At(2, 3) != 9 {
-		t.Error("xy slice missed center voxel")
-	}
-	if xz.At(2, 4) != 9 {
-		t.Error("xz slice missed center voxel")
-	}
-	if yz.At(3, 4) != 9 {
-		t.Error("yz slice missed center voxel")
-	}
-}
-
 func TestVolumeDownsample2(t *testing.T) {
 	v := NewVolume(4, 4, 4)
 	for i := range v.Data {
@@ -224,16 +172,9 @@ func TestVolumeDownsample2(t *testing.T) {
 	}
 }
 
-func TestThresholdAndFraction(t *testing.T) {
+func TestFractionAbove(t *testing.T) {
 	v := NewVolume(2, 2, 1)
 	v.Data = []float64{0, 0.5, 1, 1.5}
-	mask := v.Threshold(1)
-	want := []float64{0, 0, 1, 1}
-	for i := range want {
-		if mask.Data[i] != want[i] {
-			t.Fatalf("mask[%d] = %v, want %v", i, mask.Data[i], want[i])
-		}
-	}
 	if got := v.FractionAbove(1); got != 0.5 {
 		t.Fatalf("FractionAbove = %v, want 0.5", got)
 	}

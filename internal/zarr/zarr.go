@@ -120,7 +120,13 @@ type Store struct {
 	Meta Meta
 }
 
-// Open reads the metadata of a pyramid at root.
+// maxChunk keeps a chunk's payload, 4·chunk³ bytes, far from overflow.
+const maxChunk = 1 << 16
+
+// Open reads the metadata of a pyramid at root. Metadata that would make
+// a reader index out of range or overflow a size is rejected here: every
+// level dimension is positive, level 0 is the volume, and no level's
+// voxel count overflows in bytes.
 func Open(root string) (*Store, error) {
 	raw, err := os.ReadFile(filepath.Join(root, "zattrs.json"))
 	if err != nil {
@@ -130,8 +136,18 @@ func Open(root string) (*Store, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("zarr: corrupt metadata: %w", err)
 	}
-	if m.Chunk <= 0 || m.Levels <= 0 || len(m.LevelDims) != m.Levels {
+	if m.Chunk <= 0 || m.Chunk > maxChunk || m.Levels <= 0 || len(m.LevelDims) != m.Levels ||
+		m.LevelDims[0] != [3]int{m.W, m.H, m.D} {
 		return nil, fmt.Errorf("zarr: inconsistent metadata %+v", m)
+	}
+	for level, dims := range m.LevelDims {
+		bytes := 8 // a float64 voxel in memory
+		for _, n := range dims {
+			if n <= 0 || n > math.MaxInt/bytes {
+				return nil, fmt.Errorf("zarr: level %d dims %v out of range", level, dims)
+			}
+			bytes *= n
+		}
 	}
 	return &Store{Root: root, Meta: m}, nil
 }
@@ -151,7 +167,7 @@ func (s *Store) ReadChunk(level, cx, cy, cz int) ([]float64, error) {
 	if level < 0 || level >= s.Meta.Levels {
 		return nil, fmt.Errorf("zarr: level %d out of range", level)
 	}
-	path := filepath.Join(s.Root, fmt.Sprintf("L%d", level), fmt.Sprintf("%d.%d.%d.bin", cz, cy, cx))
+	path := s.chunkPath(level, cx, cy, cz)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -175,6 +191,35 @@ func (s *Store) ReadChunk(level, cx, cy, cz int) ([]float64, error) {
 	return out, nil
 }
 
+// chunkPath names one chunk file of a level.
+func (s *Store) chunkPath(level, cx, cy, cz int) string {
+	return filepath.Join(s.Root, fmt.Sprintf("L%d", level), fmt.Sprintf("%d.%d.%d.bin", cz, cy, cx))
+}
+
+// chunksOnDisk checks that every chunk of the level's grid
+// [0,nx)×[0,ny)×[cz0,cz1) is on disk at full size. Readers call it before
+// allocating what the metadata claims, so a store cannot make them
+// allocate more than its chunk files hold.
+func (s *Store) chunksOnDisk(level, nx, ny, cz0, cz1 int) error {
+	n := int64(s.Meta.Chunk)
+	want := 4*n*n*n + 4
+	for cz := cz0; cz < cz1; cz++ {
+		for cy := 0; cy < ny; cy++ {
+			for cx := 0; cx < nx; cx++ {
+				path := s.chunkPath(level, cx, cy, cz)
+				fi, err := os.Stat(path)
+				if err != nil {
+					return err
+				}
+				if fi.Size() != want {
+					return fmt.Errorf("zarr: chunk %s has %d bytes, want %d", path, fi.Size(), want)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // ReadLevel reassembles a full level into a volume.
 func (s *Store) ReadLevel(level int) (*vol.Volume, error) {
 	w, h, d, err := s.LevelDims(level)
@@ -182,6 +227,9 @@ func (s *Store) ReadLevel(level int) (*vol.Volume, error) {
 		return nil, err
 	}
 	chunk := s.Meta.Chunk
+	if err := s.chunksOnDisk(level, ceilDiv(w, chunk), ceilDiv(h, chunk), 0, ceilDiv(d, chunk)); err != nil {
+		return nil, err
+	}
 	v := vol.NewVolume(w, h, d)
 	for cz := 0; cz < ceilDiv(d, chunk); cz++ {
 		for cy := 0; cy < ceilDiv(h, chunk); cy++ {
@@ -217,8 +265,11 @@ func (s *Store) Slice(level, z int) (*vol.Image, error) {
 		return nil, fmt.Errorf("zarr: slice %d out of range [0,%d)", z, d)
 	}
 	chunk := s.Meta.Chunk
-	im := vol.NewImage(w, h)
 	cz := z / chunk
+	if err := s.chunksOnDisk(level, ceilDiv(w, chunk), ceilDiv(h, chunk), cz, cz+1); err != nil {
+		return nil, err
+	}
+	im := vol.NewImage(w, h)
 	lz := z % chunk
 	for cy := 0; cy < ceilDiv(h, chunk); cy++ {
 		for cx := 0; cx < ceilDiv(w, chunk); cx++ {

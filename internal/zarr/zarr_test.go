@@ -155,6 +155,70 @@ func TestOpenRejectsBadMeta(t *testing.T) {
 	}
 }
 
+// Metadata that would make a reader index out of range or overflow a
+// size fails at Open.
+func TestOpenRejectsOutOfRangeDims(t *testing.T) {
+	for _, meta := range []string{
+		`{"w":-4,"h":4,"d":4,"chunk":4,"levels":1,"level_dims":[[-4,4,4]]}`,
+		`{"w":4,"h":4,"d":4,"chunk":4,"levels":1,"level_dims":[[4,4,0]]}`,
+		`{"w":8,"h":4,"d":4,"chunk":4,"levels":1,"level_dims":[[4,4,4]]}`,
+		`{"w":4,"h":4,"d":4,"chunk":4,"levels":2,"level_dims":[[4,4,4],[2,-2,2]]}`,
+		`{"w":4,"h":4,"d":4,"chunk":2097152,"levels":1,"level_dims":[[4,4,4]]}`,
+		`{"w":4294967296,"h":4294967296,"d":1,"chunk":4,"levels":1,"level_dims":[[4294967296,4294967296,1]]}`,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "zattrs.json"), []byte(meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); err == nil {
+			t.Errorf("Open accepted %s", meta)
+		}
+	}
+}
+
+// FuzzZarrOpen writes fuzzed metadata and one fuzzed chunk file, then
+// reads the store back: every step returns an error or a value — never a
+// panic, and never an allocation the chunk files on disk do not back.
+func FuzzZarrOpen(f *testing.F) {
+	root := filepath.Join(f.TempDir(), "seed.zarr")
+	if _, err := Write(root, vol.NewVolume(2, 2, 2), 2, 1); err != nil {
+		f.Fatal(err)
+	}
+	meta, err := os.ReadFile(filepath.Join(root, "zattrs.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	chunk, err := os.ReadFile(filepath.Join(root, "L0", "0.0.0.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(meta, chunk)
+	f.Add([]byte(`{"w":-4,"h":4,"d":4,"chunk":4,"levels":1,"level_dims":[[-4,4,4]]}`), chunk)
+	f.Add([]byte(`{"w":1000000,"h":1000000,"d":1,"chunk":1,"levels":1,"level_dims":[[1000000,1000000,1]]}`), chunk)
+	f.Fuzz(func(t *testing.T, meta, chunk []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "zattrs.json"), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(dir, "L0"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "L0", "0.0.0.bin"), chunk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			return
+		}
+		if im, err := st.Slice(0, 0); err == nil && len(im.Pix) != im.W*im.H {
+			t.Fatalf("%dx%d slice holds %d pixels", im.W, im.H, len(im.Pix))
+		}
+		if v, err := st.ReadLevel(0); err == nil && len(v.Data) != v.W*v.H*v.D {
+			t.Fatalf("%dx%dx%d level holds %d voxels", v.W, v.H, v.D, len(v.Data))
+		}
+	})
+}
+
 func TestMissingChunk(t *testing.T) {
 	v := vol.NewVolume(8, 8, 8)
 	root := filepath.Join(t.TempDir(), "m.zarr")

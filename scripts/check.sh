@@ -3,7 +3,8 @@
 # formatting, static analysis, build, the race-enabled test suite, the
 # benchmark module's own vet/tests/smoke run, a fuzz smoke pass over the
 # codec round-trip targets, the socket framing under split reads and
-# deadlines, and the FFT convolution's differential target,
+# deadlines, the FFT convolution's differential target, the preview and
+# zarr readers under hostile bytes,
 # and per-package coverage floors on the layers the tracing work leans on.
 set -eu
 
@@ -42,6 +43,21 @@ if go run ./cmd/repolint -checks lockguard ./internal/lint/testdata/lockguard >/
 	exit 1
 fi
 echo "repolint correctly rejects the seeded fixture"
+
+echo "== repolint deadcode negative control (seeded fixture must fail) =="
+# The deadcode fixture is a mini-module with its own main: run from inside
+# it, repolint must report the declarations only its test reaches.
+rbin=$(mktemp -d)
+go build -o "$rbin/repolint" ./cmd/repolint
+if (cd internal/lint/testdata/deadcode && "$rbin/repolint" -checks deadcode ./...) >"$rbin/out" 2>&1 ||
+	! grep -q '\[deadcode\] func OnlyTests' "$rbin/out"; then
+	echo "repolint did not report the seeded deadcode fixture's test-only declarations"
+	cat "$rbin/out"
+	rm -rf "$rbin"
+	exit 1
+fi
+rm -rf "$rbin"
+echo "repolint correctly rejects the seeded deadcode fixture"
 
 echo "== go build =="
 go build ./...
@@ -156,6 +172,8 @@ go test -run '^$' -fuzz '^FuzzEventJSON$' -fuzztime 5s ./internal/obslog
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/pva
 go test -run '^$' -fuzz '^FuzzFraming$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzConvolveBatch$' -fuzztime 5s ./internal/fft
+go test -run '^$' -fuzz '^FuzzDecodePreview$' -fuzztime 5s ./internal/core
+go test -run '^$' -fuzz '^FuzzZarrOpen$' -fuzztime 5s ./internal/zarr
 
 echo "== coverage floors =="
 # floor() fails the gate when a package's statement coverage drops below
