@@ -23,6 +23,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 var magic = []byte("DXF1")
@@ -379,8 +380,10 @@ func (r *Reader) Dims(name string) ([]int, DType, error) {
 	return append([]int(nil), d.Dims...), d.DType, nil
 }
 
-// ReadFloat64 reads any dataset, converting its elements to float64, and
-// verifies every chunk checksum.
+// ReadFloat64 reads any dataset as float64s: each chunk is read into one
+// reused buffer, checksummed, and its whole elements decoded straight into
+// the result. An element a chunk boundary splits (ChunkBytes need not be a
+// multiple of its size) waits at the front of the buffer for the next chunk.
 func (r *Reader) ReadFloat64(name string) ([]int, []float64, error) {
 	d, ok := r.byName[name]
 	if !ok {
@@ -394,25 +397,36 @@ func (r *Reader) ReadFloat64(name string) ([]int, []float64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	raw := make([]byte, 0, n*es)
+	out := make([]float64, n)
+	var buf []byte
+	pos, carry := 0, 0 // elements decoded; bytes of a split element in buf
 	for i, off := range d.Offsets {
 		size := d.Sizes[i]
-		buf := make([]byte, size+4)
-		if _, err := r.f.ReadAt(buf, off); err != nil {
+		if size < 0 || carry+size > (n-pos)*es {
+			return nil, nil, fmt.Errorf("dxfile: dataset %q chunk %d: %d bytes run past %d elements", name, i, size, n)
+		}
+		buf = slices.Grow(buf[:carry], size+4)[:carry+size+4]
+		if _, err := r.f.ReadAt(buf[carry:], off); err != nil {
 			return nil, nil, fmt.Errorf("dxfile: dataset %q chunk %d: %w", name, i, err)
 		}
-		payload := buf[:size]
-		want := binary.LittleEndian.Uint32(buf[size:])
-		if crc32.ChecksumIEEE(payload) != want {
+		if crc32.ChecksumIEEE(buf[carry:carry+size]) != binary.LittleEndian.Uint32(buf[carry+size:]) {
 			return nil, nil, fmt.Errorf("dxfile: dataset %q chunk %d: checksum mismatch", name, i)
 		}
-		raw = append(raw, payload...)
+		m := d.DType.decode(out[pos:], buf[:carry+size], es)
+		pos += m
+		carry = copy(buf, buf[m*es:carry+size])
 	}
-	if len(raw) != n*es {
-		return nil, nil, fmt.Errorf("dxfile: dataset %q: have %d bytes, want %d", name, len(raw), n*es)
+	if pos != n {
+		return nil, nil, fmt.Errorf("dxfile: dataset %q: have %d elements, want %d", name, pos, n)
 	}
-	out := make([]float64, n)
-	switch d.DType {
+	return append([]int(nil), d.Dims...), out, nil
+}
+
+// decode converts the whole es-byte elements of raw into out and returns
+// how many it wrote.
+func (dt DType) decode(out []float64, raw []byte, es int) int {
+	out = out[:len(raw)/es]
+	switch dt {
 	case U16:
 		for i := range out {
 			out[i] = float64(binary.LittleEndian.Uint16(raw[i*2:]))
@@ -426,5 +440,5 @@ func (r *Reader) ReadFloat64(name string) ([]int, []float64, error) {
 			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
 	}
-	return append([]int(nil), d.Dims...), out, nil
+	return len(out)
 }

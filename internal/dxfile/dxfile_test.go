@@ -1,6 +1,9 @@
 package dxfile
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -370,4 +373,104 @@ func BenchmarkWriteDXchange(b *testing.B) {
 // stripes, dark current and the odd zinger.
 var testAcquire = tomo.AcquireOptions{
 	I0: 1e4, GainVariation: 0.02, DarkLevel: 50, ZingerProb: 1e-4, ZingerScale: 5, Seed: 1,
+}
+
+// A chunk boundary may split an element: ChunkBytes of 7 and 13 are no
+// multiple of any element size, and every dtype still reads back
+// bit-identical.
+func TestChunkBoundaryMidElement(t *testing.T) {
+	data := make([]float64, 37)
+	for i := range data {
+		data[i] = float64(i*1733%65536) + 0.1*float64(i%3)
+	}
+	for _, chunk := range []int{7, 13} {
+		for _, tc := range []struct {
+			dt    DType
+			write func(*Writer) error
+			want  func(float64) float64
+		}{
+			{U16, func(w *Writer) error { return w.WriteUint16("d", []int{37}, data) }, func(v float64) float64 { return float64(uint16(v)) }},
+			{F32, func(w *Writer) error { return w.WriteFloat32("d", []int{37}, data) }, func(v float64) float64 { return float64(float32(v)) }},
+			{F64, func(w *Writer) error { return w.WriteFloat64("d", []int{37}, data) }, func(v float64) float64 { return v }},
+		} {
+			p := tempPath(t, "b.dxf")
+			w, err := Create(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.ChunkBytes = chunk
+			if err := tc.write(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, got, err := r.ReadFloat64("d")
+			r.Close()
+			if err != nil {
+				t.Fatalf("%s, %d-byte chunks: %v", tc.dt, chunk, err)
+			}
+			for i, v := range data {
+				if math.Float64bits(got[i]) != math.Float64bits(tc.want(v)) {
+					t.Fatalf("%s, %d-byte chunks: element %d = %v, want %v", tc.dt, chunk, i, got[i], tc.want(v))
+				}
+			}
+		}
+	}
+}
+
+// A footer whose chunk sizes add up to the dataset but overrun it partway
+// is an error, never a panic or a write past the result: Open rejects it,
+// and ReadFloat64 rejects the overrunning chunk before it decodes it.
+func TestChunkOverrunRejected(t *testing.T) {
+	// One 24-byte chunk of three float64s, checksum intact.
+	p := tempPath(t, "o.dxf")
+	w, _ := Create(p)
+	w.ChunkBytes = 24
+	w.WriteFloat64("d", []int{3}, []float64{1, 2, 3})
+	w.Close()
+	overrun := func(d *datasetIndex) { // 16 bytes claimed, the first chunk holds 24
+		d.Dims, d.Sizes, d.Offsets = []int{2}, []int{24, -8}, []int64{d.Offsets[0], d.Offsets[0]}
+	}
+
+	raw, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ftrOff := binary.LittleEndian.Uint64(raw[len(raw)-16:])
+	var ftr footer
+	if err := json.Unmarshal(raw[ftrOff:len(raw)-16], &ftr); err != nil {
+		t.Fatal(err)
+	}
+	overrun(&ftr.Datasets[0])
+	ftrBytes, _ := json.Marshal(ftr)
+	bad := append(append([]byte(nil), raw[:ftrOff]...), ftrBytes...)
+	bad = binary.LittleEndian.AppendUint64(bad, ftrOff)
+	bad = binary.LittleEndian.AppendUint32(bad, crc32.ChecksumIEEE(ftrBytes))
+	bad = append(bad, magic...)
+	badPath := tempPath(t, "bad.dxf")
+	os.WriteFile(badPath, bad, 0o644)
+	if _, err := Open(badPath); err == nil {
+		t.Fatal("Open accepted chunk sizes that overrun the dataset")
+	}
+
+	// The reader's own guard, on an index that skipped Open's checks.
+	r, err := Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	d := r.byName["d"]
+	overrun(d)
+	if _, _, err := r.ReadFloat64("d"); err == nil {
+		t.Fatal("ReadFloat64 accepted a 24-byte chunk for a 16-byte dataset")
+	}
+	d.Dims, d.Sizes = []int{2}, []int{-8, 24}
+	if _, _, err := r.ReadFloat64("d"); err == nil {
+		t.Fatal("ReadFloat64 accepted a negative chunk size")
+	}
 }

@@ -20,11 +20,12 @@ import (
 	"repro/internal/zarr"
 )
 
-// source abstracts where a served volume's data comes from.
+// source abstracts where a served volume's data comes from: an in-memory
+// pyramid or a *zarr.Store on disk.
 type source interface {
-	levels() int
-	dims(level int) (w, h, d int, err error)
-	slice(level, z int) (*vol.Image, error)
+	Levels() int
+	LevelDims(level int) (w, h, d int, err error)
+	Slice(level, z int) (*vol.Image, error)
 }
 
 // memSource serves an in-memory pyramid.
@@ -32,9 +33,9 @@ type memSource struct {
 	pyramid []*vol.Volume
 }
 
-func (m *memSource) levels() int { return len(m.pyramid) }
+func (m *memSource) Levels() int { return len(m.pyramid) }
 
-func (m *memSource) dims(level int) (int, int, int, error) {
+func (m *memSource) LevelDims(level int) (int, int, int, error) {
 	if level < 0 || level >= len(m.pyramid) {
 		return 0, 0, 0, fmt.Errorf("tiled: level %d out of range", level)
 	}
@@ -42,7 +43,7 @@ func (m *memSource) dims(level int) (int, int, int, error) {
 	return v.W, v.H, v.D, nil
 }
 
-func (m *memSource) slice(level, z int) (*vol.Image, error) {
+func (m *memSource) Slice(level, z int) (*vol.Image, error) {
 	if level < 0 || level >= len(m.pyramid) {
 		return nil, fmt.Errorf("tiled: level %d out of range", level)
 	}
@@ -51,19 +52,6 @@ func (m *memSource) slice(level, z int) (*vol.Image, error) {
 		return nil, fmt.Errorf("tiled: slice %d out of range [0,%d)", z, v.D)
 	}
 	return v.Slice(z), nil
-}
-
-// zarrSource serves a pyramid from a zarr store on disk.
-type zarrSource struct{ st *zarr.Store }
-
-func (zs *zarrSource) levels() int { return zs.st.Meta.Levels }
-
-func (zs *zarrSource) dims(level int) (int, int, int, error) {
-	return zs.st.LevelDims(level)
-}
-
-func (zs *zarrSource) slice(level, z int) (*vol.Image, error) {
-	return zs.st.Slice(level, z)
 }
 
 // Server is the Tiled-style HTTP data service.
@@ -104,7 +92,7 @@ func (s *Server) RegisterZarr(key, root string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.vols[key] = &zarrSource{st: st}
+	s.vols[key] = st
 	return nil
 }
 
@@ -198,8 +186,8 @@ func (s *Server) Handler() http.Handler {
 				W, H, D int
 			}
 			out := []lvl{}
-			for i := 0; i < src.levels(); i++ {
-				w3, h3, d3, err := src.dims(i)
+			for i := 0; i < src.Levels(); i++ {
+				w3, h3, d3, err := src.LevelDims(i)
 				if err != nil {
 					http.Error(w, err.Error(), http.StatusInternalServerError)
 					return
@@ -218,7 +206,7 @@ func (s *Server) Handler() http.Handler {
 				http.Error(w, "bad level or z", http.StatusBadRequest)
 				return
 			}
-			im, err := src.slice(level, z)
+			im, err := src.Slice(level, z)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusNotFound)
 				return
@@ -228,13 +216,13 @@ func (s *Server) Handler() http.Handler {
 		case "ortho":
 			// Serve summary stats of the three orthogonal central
 			// slices at the coarsest level (cheap preview check).
-			level := src.levels() - 1
-			w3, h3, d3, err := src.dims(level)
+			level := src.Levels() - 1
+			w3, h3, d3, err := src.LevelDims(level)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
-			im, err := src.slice(level, d3/2)
+			im, err := src.Slice(level, d3/2)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return

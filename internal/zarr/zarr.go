@@ -2,8 +2,13 @@
 // branch writes for web visualization (the paper's "multi-scale
 // reconstructed volume (Zarr format)"). A volume is stored as a directory:
 //
-//	<root>/zattrs.json              — dims, chunk size, level count
-//	<root>/L<k>/<cz>.<cy>.<cx>.bin  — float32 chunk payloads, CRC-tagged
+//	<root>/zattrs.json              — format, dims, chunk size, level count
+//	<root>/L<k>/<cz>.<cy>.<cx>.bin  — chunk plane records, each one z-plane:
+//	                                  chunk² float32s (LE, edge zero-padded)
+//	                                  then the CRC-32 of those bytes
+//
+// Readers read, verify and decode only the planes they serve, on every
+// read; nothing is cached.
 //
 // Level 0 is full resolution; each higher level is 2× box-downsampled per
 // axis, which is exactly the pyramid itk-vtk-viewer streams progressively.
@@ -24,8 +29,13 @@ import (
 // DefaultChunk is the chunk edge length in voxels.
 const DefaultChunk = 32
 
+// chunkFormat names the chunk layout in zattrs.json. A store without it
+// holds one CRC per whole chunk, a layout this package no longer reads.
+const chunkFormat = "plane-crc32"
+
 // Meta is the store-level metadata document.
 type Meta struct {
+	Format    string   `json:"format"`
 	W         int      `json:"w"`
 	H         int      `json:"h"`
 	D         int      `json:"d"`
@@ -44,10 +54,11 @@ func Write(root string, v *vol.Volume, chunk, maxLevels int) (*Meta, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, err
 	}
-	meta := &Meta{W: v.W, H: v.H, D: v.D, Chunk: chunk}
+	meta := &Meta{Format: chunkFormat, W: v.W, H: v.H, D: v.D, Chunk: chunk}
+	buf := make([]byte, chunk*recordBytes(chunk)) // one chunk file, reused
 	cur := v
 	for level := 0; ; level++ {
-		if err := writeLevel(filepath.Join(root, fmt.Sprintf("L%d", level)), cur, chunk); err != nil {
+		if err := writeLevel(levelDir(root, level), cur, chunk, buf); err != nil {
 			return nil, err
 		}
 		meta.Levels++
@@ -70,20 +81,17 @@ func Write(root string, v *vol.Volume, chunk, maxLevels int) (*Meta, error) {
 	return meta, nil
 }
 
-func writeLevel(dir string, v *vol.Volume, chunk int) error {
+// writeLevel encodes every chunk of one level into buf and writes it out.
+func writeLevel(dir string, v *vol.Volume, chunk int, buf []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	nx := ceilDiv(v.W, chunk)
-	ny := ceilDiv(v.H, chunk)
-	nz := ceilDiv(v.D, chunk)
-	for cz := 0; cz < nz; cz++ {
-		for cy := 0; cy < ny; cy++ {
-			for cx := 0; cx < nx; cx++ {
-				if err := writeChunk(dir, v, chunk, cx, cy, cz); err != nil {
-					return err
-				}
-			}
+	nx, ny := ceilDiv(v.W, chunk), ceilDiv(v.H, chunk)
+	for i := 0; i < nx*ny*ceilDiv(v.D, chunk); i++ {
+		cx, cy, cz := i%nx, i/nx%ny, i/(nx*ny)
+		encodeChunk(buf, v, chunk, cx, cy, cz)
+		if err := os.WriteFile(chunkPath(dir, cx, cy, cz), buf, 0o644); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -91,27 +99,27 @@ func writeLevel(dir string, v *vol.Volume, chunk int) error {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// writeChunk encodes one chunk: full chunk³ float32 payload (edge chunks
-// zero-padded) followed by a CRC-32.
-func writeChunk(dir string, v *vol.Volume, chunk, cx, cy, cz int) error {
-	payload := make([]byte, 4*chunk*chunk*chunk)
-	i := 0
-	for z := cz * chunk; z < (cz+1)*chunk; z++ {
-		for y := cy * chunk; y < (cy+1)*chunk; y++ {
-			for x := cx * chunk; x < (cx+1)*chunk; x++ {
-				var val float32
-				if x < v.W && y < v.H && z < v.D {
-					val = float32(v.At(x, y, z))
+// recordBytes is the on-disk size of one plane record.
+func recordBytes(chunk int) int { return 4*chunk*chunk + 4 }
+
+// encodeChunk fills buf with the plane records of one chunk.
+func encodeChunk(buf []byte, v *vol.Volume, chunk, cx, cy, cz int) {
+	rb := recordBytes(chunk)
+	x0, y0 := cx*chunk, cy*chunk
+	xn := min(chunk, v.W-x0)
+	for lz := 0; lz < chunk; lz++ {
+		plane := buf[lz*rb : (lz+1)*rb-4]
+		clear(plane)
+		if z := cz*chunk + lz; z < v.D {
+			for ly := 0; ly < chunk && y0+ly < v.H; ly++ {
+				dst := plane[4*ly*chunk:]
+				for i, val := range v.Data[(z*v.H+y0+ly)*v.W+x0:][:xn] {
+					binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(float32(val)))
 				}
-				binary.LittleEndian.PutUint32(payload[i:], math.Float32bits(val))
-				i += 4
 			}
 		}
+		binary.LittleEndian.PutUint32(buf[(lz+1)*rb-4:], crc32.ChecksumIEEE(plane))
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	path := filepath.Join(dir, fmt.Sprintf("%d.%d.%d.bin", cz, cy, cx))
-	return os.WriteFile(path, append(payload, crc[:]...), 0o644)
 }
 
 // Store is a read handle on a written pyramid.
@@ -120,13 +128,13 @@ type Store struct {
 	Meta Meta
 }
 
-// maxChunk keeps a chunk's payload, 4·chunk³ bytes, far from overflow.
+// maxChunk keeps a chunk file, chunk·(4·chunk²+4) bytes, far from overflow.
 const maxChunk = 1 << 16
 
 // Open reads the metadata of a pyramid at root. Metadata that would make
-// a reader index out of range or overflow a size is rejected here: every
-// level dimension is positive, level 0 is the volume, and no level's
-// voxel count overflows in bytes.
+// a reader index out of range or overflow a size is rejected here: the
+// chunk format is this package's, every level dimension is positive,
+// level 0 is the volume, and no level's voxel count overflows in bytes.
 func Open(root string) (*Store, error) {
 	raw, err := os.ReadFile(filepath.Join(root, "zattrs.json"))
 	if err != nil {
@@ -135,6 +143,9 @@ func Open(root string) (*Store, error) {
 	var m Meta
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("zarr: corrupt metadata: %w", err)
+	}
+	if m.Format != chunkFormat {
+		return nil, fmt.Errorf("zarr: %s: chunk format %q, want %q (rewrite a store that predates it)", root, m.Format, chunkFormat)
 	}
 	if m.Chunk <= 0 || m.Chunk > maxChunk || m.Levels <= 0 || len(m.LevelDims) != m.Levels ||
 		m.LevelDims[0] != [3]int{m.W, m.H, m.D} {
@@ -152,6 +163,9 @@ func Open(root string) (*Store, error) {
 	return &Store{Root: root, Meta: m}, nil
 }
 
+// Levels returns the number of pyramid levels.
+func (s *Store) Levels() int { return s.Meta.Levels }
+
 // LevelDims returns the dimensions of a pyramid level.
 func (s *Store) LevelDims(level int) (w, h, d int, err error) {
 	if level < 0 || level >= s.Meta.Levels {
@@ -161,58 +175,77 @@ func (s *Store) LevelDims(level int) (w, h, d int, err error) {
 	return dims[0], dims[1], dims[2], nil
 }
 
-// ReadChunk loads one chunk of a level, verifying its checksum, and
-// returns a chunk³ float64 array.
-func (s *Store) ReadChunk(level, cx, cy, cz int) ([]float64, error) {
-	if level < 0 || level >= s.Meta.Levels {
-		return nil, fmt.Errorf("zarr: level %d out of range", level)
-	}
-	path := s.chunkPath(level, cx, cy, cz)
-	raw, err := os.ReadFile(path)
+func levelDir(root string, level int) string {
+	return filepath.Join(root, fmt.Sprintf("L%d", level))
+}
+
+// chunkPath names one chunk file of a level directory.
+func chunkPath(dir string, cx, cy, cz int) string {
+	return filepath.Join(dir, fmt.Sprintf("%d.%d.%d.bin", cz, cy, cx))
+}
+
+// checkSize rejects a chunk file that is not exactly chunk plane records.
+// Readers check every chunk they will read before allocating what the
+// metadata claims, so a store cannot make them allocate more than its
+// chunk files hold.
+func (s *Store) checkSize(path string, fi os.FileInfo, err error) error {
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("zarr: chunk %s too short", path)
+	if want := int64(s.Meta.Chunk) * int64(recordBytes(s.Meta.Chunk)); fi.Size() != want {
+		return fmt.Errorf("zarr: chunk %s has %d bytes, want %d", path, fi.Size(), want)
 	}
-	payload := raw[:len(raw)-4]
-	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, fmt.Errorf("zarr: chunk %s checksum mismatch", path)
-	}
-	n := s.Meta.Chunk
-	if len(payload) != 4*n*n*n {
-		return nil, fmt.Errorf("zarr: chunk %s has %d bytes, want %d", path, len(payload), 4*n*n*n)
-	}
-	out := make([]float64, n*n*n)
-	for i := range out {
-		out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[i*4:])))
-	}
-	return out, nil
+	return nil
 }
 
-// chunkPath names one chunk file of a level.
-func (s *Store) chunkPath(level, cx, cy, cz int) string {
-	return filepath.Join(s.Root, fmt.Sprintf("L%d", level), fmt.Sprintf("%d.%d.%d.bin", cz, cy, cx))
+// openLayer opens the nx·ny chunk files of layer cz of a level, x fastest,
+// checking each size on its handle. On error the caller still closes the
+// files returned.
+func (s *Store) openLayer(level, cz, nx, ny int) ([]*os.File, error) {
+	var files []*os.File // grows as chunks are found: nx·ny is the metadata's claim
+	for i := 0; i < nx*ny; i++ {
+		path := chunkPath(levelDir(s.Root, level), i%nx, i/nx, cz)
+		f, err := os.Open(path)
+		if err != nil {
+			return files, err
+		}
+		files = append(files, f)
+		fi, err := f.Stat()
+		if err := s.checkSize(path, fi, err); err != nil {
+			return files, err
+		}
+	}
+	return files, nil
 }
 
-// chunksOnDisk checks that every chunk of the level's grid
-// [0,nx)×[0,ny)×[cz0,cz1) is on disk at full size. Readers call it before
-// allocating what the metadata claims, so a store cannot make them
-// allocate more than its chunk files hold.
-func (s *Store) chunksOnDisk(level, nx, ny, cz0, cz1 int) error {
-	n := int64(s.Meta.Chunk)
-	want := 4*n*n*n + 4
-	for cz := cz0; cz < cz1; cz++ {
-		for cy := 0; cy < ny; cy++ {
-			for cx := 0; cx < nx; cx++ {
-				path := s.chunkPath(level, cx, cy, cz)
-				fi, err := os.Stat(path)
-				if err != nil {
-					return err
-				}
-				if fi.Size() != want {
-					return fmt.Errorf("zarr: chunk %s has %d bytes, want %d", path, fi.Size(), want)
+func closeAll(files []*os.File) {
+	for _, f := range files {
+		f.Close()
+	}
+}
+
+// readPlanes reads plane records [lz0, lz0+n) of every chunk file of one
+// layer, with one ReadAt per chunk into buf, verifies each plane's CRC and
+// decodes it straight into dst, a stack of n w×h planes.
+func (s *Store) readPlanes(files []*os.File, buf []byte, lz0, n int, dst []float64, w, h int) error {
+	c := s.Meta.Chunk
+	rb := recordBytes(c)
+	buf = buf[:n*rb]
+	for i, f := range files {
+		if _, err := f.ReadAt(buf, int64(lz0)*int64(rb)); err != nil {
+			return fmt.Errorf("zarr: chunk %s: %w", f.Name(), err)
+		}
+		x0, y0 := i%ceilDiv(w, c)*c, i/ceilDiv(w, c)*c
+		xn, yn := min(c, w-x0), min(c, h-y0)
+		for p := 0; p < n; p++ {
+			plane, crc := buf[p*rb:(p+1)*rb-4], buf[(p+1)*rb-4:]
+			if crc32.ChecksumIEEE(plane) != binary.LittleEndian.Uint32(crc) {
+				return fmt.Errorf("zarr: chunk %s plane %d checksum mismatch", f.Name(), lz0+p)
+			}
+			for y := 0; y < yn; y++ {
+				row, src := dst[(p*h+y0+y)*w+x0:][:xn], plane[4*y*c:]
+				for x := range row {
+					row[x] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*x:])))
 				}
 			}
 		}
@@ -220,42 +253,41 @@ func (s *Store) chunksOnDisk(level, nx, ny, cz0, cz1 int) error {
 	return nil
 }
 
-// ReadLevel reassembles a full level into a volume.
+// ReadLevel reassembles a full level into a volume. Each chunk is read
+// once, its planes inside the level verified and decoded straight into
+// the volume.
 func (s *Store) ReadLevel(level int) (*vol.Volume, error) {
 	w, h, d, err := s.LevelDims(level)
 	if err != nil {
 		return nil, err
 	}
-	chunk := s.Meta.Chunk
-	if err := s.chunksOnDisk(level, ceilDiv(w, chunk), ceilDiv(h, chunk), 0, ceilDiv(d, chunk)); err != nil {
-		return nil, err
+	c := s.Meta.Chunk
+	nx, ny, nz := ceilDiv(w, c), ceilDiv(h, c), ceilDiv(d, c)
+	for i := 0; i < nx*ny*nz; i++ {
+		path := chunkPath(levelDir(s.Root, level), i%nx, i/nx%ny, i/(nx*ny))
+		fi, err := os.Stat(path)
+		if err := s.checkSize(path, fi, err); err != nil {
+			return nil, err
+		}
 	}
 	v := vol.NewVolume(w, h, d)
-	for cz := 0; cz < ceilDiv(d, chunk); cz++ {
-		for cy := 0; cy < ceilDiv(h, chunk); cy++ {
-			for cx := 0; cx < ceilDiv(w, chunk); cx++ {
-				data, err := s.ReadChunk(level, cx, cy, cz)
-				if err != nil {
-					return nil, err
-				}
-				i := 0
-				for z := cz * chunk; z < (cz+1)*chunk; z++ {
-					for y := cy * chunk; y < (cy+1)*chunk; y++ {
-						for x := cx * chunk; x < (cx+1)*chunk; x++ {
-							if x < w && y < h && z < d {
-								v.Set(x, y, z, data[i])
-							}
-							i++
-						}
-					}
-				}
-			}
+	buf := make([]byte, c*recordBytes(c))
+	for cz := 0; cz < nz; cz++ {
+		files, err := s.openLayer(level, cz, nx, ny)
+		if err == nil {
+			err = s.readPlanes(files, buf, 0, min(c, d-cz*c), v.Data[cz*c*w*h:], w, h)
+		}
+		closeAll(files)
+		if err != nil {
+			return nil, err
 		}
 	}
 	return v, nil
 }
 
-// Slice reads one XY slice of a level without loading the whole level.
+// Slice reads one XY slice of a level: plane z%chunk of each chunk of the
+// layer that holds z, and nothing else. The layer's nx·ny chunk files are
+// all opened and size-checked before the image is allocated.
 func (s *Store) Slice(level, z int) (*vol.Image, error) {
 	w, h, d, err := s.LevelDims(level)
 	if err != nil {
@@ -264,33 +296,15 @@ func (s *Store) Slice(level, z int) (*vol.Image, error) {
 	if z < 0 || z >= d {
 		return nil, fmt.Errorf("zarr: slice %d out of range [0,%d)", z, d)
 	}
-	chunk := s.Meta.Chunk
-	cz := z / chunk
-	if err := s.chunksOnDisk(level, ceilDiv(w, chunk), ceilDiv(h, chunk), cz, cz+1); err != nil {
+	c := s.Meta.Chunk
+	files, err := s.openLayer(level, z/c, ceilDiv(w, c), ceilDiv(h, c))
+	defer closeAll(files)
+	if err != nil {
 		return nil, err
 	}
 	im := vol.NewImage(w, h)
-	lz := z % chunk
-	for cy := 0; cy < ceilDiv(h, chunk); cy++ {
-		for cx := 0; cx < ceilDiv(w, chunk); cx++ {
-			data, err := s.ReadChunk(level, cx, cy, cz)
-			if err != nil {
-				return nil, err
-			}
-			for ly := 0; ly < chunk; ly++ {
-				y := cy*chunk + ly
-				if y >= h {
-					break
-				}
-				for lx := 0; lx < chunk; lx++ {
-					x := cx*chunk + lx
-					if x >= w {
-						break
-					}
-					im.Set(x, y, data[(lz*chunk+ly)*chunk+lx])
-				}
-			}
-		}
+	if err := s.readPlanes(files, make([]byte, recordBytes(c)), z%c, 1, im.Pix, w, h); err != nil {
+		return nil, err
 	}
 	return im, nil
 }

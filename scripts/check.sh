@@ -174,6 +174,7 @@ go test -run '^$' -fuzz '^FuzzFraming$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzConvolveBatch$' -fuzztime 5s ./internal/fft
 go test -run '^$' -fuzz '^FuzzDecodePreview$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzZarrOpen$' -fuzztime 5s ./internal/zarr
+go test -run '^$' -fuzz '^FuzzZarrChunk$' -fuzztime 5s ./internal/zarr
 
 echo "== coverage floors =="
 # floor() fails the gate when a package's statement coverage drops below
