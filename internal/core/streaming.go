@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -104,7 +103,7 @@ type StreamingService struct {
 	// Recon sets the preview's filter and XY size. The preview is always
 	// filtered back projection, in float64, of each frame as it arrives;
 	// Run rejects the options that would need anything else (COR handling,
-	// preprocessing, float32, a negative Size).
+	// preprocessing, float32) and a Size outside [0, maxPreviewSize].
 	Recon tomo.ReconOptions
 	// Deprecated: every scan previews incrementally; Incremental is
 	// ignored.
@@ -121,13 +120,9 @@ type StreamingService struct {
 	// Deprecated: every preview is incremental, so IncrementalScans
 	// always equals ScansDone.
 	IncrementalScans int
-	// What Run dropped: frames that failed Validate, frames whose
-	// dimensions differ from their scan's first frame, flats and darks
-	// that arrived after their scan's first projection (the reference
-	// correction is frozen there, so they are not applied), and scans that
-	// never previewed — still open when a frame of another scan arrived,
-	// or ended without a projection. Each abandoned scan, and each scan
-	// with late references, is journaled once as a Warn with its scan id.
+	// What Run dropped, set when it returns (DESIGN §14 tabulates each
+	// frame's fate). Every abandoned scan, and every scan with late
+	// references, is journaled once as a Warn.
 	InvalidFrames   int
 	GeometryDropped int
 	LateReferences  int
@@ -138,43 +133,9 @@ type StreamingService struct {
 	// sleeping.
 	frames atomic.Int64
 
-	// inc is the incremental accumulators, incLI the line-integral frame
-	// they are fed from, incOut the three slices they are finalized into.
-	// All outlive a scan: the next scan of the same geometry Resets the
-	// accumulators and overwrites the rest instead of building its own.
-	inc    *tomo.IncrementalPreview
-	incLI  []float64
-	incOut [3]*vol.Image
-}
-
-// incrementalFor returns the service's incremental preview, cleared for a
-// new scan of rows×cols frames. A detector's geometry seldom changes
-// between scans, so one is kept — the last geometry's — and only a scan
-// of another shape builds anew.
-func (s *StreamingService) incrementalFor(rows, cols int) (*tomo.IncrementalPreview, error) {
-	if s.inc != nil && s.inc.NRows == rows && s.inc.NCols == cols {
-		s.inc.Reset()
-		return s.inc, nil
-	}
-	ip, err := tomo.NewIncrementalPreview(rows, cols, s.Recon.Size, s.Recon.Filter)
-	if err != nil {
-		return nil, err
-	}
-	s.inc, s.incLI = ip, make([]float64, rows*cols)
-	s.incOut = [3]*vol.Image{
-		vol.NewImage(ip.FullSize, ip.FullSize),
-		vol.NewImage(ip.SmallSize, rows),
-		vol.NewImage(ip.SmallSize, rows),
-	}
-	return ip, nil
-}
-
-// scanTimes is where one scan's service-side time went, summed from the
-// service clock: per frame into normalize and fold, once a scan into the
-// rest. It is a fixed struct, not a span per frame — cheap enough to be
-// always on.
-type scanTimes struct {
-	normalize, fold, finalize, encode, send time.Duration
+	// tracker decides what each frame does to its scan. It outlives a Run,
+	// and so does the preview it owns.
+	tracker scanTracker
 }
 
 // FramesSeen returns the number of frames the service has received so
@@ -189,66 +150,16 @@ func (s *StreamingService) clock() flow.Env {
 	return flow.RealEnv{}
 }
 
-// scanState is one acquisition in progress. Its flats and darks are
-// summed as they arrive and frozen into their averages (flat, dark) at
-// the first projection; from then on each projection is normalized and
-// -log'd into the service's incLI and folded into inc (the service's, on
-// loan for the scan).
-type scanState struct {
-	scanID     string
-	rows, cols int
-	inc        *tomo.IncrementalPreview
-	flatSum    refSum
-	darkSum    refSum
-	flat, dark []float64 // nil until the first projection
-	frames     int       // frames of the scan past validation and the geometry check
-	lateWarned bool      // a reference after the first projection was journaled
-	times      scanTimes
-}
-
-// refSum sums one kind of reference frame in arrival order.
-type refSum struct {
-	sum []float64
-	n   int
-}
-
-func (r *refSum) add(frame []uint16) {
-	if r.sum == nil {
-		r.sum = make([]float64, len(frame))
-	}
-	for i, v := range frame {
-		r.sum[i] += float64(v)
-	}
-	r.n++
-}
-
-// mean turns the sum into the frames' average in place: added in frame
-// order, then divided, as a batch average of the frames would be. With no
-// frames it returns a constant frame of fallback, so normalization
-// degrades gracefully.
-func (r *refSum) mean(size int, fallback float64) []float64 {
-	if r.n == 0 {
-		out := make([]float64, size)
-		for i := range out {
-			out[i] = fallback
-		}
-		return out
-	}
-	for i := range r.sum {
-		r.sum[i] /= float64(r.n)
-	}
-	return r.sum
-}
-
 // Run consumes the channel until the stream closes or ctx is cancelled,
-// previewing every completed scan. It returns nil when the source closed
-// after at least one completed scan, and an error before dialling when
-// s.Recon is outside what the incremental preview can honour.
+// previewing every completed scan; what each frame does to its scan is
+// the tracker's call. It returns nil when the source closed after at
+// least one completed scan, and an error before dialling when s.Recon is
+// outside what the incremental preview can honour.
 func (s *StreamingService) Run(ctx context.Context) error {
 	if r := s.Recon; r.CORShift != 0 || r.AutoCOR || r.Preprocess != (tomo.PreprocessOptions{}) ||
-		r.Precision != tomo.Float64 || r.Size < 0 {
+		r.Precision != tomo.Float64 || r.Size < 0 || r.Size > maxPreviewSize {
 		return fmt.Errorf("core: streaming preview takes no COR shift, auto-COR, preprocessing, "+
-			"float32 or negative size (recon options %+v)", r)
+			"float32, or size outside [0, %d] (recon options %+v)", maxPreviewSize, r)
 	}
 	mon, err := pva.NewMonitor(s.PVAAddr, s.Channel)
 	if err != nil {
@@ -264,12 +175,41 @@ func (s *StreamingService) Run(ctx context.Context) error {
 	// from the service's environment clock.
 	env := s.clock()
 	parent := trace.FromContext(ctx)
-	var scan *scanState
-	var scanSpan *trace.Span
+	tr := &s.tracker
+	tr.env, tr.size, tr.filter = env, s.Recon.Size, s.Recon.Filter
+	var span *trace.Span
 	// mon.Missed counts over the monitor's lifetime; a scan reports what
 	// was lost since the previous scan reported, so every lost frame is
 	// reported once and the scans' figures add up to the monitor's.
 	reported := 0
+	// end acts on a scan the tracker ended: an abandoned one is journaled
+	// with its reason, a finished one's preview is sent.
+	end := func(sc, next *scanState) error {
+		span.End(env.Now())
+		if why := sc.abandoned; why != nil {
+			fields := []obslog.Field{obslog.F("scan", sc.scanID), obslog.F("reason", why.reason),
+				obslog.F("frames", sc.frames)}
+			if next != nil {
+				fields = append(fields, obslog.F("next_scan", next.scanID))
+			}
+			obslog.Warn(ctx, "streaming", why.msg, fields...)
+			return nil
+		}
+		if err := s.sendPreview(ctx, parent, push, sc, mon.Missed-reported, env.Now()); err != nil {
+			return err
+		}
+		reported = mon.Missed
+		s.ScansDone++
+		s.IncrementalScans++
+		return nil
+	}
+	defer func() {
+		if sc := tr.Close(); sc != nil {
+			end(sc, nil)
+		}
+		s.InvalidFrames, s.GeometryDropped = tr.counts[useInvalid], tr.counts[useGeometry]
+		s.LateReferences, s.ScansAbandoned = tr.counts[useLate], tr.abandoned
+	}()
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -282,83 +222,23 @@ func (s *StreamingService) Run(ctx context.Context) error {
 			return err
 		}
 		s.frames.Add(1)
-		if f.Kind == pva.KindEndOfScan {
-			if scan == nil {
-				continue
-			}
-			scanSpan.End(env.Now())
-			if scan.inc.Angles() == 0 {
-				// A calibration-only acquisition: nothing to preview.
-				s.ScansAbandoned++
-				obslog.Warn(ctx, "streaming", "scan abandoned: end-of-scan before any projection",
-					obslog.F("scan", scan.scanID), obslog.F("reason", "no_projections"),
-					obslog.F("frames", scan.frames))
-			} else {
-				if err := s.sendPreview(ctx, parent, push, scan, mon.Missed-reported, env.Now()); err != nil {
-					return err
-				}
-				reported = mon.Missed
-				s.ScansDone++
-				s.IncrementalScans++
-			}
-			scan, scanSpan = nil, nil
-			continue
-		}
-		if err := f.Validate(); err != nil {
-			s.InvalidFrames++
-			continue // the file-writer drops invalid frames; so do we
-		}
-		if scan == nil || scan.scanID != f.ScanID {
-			if scan != nil {
-				s.ScansAbandoned++
-				obslog.Warn(ctx, "streaming", "scan abandoned: no end-of-scan before the next scan's first frame",
-					obslog.F("scan", scan.scanID),
-					obslog.F("frames", scan.frames),
-					obslog.F("next_scan", f.ScanID))
-			}
-			scanSpan.End(env.Now()) // scan change: close any stale span
-			inc, err := s.incrementalFor(f.Rows, f.Cols)
-			if err != nil {
+		out := tr.Step(f)
+		if out.ended != nil {
+			if err := end(out.ended, out.started); err != nil {
 				return err
 			}
-			scan = &scanState{scanID: f.ScanID, rows: f.Rows, cols: f.Cols, inc: inc}
-			scanSpan = parent.StartChildStage("cache "+f.ScanID, "cache", env.Now())
+		}
+		if sc := out.started; sc != nil {
+			span = parent.StartChildStage("cache "+sc.scanID, "cache", env.Now())
 			obslog.Debug(ctx, "streaming", "scan started",
-				obslog.F("scan", f.ScanID), obslog.F("rows", f.Rows), obslog.F("cols", f.Cols))
-		}
-		if f.Rows != scan.rows || f.Cols != scan.cols {
-			s.GeometryDropped++
-			continue // geometry change mid-scan: drop frame
-		}
-		scan.frames++
-		switch f.Kind {
-		case pva.KindFlat, pva.KindDark:
-			if scan.flat != nil {
-				// The detector sends its references ahead of the scan; one
-				// that comes later would change a correction already
-				// applied to every projection folded so far.
-				s.LateReferences++
-				if !scan.lateWarned {
-					scan.lateWarned = true
-					obslog.Warn(ctx, "streaming", "reference frame after the scan's first projection: not applied",
-						obslog.F("scan", scan.scanID), obslog.F("seq", f.Seq))
-				}
-			} else if f.Kind == pva.KindFlat {
-				scan.flatSum.add(f.Data)
-			} else {
-				scan.darkSum.add(f.Data)
+				obslog.F("scan", sc.scanID), obslog.F("rows", sc.rows), obslog.F("cols", sc.cols))
+			if sc.abandoned != nil {
+				end(sc, nil) // oversize
 			}
-		default:
-			if scan.flat == nil {
-				n := scan.rows * scan.cols
-				scan.flat, scan.dark = scan.flatSum.mean(n, 1), scan.darkSum.mean(n, 0)
-			}
-			t0 := env.Now()
-			normalizeLogInto(s.incLI, f.Data, scan.flat, scan.dark)
-			t1 := env.Now()
-			scan.inc.AddProjection(f.AngleRad, s.incLI)
-			scan.times.normalize += t1.Sub(t0)
-			scan.times.fold += env.Now().Sub(t1)
+		}
+		if out.late {
+			obslog.Warn(ctx, "streaming", "reference frame after the scan's first projection: not applied",
+				obslog.F("scan", f.ScanID), obslog.F("seq", f.Seq))
 		}
 	}
 }
@@ -373,8 +253,9 @@ func (s *StreamingService) sendPreview(ctx context.Context, parent *trace.Span, 
 	// accumulators; only the π/n scale and the slice assembly remain.
 	start := env.Now()
 	fin := parent.StartChildStage("finalize "+scan.scanID, "finalize", start)
-	xy, xz, yz := s.incOut[0], s.incOut[1], s.incOut[2]
-	err := scan.inc.FinalizeInto(xy, xz, yz)
+	inc := s.tracker.inc
+	xy, xz, yz := s.tracker.incOut[0], s.tracker.incOut[1], s.tracker.incOut[2]
+	err := inc.FinalizeInto(xy, xz, yz)
 	end := env.Now()
 	fin.End(end)
 	tm.finalize = end.Sub(start)
@@ -387,7 +268,7 @@ func (s *StreamingService) sendPreview(ctx context.Context, parent *trace.Span, 
 	lat := encStart.Sub(t0)
 	s.LastLatency = lat
 	s.LastMissed = missed
-	angles := scan.inc.Angles()
+	angles := inc.Angles()
 	msg, err := EncodePreview(PreviewHeader{
 		ScanID: scan.scanID, NAngles: angles, Missed: missed,
 		LatencyMS: float64(lat.Microseconds()) / 1000,
@@ -410,24 +291,6 @@ func (s *StreamingService) sendPreview(ctx context.Context, parent *trace.Span, 
 			obslog.F("send", tm.send))
 	}
 	return err
-}
-
-// normalizeLogInto flat/dark-corrects one raw detector frame and converts
-// it to line integrals — the per-frame form of MinusLog(Normalize(...)),
-// with identical clamps, writing into a preallocated buffer.
-func normalizeLogInto(dst []float64, raw []uint16, flat, dark []float64) {
-	const floor = 1e-6
-	for i, v := range raw {
-		den := flat[i] - dark[i]
-		if den < floor {
-			den = floor
-		}
-		tr := (float64(v) - dark[i]) / den
-		if tr < floor {
-			tr = floor
-		}
-		dst[i] = -math.Log(tr)
-	}
 }
 
 // PublishAcquisition plays a simulated acquisition through a PVA server as

@@ -449,12 +449,12 @@ func TestStreamingReusesIncrementalPreview(t *testing.T) {
 	// The service is done with its accumulators and they are still there:
 	// a third scan of that geometry would get them back, cleared, at no
 	// allocation; another geometry gets its own.
-	kept := reused.inc
+	kept := reused.tracker.inc
 	if kept == nil || kept.NRows != 5 || kept.NCols != 32 {
 		t.Fatalf("service kept %+v, want the 5×32 preview", kept)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if ip, _ := reused.incrementalFor(5, 32); ip != kept {
+		if ip := reused.tracker.incrementalFor(5, 32); ip != kept {
 			t.Fatal("a scan of the same geometry was given a new preview")
 		}
 	}); allocs != 0 {
@@ -463,7 +463,7 @@ func TestStreamingReusesIncrementalPreview(t *testing.T) {
 	if kept.Angles() != 0 {
 		t.Errorf("preview handed to a new scan still holds %d angles", kept.Angles())
 	}
-	if other, err := reused.incrementalFor(6, 32); err != nil || other == kept || other.NRows != 6 {
+	if other := reused.tracker.incrementalFor(6, 32); other == kept || other.NRows != 6 {
 		t.Errorf("a 6-row scan was given the 5-row preview")
 	}
 
@@ -710,6 +710,75 @@ func TestStreamingReferenceOnlyScanIsAbandoned(t *testing.T) {
 	}
 }
 
+// TestStreamingOpenScanEndsWithTheStream publishes a complete scan and then
+// frames of a scan whose end-of-scan never comes, and closes the IOC. The
+// open scan is not lost without a trace: its cache span ends, it counts as
+// abandoned, and one Warn says why.
+func TestStreamingOpenScanEndsWithTheStream(t *testing.T) {
+	ioc, err := pva.NewServer("127.0.0.1:0", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ioc.Close()
+	sink, err := msgq.NewPull("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	svc := &StreamingService{
+		PVAAddr: ioc.Addr(), Channel: "det", PreviewAddr: sink.Addr(),
+		Recon: tomo.ReconOptions{Filter: tomo.SheppLoganFilter},
+	}
+	root := trace.NewRoot("streaming", time.Now())
+	journal := obslog.New(flow.RealEnv{}, 64)
+	ctx := obslog.NewContext(trace.NewContext(context.Background(), root), journal)
+	done := make(chan error, 1)
+	go func() { done <- svc.Run(ctx) }()
+	waitForMonitors(t, ioc, "det", 1)
+
+	const rows, cols = 4, 16
+	acq := tomo.Acquire(phantom.SheppLogan3D(cols, rows), tomo.UniformAngles(12), cols, tomo.AcquireOptions{I0: 2e4, Seed: 3})
+	if err := PublishAcquisition(ioc, "det", "scan-done", acq, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sink.Recv(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i, kind := range []pva.FrameKind{pva.KindFlat, pva.KindProjection, pva.KindProjection} {
+		f := &pva.Frame{Seq: uint64(i + 1), ScanID: "scan-open", Kind: kind, Rows: rows, Cols: cols,
+			AngleRad: 0.1 * float64(i), Data: make([]uint16, rows*cols)}
+		if err := ioc.Publish("det", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, "frames to reach the service", func() bool {
+		return svc.FramesSeen() >= 2+12+1+3
+	})
+	ioc.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("service exit: %v", err)
+	}
+	for _, sp := range root.Children() {
+		if !sp.Ended() {
+			t.Errorf("span %q left open", sp.Name())
+		}
+	}
+	if svc.ScansDone != 1 || svc.ScansAbandoned != 1 {
+		t.Errorf("done %d, abandoned %d; want 1 and 1", svc.ScansDone, svc.ScansAbandoned)
+	}
+	warns := journal.Events(obslog.Filter{Component: "streaming", MinLevel: obslog.LevelWarn})
+	if len(warns) != 1 {
+		t.Fatalf("%d streaming warnings journaled, want one: %+v", len(warns), warns)
+	}
+	fields := map[string]string{}
+	for _, f := range warns[0].Fields {
+		fields[f.Key] = f.Value
+	}
+	if fields["scan"] != "scan-open" || fields["reason"] != "stream_ended" || fields["frames"] != "3" {
+		t.Errorf("abandoned-scan warning fields = %v, want scan-open, stream_ended, 3 frames", fields)
+	}
+}
+
 // TestStreamingRejectsOptionsOutsideTheFold: recon options the
 // incremental preview cannot honour make Run return an error before it
 // connects to anything.
@@ -725,6 +794,7 @@ func TestStreamingRejectsOptionsOutsideTheFold(t *testing.T) {
 		"preprocess": {Preprocess: tomo.PreprocessOptions{RingWindow: 5}},
 		"float32":    {Precision: tomo.Float32},
 		"size":       {Size: -8},
+		"oversize":   {Size: maxPreviewSize + 1},
 	} {
 		svc := &StreamingService{PVAAddr: ln.Addr().String(), Channel: "det", PreviewAddr: ln.Addr().String(), Recon: opts}
 		if err := svc.Run(context.Background()); err == nil || !strings.HasPrefix(err.Error(), "core: streaming preview") {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"time"
 
 	"repro/internal/facility"
@@ -121,11 +123,7 @@ func sortedObjFacility(m map[string]string) [][2]string {
 	for name, fac := range m {
 		out = append(out, [2]string{name, fac})
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j][0] < out[j-1][0]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b [2]string) int { return cmp.Compare(a[0], b[0]) })
 	return out
 }
 

@@ -4,7 +4,7 @@
 # benchmark module's own vet/tests/smoke run, a fuzz smoke pass over the
 # codec round-trip targets, the socket framing under split reads and
 # deadlines, the FFT convolution's differential target, the preview and
-# zarr readers under hostile bytes,
+# zarr readers under hostile bytes, the streaming scan lifecycle,
 # and per-package coverage floors on the layers the tracing work leans on.
 set -eu
 
@@ -173,6 +173,7 @@ go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/pva
 go test -run '^$' -fuzz '^FuzzFraming$' -fuzztime 5s ./internal/wire
 go test -run '^$' -fuzz '^FuzzConvolveBatch$' -fuzztime 5s ./internal/fft
 go test -run '^$' -fuzz '^FuzzDecodePreview$' -fuzztime 5s ./internal/core
+go test -run '^$' -fuzz '^FuzzScanTracker$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzZarrOpen$' -fuzztime 5s ./internal/zarr
 go test -run '^$' -fuzz '^FuzzZarrChunk$' -fuzztime 5s ./internal/zarr
 
