@@ -14,7 +14,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -25,54 +27,69 @@ import (
 
 var epoch = time.Date(2026, 7, 4, 8, 0, 0, 0, time.UTC)
 
+// figures lists every -fig printer in the order -all prints them.
+var figures = []struct {
+	name  string
+	print func(w io.Writer, seed int64)
+}{
+	{"streaming", printStreaming},
+	{"lifecycle", printLifecycle},
+	{"speedup", printSpeedup},
+	{"prune", printPrune},
+	{"dualpath", printDualPath},
+	{"contention", printContention},
+}
+
 func main() {
-	table := flag.Int("table", 0, "regenerate a numbered table (2)")
-	fig := flag.String("fig", "", "regenerate a figure: streaming|lifecycle|speedup|prune|dualpath|contention")
-	scans := flag.Int("scans", 100, "number of scans for the Table 2 campaign")
-	seed := flag.Int64("seed", 832, "simulation seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args and prints the selected artifacts to stdout. An
+// unknown table or figure exits 2 before anything is printed.
+func run(args []string, stdout, stderr io.Writer) int {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	fs := flag.NewFlagSet("benchtables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.Int("table", 0, "regenerate a numbered table (2)")
+	fig := fs.String("fig", "", "regenerate a figure: "+strings.Join(names, "|"))
+	scans := fs.Int("scans", 100, "number of scans for the Table 2 campaign")
+	seed := fs.Int64("seed", 832, "simulation seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *table != 0 && *table != 2 {
+		fmt.Fprintf(stderr, "unknown table %d (the paper has Table 2)\n", *table)
+		return 2
+	}
+	if *fig != "" && !slices.Contains(names, *fig) {
+		fmt.Fprintf(stderr, "unknown figure %q (known: %s)\n", *fig, strings.Join(names, ", "))
+		return 2
+	}
 
 	all := *table == 0 && *fig == ""
 	if all || *table == 2 {
-		runTable2(*scans, *seed)
+		header(stdout, "Table 2: flow-run summary statistics")
+		fmt.Fprint(stdout, table2Output(*scans, *seed))
 	}
-	if all || *fig == "streaming" {
-		runStreaming()
+	for _, f := range figures {
+		if all || *fig == f.name {
+			f.print(stdout, *seed)
+		}
 	}
-	if all || *fig == "lifecycle" {
-		runLifecycle(*seed)
-	}
-	if all || *fig == "speedup" {
-		runSpeedup(*seed)
-	}
-	if all || *fig == "prune" {
-		runPrune()
-	}
-	if all || *fig == "dualpath" {
-		runDualPath(*seed)
-	}
-	if all || *fig == "contention" {
-		runContention()
-	}
-	if !all && *table != 0 && *table != 2 {
-		fmt.Fprintf(os.Stderr, "unknown table %d (the paper has Table 2)\n", *table)
-		os.Exit(2)
-	}
+	return 0
 }
 
-func header(title string) {
-	fmt.Printf("\n================ %s ================\n", title)
+func header(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n================ %s ================\n", title)
 }
 
 func cfgWithSeed(seed int64) core.SimConfig {
 	cfg := core.DefaultSimConfig()
 	cfg.Seed = seed
 	return cfg
-}
-
-func runTable2(scans int, seed int64) {
-	header("Table 2: flow-run summary statistics")
-	fmt.Print(table2Output(scans, seed))
 }
 
 // table2Output renders the whole Table 2 artifact deterministically (fixed
@@ -101,65 +118,65 @@ func table2Output(scans int, seed int64) string {
 	return sb.String()
 }
 
-func runStreaming() {
-	header("§5.2 streaming latency sweep")
+func printStreaming(w io.Writer, _ int64) {
+	header(w, "§5.2 streaming latency sweep")
 	pts := core.RunStreamingSweep(epoch, []float64{0.5, 1, 2, 5, 10, 15, 20, 25, 30})
-	fmt.Printf("%8s %12s %12s %10s %s\n", "raw GB", "recon", "send", "total", "<10s")
+	fmt.Fprintf(w, "%8s %12s %12s %10s %s\n", "raw GB", "recon", "send", "total", "<10s")
 	for _, p := range pts {
-		fmt.Printf("%8.1f %12v %12v %10v %v\n",
+		fmt.Fprintf(w, "%8.1f %12v %12v %10v %v\n",
 			p.RawGB, p.ReconTime.Round(time.Millisecond),
 			p.SendTime.Round(time.Millisecond),
 			p.Latency.Round(time.Millisecond), p.UnderTenSec)
 	}
-	fmt.Println("\npaper reference: 1969×2160×2560 u16 (~20 GB) reconstructs in 7–8 s;")
-	fmt.Println("preview slices return in <1 s; total <10 s after acquisition.")
+	fmt.Fprintln(w, "\npaper reference: 1969×2160×2560 u16 (~20 GB) reconstructs in 7–8 s;")
+	fmt.Fprintln(w, "preview slices return in <1 s; total <10 s after acquisition.")
 }
 
-func runLifecycle(seed int64) {
-	header("§4.3 / Fig. 3 data lifecycle")
+func printLifecycle(w io.Writer, seed int64) {
+	header(w, "§4.3 / Fig. 3 data lifecycle")
 	for _, cadence := range []time.Duration{3 * time.Minute, 4 * time.Minute, 5 * time.Minute} {
 		b := core.NewBeamline(epoch, cfgWithSeed(seed))
 		res := b.RunLifecycle(4*time.Hour, cadence)
-		fmt.Printf("cadence %v: %d scans, %.1f scans/h, raw %.2f TB, derived %.2f TB, projected %.2f TB/day\n",
+		fmt.Fprintf(w, "cadence %v: %d scans, %.1f scans/h, raw %.2f TB, derived %.2f TB, projected %.2f TB/day\n",
 			cadence, res.Scans, res.ScansPerHour,
 			float64(res.RawBytes)/1e12, float64(res.DerivedBytes)/1e12,
 			res.DailyBytes/1e12)
-		fmt.Printf("  tiers: beamline %.2f TB, CFS %.2f TB, HPSS %.2f TB; pruned %.2f TB; WAN util %.0f%%\n",
+		fmt.Fprintf(w, "  tiers: beamline %.2f TB, CFS %.2f TB, HPSS %.2f TB; pruned %.2f TB; WAN util %.0f%%\n",
 			float64(res.DataSrvUsed)/1e12, float64(res.CFSUsed)/1e12,
 			float64(res.HPSSUsed)/1e12, float64(res.PrunedBytes)/1e12,
 			res.WANUtilization*100)
 	}
-	fmt.Println("\npaper reference: 12–20 scans/hour peak, 0.5–5 TB/day, ~30 GB raw per scan")
+	fmt.Fprintln(w, "\npaper reference: 12–20 scans/hour peak, 0.5–5 TB/day, ~30 GB raw per scan")
 }
 
-func runSpeedup(seed int64) {
-	header("§5.1 time-to-insight vs historical workflow")
+func printSpeedup(w io.Writer, seed int64) {
+	header(w, "§5.1 time-to-insight vs historical workflow")
 	b := core.NewBeamline(epoch, cfgWithSeed(seed))
 	res := b.RunSpeedup()
-	fmt.Printf("historical: %v save + %v single-slice recon = %v\n",
+	fmt.Fprintf(w, "historical: %v save + %v single-slice recon = %v\n",
 		res.HistoricalSave, res.HistoricalRecon, res.Historical)
-	fmt.Printf("streaming preview now: %v  → %.0f× speedup\n",
+	fmt.Fprintf(w, "streaming preview now: %v  → %.0f× speedup\n",
 		res.StreamingNow.Round(time.Millisecond), res.SpeedupPreview)
-	fmt.Printf("file-branch full volume now: %v → %.1f× speedup\n",
+	fmt.Fprintf(w, "file-branch full volume now: %v → %.1f× speedup\n",
 		res.FileBranchNow.Round(time.Second), res.SpeedupVolume)
-	fmt.Println("\npaper reference: \">100× improvement in time-to-insight\"")
+	fmt.Fprintln(w, "\npaper reference: \">100× improvement in time-to-insight\"")
 }
 
-func runPrune() {
-	header("§5.3 prune-burst incident")
+func printPrune(w io.Writer, _ int64) {
+	header(w, "§5.3 prune-burst incident")
 	res := core.RunPruneIncident(epoch, 24, 4, 0.5)
-	fmt.Printf("%d prune requests through 4 workers, 50%% permission-locked:\n", res.Requests)
-	fmt.Printf("  legacy (hang on error): makespan %v, peak queue %d\n",
+	fmt.Fprintf(w, "%d prune requests through 4 workers, 50%% permission-locked:\n", res.Requests)
+	fmt.Fprintf(w, "  legacy (hang on error): makespan %v, peak queue %d\n",
 		res.LegacyMakespan.Round(time.Second), res.LegacyPeakQ)
-	fmt.Printf("  fail-early fix:         makespan %v, peak queue %d\n",
+	fmt.Fprintf(w, "  fail-early fix:         makespan %v, peak queue %d\n",
 		res.FixedMakespan.Round(time.Second), res.FixedPeakQ)
-	fmt.Printf("  improvement: %.1f× faster drain\n",
+	fmt.Fprintf(w, "  improvement: %.1f× faster drain\n",
 		res.LegacyMakespan.Seconds()/res.FixedMakespan.Seconds())
-	fmt.Println("\npaper reference: hung prune jobs saturated the queue; refactored to fail early")
+	fmt.Fprintln(w, "\npaper reference: hung prune jobs saturated the queue; refactored to fail early")
 }
 
-func runDualPath(seed int64) {
-	header("A2 ablation: dual-path vs file-only feedback latency")
+func printDualPath(w io.Writer, seed int64) {
+	header(w, "A2 ablation: dual-path vs file-only feedback latency")
 	b := core.NewBeamline(epoch, cfgWithSeed(seed))
 	var stream, file time.Duration
 	b.Engine.Go("ablation", func(p *sim.Proc) {
@@ -183,18 +200,18 @@ func runDualPath(seed int64) {
 		file = p.Now().Sub(t0)
 	})
 	b.Engine.Run()
-	fmt.Printf("streaming branch first feedback: %v\n", stream.Round(time.Millisecond))
-	fmt.Printf("file-only branch first feedback: %v\n", file.Round(time.Second))
+	fmt.Fprintf(w, "streaming branch first feedback: %v\n", stream.Round(time.Millisecond))
+	fmt.Fprintf(w, "file-only branch first feedback: %v\n", file.Round(time.Second))
 	if stream > 0 {
-		fmt.Printf("dual-path advantage: %.0f× earlier feedback\n", file.Seconds()/stream.Seconds())
+		fmt.Fprintf(w, "dual-path advantage: %.0f× earlier feedback\n", file.Seconds()/stream.Seconds())
 	}
-	fmt.Println("\npaper rationale: \"storing the data on multiple intermediate file systems")
-	fmt.Println("introduces feedback latency, so we implement dual-path processing\"")
+	fmt.Fprintln(w, "\npaper rationale: \"storing the data on multiple intermediate file systems")
+	fmt.Fprintln(w, "introduces feedback latency, so we implement dual-path processing\"")
 }
 
-func runContention() {
-	header("§6 extension: multi-beamline GPU contention (shared vs reserved)")
-	fmt.Printf("%10s %9s %9s %12s %12s %8s\n",
+func printContention(w io.Writer, _ int64) {
+	header(w, "§6 extension: multi-beamline GPU contention (shared vs reserved)")
+	fmt.Fprintf(w, "%10s %9s %9s %12s %12s %8s\n",
 		"beamlines", "gpus", "policy", "median s", "max s", "<10s")
 	for _, n := range []int{2, 4, 6, 8} {
 		for _, reserved := range []bool{false, true} {
@@ -203,10 +220,10 @@ func runContention() {
 			if reserved {
 				policy = "reserved"
 			}
-			fmt.Printf("%10d %9d %9s %12.1f %12.1f %7.0f%%\n",
+			fmt.Fprintf(w, "%10d %9d %9s %12.1f %12.1f %7.0f%%\n",
 				n, res.GPUs, policy, res.Latency.Median, res.Latency.Max, res.Under10s*100)
 		}
 	}
-	fmt.Println("\npaper rationale (§6): \"At scale, compute could be reserved for each")
-	fmt.Println("beamline to prevent resource contention.\"")
+	fmt.Fprintln(w, "\npaper rationale (§6): \"At scale, compute could be reserved for each")
+	fmt.Fprintln(w, "beamline to prevent resource contention.\"")
 }

@@ -2,9 +2,11 @@ package main
 
 import (
 	"flag"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -13,27 +15,46 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestTable2Golden pins the full Table 2 artifact — including the per-stage
-// breakdown column — under a fixed seed on the sim kernel. Regenerate with
+// breakdown column — and every sim figure under a fixed seed on the sim
+// kernel, each byte for byte as the command prints it. Regenerate with
 // `go test ./cmd/benchtables -run Golden -update` after intentional
 // changes.
 func TestTable2Golden(t *testing.T) {
-	got := table2Output(30, 832)
-	golden := filepath.Join("testdata", "table2_seed832_scans30.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	cases := []struct {
+		golden string
+		render func(w io.Writer)
+	}{
+		{"table2_seed832_scans30.golden", func(w io.Writer) { io.WriteString(w, table2Output(30, 832)) }},
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
+	for _, f := range figures {
+		if f.name == "contention" {
+			continue
+		}
+		cases = append(cases, struct {
+			golden string
+			render func(w io.Writer)
+		}{"fig_" + f.name + "_seed832.golden", func(w io.Writer) { f.print(w, 832) }})
 	}
-	if got != string(want) {
-		t.Errorf("table 2 output drifted from golden file %s\n--- got ---\n%s--- want ---\n%s",
-			golden, got, want)
+	for _, tc := range cases {
+		t.Run(tc.golden, func(t *testing.T) {
+			var sb strings.Builder
+			tc.render(&sb)
+			got := sb.String()
+			golden := filepath.Join("testdata", tc.golden)
+			if *update {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("read golden (run with -update to create): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("output drifted from golden file %s\n--- got ---\n%s--- want ---\n%s",
+					golden, got, want)
+			}
+		})
 	}
 }
 
