@@ -1,7 +1,7 @@
 // Command benchtables regenerates every table and figure of the paper's
 // evaluation section from the simulated multi-facility environment, and
-// prints each next to the paper's published numbers. Run with -all (the
-// default) or select one artifact:
+// prints each next to the paper's published numbers. With no flags it
+// prints everything; otherwise select one artifact:
 //
 //	benchtables -table 2          Table 2 flow-run statistics
 //	benchtables -fig streaming    §5.2 streaming latency sweep
@@ -9,6 +9,8 @@
 //	benchtables -fig speedup      §5.1 >100× time-to-insight
 //	benchtables -fig prune        §5.3 prune-burst incident
 //	benchtables -fig dualpath     dual-path ablation (A2)
+//
+// An unknown table or figure exits 2.
 package main
 
 import (
@@ -22,12 +24,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 var epoch = time.Date(2026, 7, 4, 8, 0, 0, 0, time.UTC)
 
-// figures lists every -fig printer in the order -all prints them.
+// figures lists every -fig printer in the order a bare run prints them.
 var figures = []struct {
 	name  string
 	print func(w io.Writer, seed int64)
@@ -37,7 +38,6 @@ var figures = []struct {
 	{"speedup", printSpeedup},
 	{"prune", printPrune},
 	{"dualpath", printDualPath},
-	{"contention", printContention},
 }
 
 func main() {
@@ -175,55 +175,17 @@ func printPrune(w io.Writer, _ int64) {
 	fmt.Fprintln(w, "\npaper reference: hung prune jobs saturated the queue; refactored to fail early")
 }
 
+// printDualPath is ablation A2, which is E4's run read another way: the
+// same scan's first feedback with and without the streaming branch.
 func printDualPath(w io.Writer, seed int64) {
 	header(w, "A2 ablation: dual-path vs file-only feedback latency")
-	b := core.NewBeamline(epoch, cfgWithSeed(seed))
-	var stream, file time.Duration
-	b.Engine.Go("ablation", func(p *sim.Proc) {
-		scan := &core.Scan{ID: "ablate", Sample: "typical", RawBytes: 20e9,
-			NAngles: 1969, Rows: 2160, Cols: 2560, Acquired: p.Now()}
-		if err := b.Detector.Put(p, "raw/"+scan.ID+".h5", scan.RawBytes, "c"); err != nil {
-			return
-		}
-		lat, err := b.StreamingPreviewSim(nil, p, scan)
-		if err != nil {
-			return
-		}
-		stream = lat
-		t0 := p.Now()
-		if err := b.NewFile832Flow(nil, p, scan); err != nil {
-			return
-		}
-		if err := b.NERSCReconFlow(nil, p, scan); err != nil {
-			return
-		}
-		file = p.Now().Sub(t0)
-	})
-	b.Engine.Run()
-	fmt.Fprintf(w, "streaming branch first feedback: %v\n", stream.Round(time.Millisecond))
-	fmt.Fprintf(w, "file-only branch first feedback: %v\n", file.Round(time.Second))
-	if stream > 0 {
-		fmt.Fprintf(w, "dual-path advantage: %.0f× earlier feedback\n", file.Seconds()/stream.Seconds())
+	res := core.NewBeamline(epoch, cfgWithSeed(seed)).RunSpeedup()
+	fmt.Fprintf(w, "streaming branch first feedback: %v\n", res.StreamingNow.Round(time.Millisecond))
+	fmt.Fprintf(w, "file-only branch first feedback: %v\n", res.FileBranchNow.Round(time.Second))
+	if res.StreamingNow > 0 {
+		fmt.Fprintf(w, "dual-path advantage: %.0f× earlier feedback\n",
+			res.FileBranchNow.Seconds()/res.StreamingNow.Seconds())
 	}
 	fmt.Fprintln(w, "\npaper rationale: \"storing the data on multiple intermediate file systems")
 	fmt.Fprintln(w, "introduces feedback latency, so we implement dual-path processing\"")
-}
-
-func printContention(w io.Writer, _ int64) {
-	header(w, "§6 extension: multi-beamline GPU contention (shared vs reserved)")
-	fmt.Fprintf(w, "%10s %9s %9s %12s %12s %8s\n",
-		"beamlines", "gpus", "policy", "median s", "max s", "<10s")
-	for _, n := range []int{2, 4, 6, 8} {
-		for _, reserved := range []bool{false, true} {
-			res := core.RunStreamingContention(epoch, n, 4, 8, 20*time.Second, reserved)
-			policy := "shared"
-			if reserved {
-				policy = "reserved"
-			}
-			fmt.Fprintf(w, "%10d %9d %9s %12.1f %12.1f %7.0f%%\n",
-				n, res.GPUs, policy, res.Latency.Median, res.Latency.Max, res.Under10s*100)
-		}
-	}
-	fmt.Fprintln(w, "\npaper rationale (§6): \"At scale, compute could be reserved for each")
-	fmt.Fprintln(w, "beamline to prevent resource contention.\"")
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
 	"math"
@@ -20,27 +21,18 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // `go test ./cmd/benchtables -run Golden -update` after intentional
 // changes.
 func TestTable2Golden(t *testing.T) {
-	cases := []struct {
-		golden string
-		render func(w io.Writer)
-	}{
-		{"table2_seed832_scans30.golden", func(w io.Writer) { io.WriteString(w, table2Output(30, 832)) }},
+	cases := map[string]func(w io.Writer){
+		"table2_seed832_scans30.golden": func(w io.Writer) { io.WriteString(w, table2Output(30, 832)) },
 	}
 	for _, f := range figures {
-		if f.name == "contention" {
-			continue
-		}
-		cases = append(cases, struct {
-			golden string
-			render func(w io.Writer)
-		}{"fig_" + f.name + "_seed832.golden", func(w io.Writer) { f.print(w, 832) }})
+		cases["fig_"+f.name+"_seed832.golden"] = func(w io.Writer) { f.print(w, 832) }
 	}
-	for _, tc := range cases {
-		t.Run(tc.golden, func(t *testing.T) {
+	for name, render := range cases {
+		t.Run(name, func(t *testing.T) {
 			var sb strings.Builder
-			tc.render(&sb)
+			render(&sb)
 			got := sb.String()
-			golden := filepath.Join("testdata", tc.golden)
+			golden := filepath.Join("testdata", name)
 			if *update {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
@@ -55,6 +47,39 @@ func TestTable2Golden(t *testing.T) {
 					golden, got, want)
 			}
 		})
+	}
+}
+
+// TestUnknownArtifactExitsTwo checks that a figure or table the command
+// does not print is a usage error naming the known figures, not a silent
+// exit 0 with empty output.
+func TestUnknownArtifactExitsTwo(t *testing.T) {
+	for _, args := range [][]string{{"-fig", "nosuch"}, {"-fig", "contention"}, {"-table", "3"}, {"-bogus"}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", args, out.String())
+		}
+		for _, f := range figures {
+			if args[0] == "-fig" && !strings.Contains(errb.String(), f.name) {
+				t.Errorf("%v: error %q does not name figure %q", args, errb.String(), f.name)
+			}
+		}
+	}
+}
+
+// TestOneFigurePrintsOnlyIt checks that -fig selects exactly that figure.
+func TestOneFigurePrintsOnlyIt(t *testing.T) {
+	var out bytes.Buffer
+	if code := run([]string{"-fig", "prune"}, &out, new(bytes.Buffer)); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	var want strings.Builder
+	printPrune(&want, 832)
+	if out.String() != want.String() {
+		t.Fatalf("-fig prune printed:\n%s\nwant:\n%s", out.String(), want.String())
 	}
 }
 

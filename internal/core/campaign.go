@@ -31,7 +31,7 @@ const (
 // previewWindowBytes is the GPU-resident working set the streaming
 // preview reconstructs: frames stream to the node during acquisition,
 // so time-to-preview is bounded by the final window, not the archive
-// size. Matches the fixed 20 GB scan RunStreamingContention models.
+// size. Matches the paper's 20 GB reference scan (§5.2, RunSpeedup).
 const previewWindowBytes = int64(20e9)
 
 // CampaignObjectives judges the scheduler's end-to-end latencies — the

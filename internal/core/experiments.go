@@ -55,20 +55,19 @@ func (b *Beamline) RunProductionCampaign(ctx context.Context, n, last int) *Tabl
 			// The file-writer completes, triggering the staging flow;
 			// the two HPC flows and the streaming preview then run in
 			// parallel, while acquisition continues.
-			scanCopy := scan
 			b.Engine.Go("pipeline-"+scan.ID, func(p *sim.Proc) {
-				if err := b.NewFile832Flow(ctx, p, scanCopy); err != nil {
+				if err := b.NewFile832Flow(ctx, p, scan); err != nil {
 					return
 				}
-				b.Engine.Go("nersc-"+scanCopy.ID, func(p *sim.Proc) {
-					b.NERSCReconFlow(ctx, p, scanCopy)
+				b.Engine.Go("nersc-"+scan.ID, func(p *sim.Proc) {
+					b.NERSCReconFlow(ctx, p, scan)
 				})
-				b.Engine.Go("alcf-"+scanCopy.ID, func(p *sim.Proc) {
-					b.ALCFReconFlow(ctx, p, scanCopy)
+				b.Engine.Go("alcf-"+scan.ID, func(p *sim.Proc) {
+					b.ALCFReconFlow(ctx, p, scan)
 				})
 			})
 			b.Engine.Go("stream-"+scan.ID, func(p *sim.Proc) {
-				b.StreamingPreviewSim(ctx, p, scanCopy)
+				b.StreamingPreviewSim(ctx, p, scan)
 			})
 			// Next scan arrives 3–5 minutes later.
 			p.Sleep(3*time.Minute + time.Duration(b.rng.Float64()*float64(2*time.Minute)))
@@ -149,11 +148,10 @@ func (b *Beamline) RunLifecycle(shift time.Duration, cadence time.Duration) *Lif
 			scans = append(scans, scan)
 			res.RawBytes += scan.RawBytes
 			res.DerivedBytes += scan.DerivedBytes()
-			sc := scan
-			b.Engine.Go("pipe-"+sc.ID, func(p *sim.Proc) {
-				if b.NewFile832Flow(nil, p, sc) == nil {
-					b.NERSCReconFlow(nil, p, sc)
-					b.ArchiveFlow(nil, p, sc)
+			b.Engine.Go("pipe-"+scan.ID, func(p *sim.Proc) {
+				if b.NewFile832Flow(nil, p, scan) == nil {
+					b.NERSCReconFlow(nil, p, scan)
+					b.ArchiveFlow(nil, p, scan)
 				}
 			})
 			p.Sleep(cadence)
@@ -251,59 +249,63 @@ type PruneIncidentResult struct {
 	FixedPeakQ     int
 }
 
-// PruneFlow runs one prune request as a flow: a Delete of the given
-// paths from the beamline data-server endpoint. failFast selects the
-// post-incident behaviour (fail at the first permission error) over the
-// legacy continue-on-error timeout. The flow completes with the Delete's
-// outcome, so the journal, success rates, and the transfer-success SLO
-// all see prune failures.
-func (b *Beamline) PruneFlow(ctx context.Context, p *sim.Proc, paths []string, failFast bool) error {
-	fc := b.Flows.Start(ctx, FlowPrune, flow.SimEnv{P: p})
-	_, err := b.Transfer.Delete(ctx, p, "prune", EPBeamline, paths, failFast)
-	fc.Complete(err)
-	return err
+// FailLockedPaths makes every transfer of a "locked/" path fail as a
+// permanent permission error (§5.3), composing with any installed hook.
+func (b *Beamline) FailLockedPaths() {
+	prev := b.Transfer.Fault
+	b.Transfer.Fault = func(task *transfer.Task, path string, attempt int) error {
+		if strings.HasPrefix(path, "locked/") {
+			return faults.Errorf(faults.Permanent, "permission denied")
+		}
+		if prev != nil {
+			return prev(task, path, attempt)
+		}
+		return nil
+	}
 }
 
-// RunPruneIncident fires `requests` concurrent prune flows through a
+// PruneBurst fires the §5.3 prune burst from inside p. It seeds one 1 GB
+// file per request on the data server, the first nLocked under "locked/"
+// (see FailLockedPaths) and the rest under "old/", each named prefix +
+// tag + four-digit index. One prune flow per file, a Delete, then runs
+// through a pool of `workers`, whose PeakQueue is the burst's congestion.
+func (b *Beamline) PruneBurst(ctx context.Context, p *sim.Proc, tag string, requests, nLocked, workers int, failFast bool) *sim.Resource {
+	paths := make([]string, requests)
+	for k := range paths {
+		prefix := "old/"
+		if k < nLocked {
+			prefix = "locked/"
+		}
+		paths[k] = fmt.Sprintf("%s%s%04d", prefix, tag, k)
+		b.DataSrv.Put(p, paths[k], 1e9, "c")
+	}
+	pool := sim.NewResource(b.Engine, workers)
+	for _, path := range paths {
+		b.Engine.Go("prune "+path, func(pp *sim.Proc) {
+			pool.Acquire(pp)
+			defer pool.Release()
+			fc := b.Flows.Start(ctx, FlowPrune, flow.SimEnv{P: pp})
+			_, err := b.Transfer.Delete(ctx, pp, "prune", EPBeamline, []string{path}, failFast)
+			fc.Complete(err)
+		})
+	}
+	return pool
+}
+
+// RunPruneIncident fires one burst of `requests` prune flows through a
 // worker pool of the given size against a store where a fraction of the
-// paths are permission-locked.
+// paths are permission-locked, once legacy and once fail-fast.
 func RunPruneIncident(epoch time.Time, requests, workers int, lockedFrac float64) *PruneIncidentResult {
 	res := &PruneIncidentResult{Requests: requests}
 	run := func(failFast bool) (time.Duration, int) {
 		b := NewBeamline(epoch, DefaultSimConfig())
-		b.Transfer.Fault = func(task *transfer.Task, path string, attempt int) error {
-			if strings.HasPrefix(path, "locked/") {
-				return faults.Errorf(faults.Permanent, "permission denied")
-			}
-			return nil
-		}
-		pool := sim.NewResource(b.Engine, workers)
-		var done time.Time
+		b.FailLockedPaths()
+		var pool *sim.Resource
 		b.Engine.Go("seed", func(p *sim.Proc) {
-			nLocked := int(float64(requests) * lockedFrac)
-			for i := 0; i < requests; i++ {
-				prefix := "old/"
-				if i < nLocked {
-					prefix = "locked/"
-				}
-				b.DataSrv.Put(p, fmt.Sprintf("%s%04d", prefix, i), 1e9, "c")
-			}
-			for i := 0; i < requests; i++ {
-				i := i
-				b.Engine.Go(fmt.Sprintf("prune-%d", i), func(p *sim.Proc) {
-					pool.Acquire(p)
-					defer pool.Release()
-					prefix := "old/"
-					if i < nLocked {
-						prefix = "locked/"
-					}
-					b.PruneFlow(nil, p, []string{fmt.Sprintf("%s%04d", prefix, i)}, failFast)
-					done = p.Now()
-				})
-			}
+			pool = b.PruneBurst(nil, p, "", requests, int(float64(requests)*lockedFrac), workers, failFast)
 		})
-		b.Engine.Run()
-		return done.Sub(epoch), pool.PeakQueue
+		// The engine drains when the last prune flow finishes.
+		return b.Engine.Run().Sub(epoch), pool.PeakQueue
 	}
 	res.LegacyMakespan, res.LegacyPeakQ = run(false)
 	res.FixedMakespan, res.FixedPeakQ = run(true)
@@ -325,8 +327,7 @@ func RunStreamingSweep(epoch time.Time, sizesGB []float64) []StreamingSweepPoint
 	out := make([]StreamingSweepPoint, 0, len(sizesGB))
 	for _, gb := range sizesGB {
 		b := NewBeamline(epoch, DefaultSimConfig())
-		var pt StreamingSweepPoint
-		pt.RawGB = gb
+		pt := StreamingSweepPoint{RawGB: gb}
 		b.Engine.Go("sweep", func(p *sim.Proc) {
 			scan := &Scan{ID: fmt.Sprintf("sweep-%.1f", gb), RawBytes: int64(gb * 1e9),
 				NAngles: 1969, Rows: 2160, Cols: 2560, Acquired: p.Now()}
@@ -337,7 +338,7 @@ func RunStreamingSweep(epoch time.Time, sizesGB []float64) []StreamingSweepPoint
 			pt.Latency = lat
 		})
 		b.Engine.Run()
-		pt.ReconTime = time.Duration(gb * 1e9 / DefaultSimConfig().StreamGPURate * float64(time.Second))
+		pt.ReconTime = b.Flows.Runs(FlowStreaming)[0].Tasks[0].Duration() // gpu_backprojection
 		pt.SendTime = pt.Latency - pt.ReconTime
 		pt.UnderTenSec = pt.Latency < 10*time.Second
 		out = append(out, pt)

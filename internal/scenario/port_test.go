@@ -106,12 +106,11 @@ func TestSpecPortsHandWrittenBurstIncident(t *testing.T) {
 	}
 }
 
-// TestSpecPortsGPUContentionExperiment re-expresses EXPERIMENTS.md X4 —
-// the hand-coded core.RunStreamingContention shared-vs-reserved
-// comparison — as the gpu_contention_* spec pair and proves the ported
-// scenarios reproduce the policy crossover: on the identical saturated
-// campaign, the shared pool misses the streaming budget while
-// per-beamline reservation holds it at exactly 100%.
+// TestSpecPortsGPUContentionExperiment asserts EXPERIMENTS.md X4, the
+// shared-vs-reserved GPU policy comparison, which runs only as the
+// gpu_contention_* spec pair: on the identical saturated campaign, the
+// shared pool misses the streaming budget while per-beamline reservation
+// holds it at exactly 100%.
 func TestSpecPortsGPUContentionExperiment(t *testing.T) {
 	runSpec := func(path string) *Outcome {
 		spec, err := Load(path)

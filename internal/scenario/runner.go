@@ -3,18 +3,15 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/facility"
-	"repro/internal/faults"
 	"repro/internal/obslog"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
-	"repro/internal/transfer"
 )
 
 // DefaultEpoch is the campaign start when the spec does not set one —
@@ -93,27 +90,11 @@ func NewRunner(spec *Spec) (*Runner, error) {
 	}
 	for _, inc := range spec.Incidents {
 		if inc.Kind == IncidentEndpointPrune {
-			r.installPruneFault()
+			r.Campaign.Base.FailLockedPaths()
 			break
 		}
 	}
 	return r, nil
-}
-
-// installPruneFault makes every "locked/" path permission-fail, the §5.3
-// incident signature, composing with any fault hook already installed.
-func (r *Runner) installPruneFault() {
-	svc := r.Campaign.Base.Transfer
-	prev := svc.Fault
-	svc.Fault = func(task *transfer.Task, path string, attempt int) error {
-		if strings.HasPrefix(path, "locked/") {
-			return faults.Errorf(faults.Permanent, "permission denied")
-		}
-		if prev != nil {
-			return prev(task, path, attempt)
-		}
-		return nil
-	}
 }
 
 // Run installs the chaos schedule, launches the campaign, runs the
@@ -252,13 +233,12 @@ func (r *Runner) runSlurmStorm(p *sim.Proc, i int, inc Incident) {
 	}
 }
 
-// runEndpointPrune replays the §5.3 prune burst: seed old/locked files on
-// the beamline data server, then fire the requests through a bounded
-// worker pool as prune flows, each a Delete whose locked paths
-// permission-fail and drag the transfer-success SLO down.
+// runEndpointPrune replays the §5.3 prune burst through
+// core.Beamline.PruneBurst: prune flows through a bounded worker pool,
+// each a Delete whose locked paths permission-fail and drag the
+// transfer-success SLO down.
 func (r *Runner) runEndpointPrune(p *sim.Proc, i int, inc Incident) {
 	ctx := r.ctx()
-	bl := r.Campaign.Base
 	p.Sleep(inc.At.D())
 	workers := inc.Workers
 	if workers <= 0 {
@@ -269,24 +249,7 @@ func (r *Runner) runEndpointPrune(p *sim.Proc, i int, inc Incident) {
 		obslog.F("incident", i), obslog.F("requests", inc.Requests),
 		obslog.F("locked", nLocked), obslog.F("workers", workers),
 		obslog.F("fail_fast", inc.FailFast))
-	paths := make([]string, inc.Requests)
-	for k := 0; k < inc.Requests; k++ {
-		prefix := "old/"
-		if k < nLocked {
-			prefix = "locked/"
-		}
-		paths[k] = fmt.Sprintf("%si%d-%04d", prefix, i, k)
-		bl.DataSrv.Put(p, paths[k], 1e9, "c")
-	}
-	pool := sim.NewResource(bl.Engine, workers)
-	for k := 0; k < inc.Requests; k++ {
-		k := k
-		bl.Engine.Go(fmt.Sprintf("prune-%d-%d", i, k), func(pp *sim.Proc) {
-			pool.Acquire(pp)
-			defer pool.Release()
-			bl.PruneFlow(ctx, pp, []string{paths[k]}, inc.FailFast)
-		})
-	}
+	r.Campaign.Base.PruneBurst(ctx, p, fmt.Sprintf("i%d-", i), inc.Requests, nLocked, workers, inc.FailFast)
 }
 
 // collect assembles the outcome after the engine drains.

@@ -391,7 +391,7 @@ func refFindCenter(s *Sinogram, maxShift int) float64 {
 	cp := cost(best + 1)
 	den := cm - 2*c0 + cp
 	if den > 1e-12 && !math.IsInf(cm, 0) && !math.IsInf(cp, 0) {
-		delta += 0.5 * (cm - cp) / den * -1
+		delta += 0.5 * (cm - cp) / den
 	}
 	return delta / 2
 }

@@ -400,6 +400,30 @@ func TestFindCenter(t *testing.T) {
 	}
 }
 
+// TestFindCenterSubPixelLadder walks the true axis offset over ±4 px in
+// 0.05 px steps on UniformAngles, whose last row stops one step short of
+// π, and requires every estimate within 0.1 px. A sub-pixel step of the
+// wrong sign reads 0.25 px as about −0.2 and fails here. FindCenter reads
+// only the first and last rows, so only those two angles are acquired.
+func TestFindCenterSubPixelLadder(t *testing.T) {
+	truth := phantom.SheppLogan3D(128, 1)
+	uniform := UniformAngles(180)
+	theta := []float64{uniform[0], uniform[len(uniform)-1]}
+	var worst, worstAt float64
+	for k := -80; k <= 80; k++ {
+		shift := float64(k) * 0.05
+		acq := Acquire(truth, theta, 128, AcquireOptions{I0: 5e4, CORShift: shift, Seed: 5})
+		sino := MinusLog(Normalize(acq.Raw, acq.Flat, acq.Dark)).SinogramForRow(0)
+		if e := math.Abs(FindCenter(sino, 0) - shift); e > worst {
+			worst, worstAt = e, shift
+		}
+	}
+	t.Logf("worst error %.3f px at a true offset of %.2f px", worst, worstAt)
+	if worst > 0.1 {
+		t.Errorf("FindCenter is %.3f px off at a true offset of %.2f px", worst, worstAt)
+	}
+}
+
 func TestShiftSinogramRecenters(t *testing.T) {
 	im := phantom.SheppLogan(64)
 	s := Project(im, UniformAngles(32), 64)

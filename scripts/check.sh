@@ -1,11 +1,12 @@
 #!/bin/sh
 # check.sh — the same gate as `make check`, for environments without make:
-# formatting, static analysis, build, the race-enabled test suite, the
-# benchmark module's own vet/tests/smoke run, a fuzz smoke pass over the
-# codec round-trip targets, the socket framing under split reads and
-# deadlines, the FFT convolution's differential target, the preview and
-# zarr readers under hostile bytes, the streaming scan lifecycle,
-# and per-package coverage floors on the layers the tracing work leans on.
+# formatting, static analysis, build, the race-enabled test suite, every
+# example run to its closing line, the benchmark module's own
+# vet/tests/smoke run, a fuzz smoke pass over the codec round-trip
+# targets, the socket framing under split reads and deadlines, the FFT
+# convolution's differential target, the preview and zarr readers under
+# hostile bytes, the streaming scan lifecycle, and per-package coverage
+# floors on the layers the tracing work leans on.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -73,6 +74,28 @@ if ! go run ./examples/streaming | grep -q '^3 scans previewed'; then
 	exit 1
 fi
 echo "examples/streaming: 3 scans previewed"
+
+echo "== examples (each exits 0 on its closing line) =="
+# E5 (feather), E6 (proppant) and X1 (timeresolved) are reproduced only by
+# these programs, and quickstart is the AutoCOR path of the file branch.
+# Each exits nonzero when its result check fails; the closing line shows
+# it ran to the end.
+edir=$(mktemp -d)
+for ex in 'quickstart:^ok$' \
+	"feather:as in the paper's Figure 1\.$" \
+	'proppant:during the tour the paper describes\.$' \
+	'timeresolved:^fracture closure signal: '; do
+	name=${ex%%:*}
+	if ! go run "./examples/$name" >"$edir/out" 2>"$edir/err" ||
+		! tail -n 1 "$edir/out" | grep -q "${ex#*:}"; then
+		echo "examples/$name failed or did not reach its closing line"
+		cat "$edir/out" "$edir/err"
+		rm -rf "$edir"
+		exit 1
+	fi
+	echo "examples/$name: $(tail -n 1 "$edir/out")"
+done
+rm -rf "$edir"
 
 echo "== bench module (vet, tests, smoke run) =="
 # bench/ is its own module, so the root vet/test above never compile it.
