@@ -86,12 +86,8 @@ func (b *Beamline) NewTelemetryPlane(metrics *monitor.Registry, cfg telemetry.Co
 	for _, obj := range sortedObjFacility(objFacility) {
 		name, fac := obj[0], obj[1]
 		pl.RegisterSignal("slo_attainment_"+name, fac, func(time.Time) (float64, bool) {
-			for _, r := range b.SLO.Report() {
-				if r.Name == name {
-					return r.Attainment, true
-				}
-			}
-			return 0, false
+			r, ok := b.SLO.Objective(name)
+			return r.Attainment, ok
 		})
 		pl.RegisterSignal("slo_burn_"+name, fac, func(time.Time) (float64, bool) {
 			rate, _ := b.SLO.BurnState(name)

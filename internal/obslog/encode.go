@@ -17,6 +17,12 @@ type lineEncoder struct {
 	w   io.Writer
 	buf []byte
 	n   int // buf[:n] is encoded and not yet written
+	// t is the last time encoded and tq[:tn] its quoted form (tn 0: none):
+	// consecutive events of a sim run mostly share an instant, so most
+	// lines copy it.
+	t  time.Time
+	tq [48]byte
+	tn int
 }
 
 // encoderBuffer is how many bytes encode batches per Write: a few hundred
@@ -36,7 +42,7 @@ func (le *lineEncoder) encode(e *Event) error {
 			le.buf = make([]byte, max(need, encoderBuffer))
 		}
 	}
-	n, err := putEvent(le.buf[le.n:], e)
+	n, err := le.putEvent(le.buf[le.n:], e)
 	le.n += n
 	return err
 }
@@ -71,15 +77,25 @@ const (
 // bytes, and returns the line's length.
 //
 //perf:hot
-func putEvent(dst []byte, e *Event) (int, error) {
+func (le *lineEncoder) putEvent(dst []byte, e *Event) (int, error) {
 	n := copy(dst, `{"seq":`)
 	n = len(strconv.AppendUint(dst[:n], e.Seq, 10))
 	n += copy(dst[n:], `,"t":`)
-	tn, err := putTime(dst[n:], e.Time)
-	if err != nil {
-		return 0, err
+	// == rather than Equal: only the same location, and the same
+	// monotonic reading, is sure to format the same.
+	if le.tn > 0 && e.Time == le.t {
+		n += copy(dst[n:], le.tq[:le.tn])
+	} else {
+		tn, err := putTime(dst[n:], e.Time)
+		if err != nil {
+			return 0, err
+		}
+		le.t, le.tn = e.Time, 0
+		if tn <= len(le.tq) {
+			le.tn = copy(le.tq[:], dst[n:n+tn])
+		}
+		n += tn
 	}
-	n += tn
 	n += copy(dst[n:], `,"level":"`)
 	n += copy(dst[n:], e.Level.String())
 	n += copy(dst[n:], `","component":`)

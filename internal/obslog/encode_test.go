@@ -219,3 +219,37 @@ func BenchmarkWriteJSONL(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/15000, "ns/event")
 }
+
+// TestEncoderReusesTimesExactly runs one encoder over events whose times
+// repeat, change zone, gain a monotonic reading or are refused in between:
+// every line still equals what encoding/json writes for its event, so a
+// reused timestamp is only ever the one that event would get.
+func TestEncoderReusesTimesExactly(t *testing.T) {
+	utc := time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC)
+	wall := time.Now()
+	times := []time.Time{
+		utc, utc, utc.Add(time.Nanosecond), utc.Add(time.Nanosecond), utc,
+		utc.In(time.FixedZone("PDT", -7*3600)), utc, {}, {}, utc,
+		time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), utc, utc,
+		wall, wall.Round(0), wall, utc.In(time.FixedZone("far", 25*3600)), utc,
+	}
+	var buf bytes.Buffer
+	enc := lineEncoder{w: &buf}
+	var want []byte
+	for i, tm := range times {
+		e := Event{Seq: uint64(i), Time: tm, Component: "c", Msg: "m"}
+		line, err := json.Marshal(e)
+		if encErr := enc.encode(&e); (err != nil) != (encErr != nil) {
+			t.Fatalf("event %d (%v): encoding/json err %v, encoder err %v", i, tm, err, encErr)
+		}
+		if err == nil {
+			want = append(append(want, line...), '\n')
+		}
+	}
+	if err := enc.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("encoder disagrees with encoding/json\n got %s\nwant %s", buf.Bytes(), want)
+	}
+}

@@ -116,6 +116,14 @@ func F(key string, value interface{}) Field {
 		return Field{Key: key, Value: v.String()}
 	case float64:
 		return Field{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64)}
+	case int:
+		return Field{Key: key, Value: strconv.Itoa(v)}
+	case int64:
+		return Field{Key: key, Value: strconv.FormatInt(v, 10)}
+	case uint64:
+		return Field{Key: key, Value: strconv.FormatUint(v, 10)}
+	case bool:
+		return Field{Key: key, Value: strconv.FormatBool(v)}
 	case error:
 		return Field{Key: key, Value: v.Error()}
 	default:
@@ -156,6 +164,7 @@ type Journal struct {
 	clock    Clock
 	capacity int
 	ring     [][]Event // guarded by mu; ringChunk-event chunks, added on demand up to capacity
+	fields   []Field   // guarded by mu; unused tail of the newest field chunk
 	next     uint64    // guarded by mu; next sequence number (first event is 1)
 	head     int       // guarded by mu; ring index of the oldest retained event
 	count    int       // guarded by mu; retained events
@@ -171,6 +180,13 @@ const DefaultCapacity = 1 << 16
 // events arrive and never move, so a journal costs what it retains rather
 // than its bound.
 const ringChunk = 1 << 10
+
+// fieldChunk is how many fields the journal's field storage grows by (a
+// journal retaining fewer events grows by its capacity). Events take
+// their fields from the newest chunk in emission order and are evicted in
+// that order, so a chunk is released once the ring has dropped every
+// event that took fields from it.
+const fieldChunk = ringChunk
 
 // New creates a journal stamping through clock with the given ring
 // capacity (DefaultCapacity when cap <= 0). The minimum level starts at
@@ -199,6 +215,22 @@ func (j *Journal) growLocked() {
 	}
 }
 
+// ownFieldsLocked copies fields into the journal's own storage, so
+// callers' variadic slices never escape to the heap.
+func (j *Journal) ownFieldsLocked(fields []Field) []Field {
+	n := len(fields)
+	if n == 0 {
+		return nil
+	}
+	if len(j.fields) < n {
+		j.fields = make([]Field, max(n, min(fieldChunk, j.capacity)))
+	}
+	own := j.fields[:n:n]
+	j.fields = j.fields[n:]
+	copy(own, fields)
+	return own
+}
+
 // AddSink attaches a sink; it observes events emitted from now on.
 func (j *Journal) AddSink(s Sink) {
 	if j == nil || s == nil {
@@ -213,7 +245,8 @@ func (j *Journal) AddSink(s Sink) {
 // the run ID and active span from ctx. Nil journals drop everything.
 //
 // A full ring overwrites in place; a filling one allocates only when it
-// starts a new chunk (growLocked).
+// starts a new chunk (growLocked), and fields are copied into chunked
+// storage the journal owns (ownFieldsLocked).
 //
 //perf:hot
 func (j *Journal) Emit(ctx context.Context, level Level, component, msg string, fields ...Field) {
@@ -238,7 +271,7 @@ func (j *Journal) Emit(ctx context.Context, level Level, component, msg string, 
 	e := j.slotLocked(j.count - 1)
 	*e = Event{
 		Seq: j.next, Time: j.clock.Now(), Level: level,
-		Component: component, Msg: msg, Run: run, Tenant: tenant, Span: span, Fields: fields,
+		Component: component, Msg: msg, Run: run, Tenant: tenant, Span: span, Fields: j.ownFieldsLocked(fields),
 	}
 	for _, s := range j.sinks {
 		s.Write(*e)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -243,5 +244,67 @@ func TestParseLevel(t *testing.T) {
 	}
 	if got := Level(42).String(); got != "LEVEL(42)" {
 		t.Errorf("unknown level String = %q", got)
+	}
+}
+
+// TestFIntegersAndBoolsMatchFmt: the strconv cases of F render every
+// integer and bool exactly as the fmt %v fallback they replace.
+func TestFIntegersAndBoolsMatchFmt(t *testing.T) {
+	for _, v := range []interface{}{
+		0, -1, math.MinInt, math.MaxInt,
+		int64(0), int64(-1), int64(math.MinInt64), int64(math.MaxInt64),
+		uint64(0), uint64(math.MaxUint64),
+		true, false,
+	} {
+		if got, want := F("k", v).Value, fmt.Sprintf("%v", v); got != want {
+			t.Errorf("F(%T %v) = %q, want %q", v, v, got, want)
+		}
+	}
+}
+
+// TestEmitOwnsFields: an event keeps the fields it was emitted with, not
+// the caller's slice, and a ring that wraps many times over keeps every
+// retained event's fields intact.
+func TestEmitOwnsFields(t *testing.T) {
+	j := New(newStepClock(), 4)
+	fields := []Field{F("a", 1), F("b", 2)}
+	j.Emit(nil, LevelInfo, "c", "m", fields...)
+	fields[0].Value = "changed"
+	if got := j.Events(Filter{})[0].Fields[0].Value; got != "1" {
+		t.Fatalf("event field reads %q after the caller reused its slice", got)
+	}
+	for i := 0; i < 5000; i++ {
+		fs := []Field{F("i", i), F("j", -i), F("k", "v")}
+		j.Emit(nil, LevelInfo, "c", "m", fs[:1+i%3]...)
+	}
+	for _, e := range j.Events(Filter{}) {
+		i := int(e.Seq) - 2
+		want := []Field{F("i", i), F("j", -i), F("k", "v")}[:1+i%3]
+		if fmt.Sprint(e.Fields) != fmt.Sprint(want) {
+			t.Fatalf("event %d fields %v, want %v", e.Seq, e.Fields, want)
+		}
+	}
+}
+
+// TestEmitDoesNotAllocate: once the ring has wrapped, an event with
+// fields costs its share of one field chunk and nothing else — fewer than
+// one allocation in a hundred calls. AllocsPerRun truncates its average
+// to a whole number, so each run is a hundred calls.
+func TestEmitDoesNotAllocate(t *testing.T) {
+	j := New(newStepClock(), 1024)
+	emit := func() {
+		j.Emit(context.Background(), LevelInfo, "sched", "run deferred",
+			F("flow", "nersc_recon_flow"), F("defers", 3), F("ok", true))
+	}
+	for i := 0; i < 2048; i++ {
+		emit()
+	}
+	hundred := func() {
+		for i := 0; i < 100; i++ {
+			emit()
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, hundred); allocs != 0 {
+		t.Fatalf("a hundred Emits with fields allocate %v times, want < 1", allocs)
 	}
 }

@@ -116,24 +116,27 @@ func (r *Runner) ctx() context.Context {
 	return obslog.NewContext(context.Background(), r.Campaign.Base.Journal)
 }
 
-// installChaos spawns one sim proc per WAN event and incident, in spec
-// order so the decision stream is deterministic.
+// installChaos starts one sim proc per WAN event and incident — a timer
+// for a slurm storm, which only submits — in spec order so the decision
+// stream is deterministic.
 func (r *Runner) installChaos() {
+	e := r.Campaign.Base.Engine
 	for i, ev := range r.Spec.WAN {
 		i, ev := i, ev
-		r.Campaign.Base.Engine.Go(fmt.Sprintf("wan-%d", i), func(p *sim.Proc) {
+		e.Go(fmt.Sprintf("wan-%d", i), func(p *sim.Proc) {
 			r.runWANEvent(p, i, ev)
 		})
 	}
 	for i, inc := range r.Spec.Incidents {
 		i, inc := i, inc
-		name := fmt.Sprintf("incident-%d-%s", i, inc.Kind)
-		r.Campaign.Base.Engine.Go(name, func(p *sim.Proc) {
+		if inc.Kind == IncidentSlurmStorm {
+			e.After(inc.At.D(), func() { r.startSlurmStorm(i, inc) })
+			continue
+		}
+		e.Go(fmt.Sprintf("incident-%d-%s", i, inc.Kind), func(p *sim.Proc) {
 			switch inc.Kind {
 			case IncidentSFAPIOutage:
 				r.runSFAPIOutage(p, inc)
-			case IncidentSlurmStorm:
-				r.runSlurmStorm(p, i, inc)
 			case IncidentEndpointPrune:
 				r.runEndpointPrune(p, i, inc)
 			}
@@ -213,12 +216,11 @@ func facilityFillerJob(name string, hold time.Duration) facility.JobSpec {
 	}
 }
 
-// runSlurmStorm floods the batch partition with other users' filler jobs
-// so realtime submissions queue behind a deep backlog.
-func (r *Runner) runSlurmStorm(p *sim.Proc, i int, inc Incident) {
+// startSlurmStorm floods the batch partition with other users' filler
+// jobs so realtime submissions queue behind a deep backlog.
+func (r *Runner) startSlurmStorm(i int, inc Incident) {
 	ctx := r.ctx()
 	cluster := r.Campaign.Base.Perlmutter
-	p.Sleep(inc.At.D())
 	obslog.Warn(ctx, "scenario", "slurm storm begins",
 		obslog.F("incident", i), obslog.F("nodes", inc.Nodes),
 		obslog.F("duration", inc.Duration.D()))

@@ -178,7 +178,7 @@ type Scheduler struct {
 	tenants []*tenantState          // guarded by mu; registration order: the deterministic tie-break
 	byID    map[string]*tenantState // guarded by mu
 
-	wake        *sim.Signal // guarded by mu; replaced on every broadcast
+	wake        *sim.Signal // guarded by mu; fired and reset on every broadcast
 	done        *sim.Signal // set once in New; fired when closed and idle
 	closed      bool        // guarded by mu
 	outstanding int         // guarded by mu; accepted and not yet finished or shed
@@ -330,12 +330,11 @@ func (s *Scheduler) setGauge(name string, v float64, labels ...monitor.Label) {
 	}
 }
 
-// broadcastLocked wakes every waiting worker by firing the current wake
-// signal and installing a fresh one.
+// broadcastLocked wakes every waiting worker by firing the wake signal,
+// then re-arms it for the next idle worker.
 func (s *Scheduler) broadcastLocked() {
-	w := s.wake
-	s.wake = sim.NewSignal(s.e)
-	w.Fire()
+	s.wake.Fire()
+	s.wake.Reset()
 }
 
 // popLocked removes and returns the next item under strict priority +
@@ -425,8 +424,8 @@ func (s *Scheduler) worker(p *sim.Proc, reservedOnly bool) {
 	}
 }
 
-// deferItem parks the item in a timer proc that requeues it after
-// DeferDelay, freeing this worker immediately.
+// deferItem sets a sim timer that requeues the item after DeferDelay,
+// freeing this worker immediately.
 func (s *Scheduler) deferItem(it *item, rate float64) {
 	s.mu.Lock()
 	it.defers++
@@ -438,8 +437,7 @@ func (s *Scheduler) deferItem(it *item, rate float64) {
 		obslog.F("flow", it.flow), obslog.F("seq", it.seq),
 		obslog.F("defers", it.defers), obslog.F("delay", s.cfg.Admission.DeferDelay),
 		obslog.F("burn_rate", rate))
-	s.e.Go(fmt.Sprintf("sched-defer-%d", it.seq), func(tp *sim.Proc) {
-		tp.Sleep(s.cfg.Admission.DeferDelay)
+	s.e.After(s.cfg.Admission.DeferDelay, func() {
 		s.mu.Lock()
 		it.tenant.queue = append(it.tenant.queue, it)
 		s.broadcastLocked()

@@ -2,27 +2,35 @@
 // style of SimPy: simulated processes are goroutines that advance a shared
 // virtual clock cooperatively, so an eight-hour beamline shift of scans,
 // transfers, queue waits, and reconstructions executes in milliseconds and
-// reproduces exactly run to run. The facility-scale experiments (Table 2,
-// the data-lifecycle figure, the prune-incident study) all run on this
-// kernel; only one process executes at a time, so process bodies need no
-// locking.
+// reproduces exactly run to run. Work that never blocks after its delay
+// runs as a timer on the sim thread instead, with no goroutine. The
+// facility-scale experiments (Table 2, the data-lifecycle figure, the
+// prune-incident study) all run on this kernel; only one process or timer
+// executes at a time, so their bodies need no locking.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// event is a scheduled wakeup of one process. A process waits on at most
-// one thing at a time — a Sleep, a Signal or a Resource — so every Proc
-// owns exactly one event and reuses it for each wait.
+// event is a scheduled wakeup of one process, or one step of a timer. A
+// process waits on at most one thing at a time — a Sleep, a Signal or a
+// Resource — so every Proc owns exactly one event and reuses it for each
+// wait.
 type event struct {
 	at   time.Time
 	key  time.Duration // at as an offset from the engine's epoch: the heap key
 	seq  int64         // tie-break: FIFO among same-time events
-	proc *Proc
+	proc *Proc         // nil for a timer
+	// A timer's first dispatch only queues it again delay later, the
+	// second runs fn: the two points at which a process whose body opens
+	// with Sleep(delay) takes its sequence numbers.
+	fn    func()
+	delay time.Duration
+	due   bool // the delay is queued: the next dispatch runs fn
 }
 
 // before orders events by (time, scheduling order). Comparing the epoch
@@ -89,19 +97,23 @@ func (q eventQueue) down(i int) {
 // Exactly one goroutine at a time is "the sim thread": RunUntil's caller
 // until it dispatches the first event, then whichever process is running.
 // A process that blocks dispatches the next event itself and wakes that
-// event's process directly; control returns to RunUntil only when the run
-// stops. Each hand-off is a channel send, so everything the sim thread
-// wrote is visible to the next goroutine to hold the role.
+// event's process directly, running on its own goroutine any timers due
+// first; control returns to RunUntil only when the run stops. Each
+// hand-off is a channel send, so everything the sim thread wrote is
+// visible to the next goroutine to hold the role.
 type Engine struct {
 	epoch time.Time
-	// The clock is kept twice: clock belongs to the sim thread like the
-	// rest of the engine, now is the copy Now hands to everyone else.
-	clock  time.Time
-	nowMu  sync.Mutex // guards now against readers outside the sim thread
-	now    time.Time  // guarded by nowMu
-	events eventQueue
-	seq    int64
-	limit  time.Duration // offset of RunUntil's deadline: events after it stay queued
+	// The clock is kept three times: clock and elapsed (clock as an
+	// offset from epoch, the heap key of the present) belong to the sim
+	// thread like the rest of the engine; now is the copy of elapsed Now
+	// hands to everyone else.
+	clock   time.Time
+	elapsed time.Duration
+	now     atomic.Int64
+	events  eventQueue
+	seq     int64
+	spare   []*event      // finished timer events, reused by After
+	limit   time.Duration // offset of RunUntil's deadline: events after it stay queued
 	// stopped is signalled by the process that finds nothing left to
 	// dispatch. Buffered so that process can finish without a rendezvous.
 	stopped chan struct{}
@@ -110,7 +122,7 @@ type Engine struct {
 
 // New creates an engine whose clock starts at epoch.
 func New(epoch time.Time) *Engine {
-	return &Engine{epoch: epoch, clock: epoch, now: epoch, stopped: make(chan struct{}, 1)}
+	return &Engine{epoch: epoch, clock: epoch, stopped: make(chan struct{}, 1)}
 }
 
 // Now returns the current virtual time. Unlike the rest of the engine it
@@ -118,42 +130,81 @@ func New(epoch time.Time) *Engine {
 // observability surfaces (SLO reports, journal snapshots) can be polled
 // while the simulation runs.
 func (e *Engine) Now() time.Time {
-	e.nowMu.Lock()
-	defer e.nowMu.Unlock()
-	return e.now
+	return e.epoch.Add(time.Duration(e.now.Load()))
 }
 
-// setNow advances the clock: the sim thread's copy, and under its lock the
-// copy external Now readers take.
-func (e *Engine) setNow(t time.Time) {
-	e.clock = t
-	e.nowMu.Lock()
-	e.now = t
-	e.nowMu.Unlock()
+// setNow advances the clock to t, elapsed after the epoch: the sim
+// thread's copies, and atomically the offset external Now readers take.
+// Every clock value is the epoch plus the sleeps that led to it, so the
+// epoch plus that offset is the same time.Time.
+func (e *Engine) setNow(t time.Time, elapsed time.Duration) {
+	e.clock, e.elapsed = t, elapsed
+	e.now.Store(int64(elapsed))
 }
 
-// schedule queues ev for time at, behind every event already queued for
-// that time.
+// schedule queues ev d (≥ 0) from now, behind every event already queued
+// for that time. The key is the present's plus d, saturating where
+// time.Time.Sub would, so it equals the event time's offset from the
+// epoch without Sub's overflow checks.
 //
 //perf:hot
-func (e *Engine) schedule(ev *event, at time.Time) {
+func (e *Engine) schedule(ev *event, d time.Duration) {
 	e.seq++
-	ev.at, ev.key, ev.seq = at, at.Sub(e.epoch), e.seq
+	key := e.elapsed + d
+	if key < e.elapsed {
+		key = math.MaxInt64
+	}
+	ev.at, ev.key, ev.seq = e.clock.Add(d), key, e.seq
 	e.events.push(ev)
 }
 
-// dispatch pops the next event, advances the clock to it and returns its
-// process — or nil when the run must stop: the queue is empty or the next
-// event lies past RunUntil's deadline.
+// dispatch pops events, advancing the clock to each and running timers
+// in place, until one wakes a process, which it returns — or nil when the
+// run must stop: the queue is empty or the next event lies past
+// RunUntil's deadline.
 //
 //perf:hot
 func (e *Engine) dispatch() *Proc {
-	if len(e.events) == 0 || e.events[0].key > e.limit {
-		return nil
+	for len(e.events) > 0 && e.events[0].key <= e.limit {
+		ev := e.events.pop()
+		e.setNow(ev.at, ev.key)
+		if ev.proc != nil {
+			return ev.proc
+		}
+		e.step(ev)
 	}
-	ev := e.events.pop()
-	e.setNow(ev.at)
-	return ev.proc
+	return nil
+}
+
+// After runs fn on the sim thread d of virtual time from now (non-positive
+// d: at the current time). fn runs at the same time and in the same place
+// among same-time events as the body of a process started here whose
+// first statement is Sleep(d) — so a timer replaces such a process without
+// moving any event — but costs no goroutine. fn must not block: it may
+// fire signals, release resources, start processes and set timers.
+func (e *Engine) After(d time.Duration, fn func()) {
+	var ev *event
+	if n := len(e.spare); n > 0 {
+		ev, e.spare = e.spare[n-1], e.spare[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.fn, ev.delay, ev.due = fn, max(d, 0), false
+	e.schedule(ev, 0)
+}
+
+// step advances a dispatched timer: its first step queues the delay, its
+// second runs fn and retires the event for reuse.
+func (e *Engine) step(ev *event) {
+	if !ev.due {
+		ev.due = true
+		e.schedule(ev, ev.delay)
+		return
+	}
+	fn := ev.fn
+	ev.fn = nil
+	e.spare = append(e.spare, ev)
+	fn()
 }
 
 // Proc is the handle a simulated process uses to interact with virtual
@@ -176,7 +227,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Signal {
 	p := &Proc{e: e, Name: name, done: Signal{e: e}, wake: make(chan struct{}, 1)}
 	p.ev.proc = p
 	e.live++
-	e.schedule(&p.ev, e.clock)
+	e.schedule(&p.ev, 0)
 	go func() {
 		<-p.wake
 		defer func() {
@@ -221,7 +272,7 @@ func (e *Engine) RunUntil(deadline time.Time) time.Time {
 		<-e.stopped
 	}
 	if len(e.events) > 0 {
-		e.setNow(deadline)
+		e.setNow(deadline, e.limit)
 		return deadline
 	}
 	if e.live > 0 {
@@ -256,7 +307,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.e.schedule(&p.ev, p.e.clock.Add(d))
+	p.e.schedule(&p.ev, d)
 	p.park()
 }
 
@@ -280,12 +331,18 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	now := s.e.clock
 	for _, w := range s.waiters {
-		s.e.schedule(w, now)
+		s.e.schedule(w, 0)
 	}
-	s.waiters = nil
+	clear(s.waiters)
+	s.waiters = s.waiters[:0] // kept for the waits after a Reset
 }
+
+// Reset re-arms a fired signal: waits block again until the next Fire.
+// Fired and reset in turn, one signal wakes on each Fire whoever waited
+// since the last Reset, with no new signal per broadcast. Resetting an
+// unfired signal changes nothing.
+func (s *Signal) Reset() { s.fired = false }
 
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
@@ -355,7 +412,7 @@ func (r *Resource) Release() {
 	if len(r.queue) > 0 {
 		next := r.queue[0]
 		r.queue = r.queue[1:]
-		r.e.schedule(next, r.e.clock)
+		r.e.schedule(next, 0)
 		return // slot handed directly to the waiter
 	}
 	r.inUse--

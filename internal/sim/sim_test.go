@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -329,5 +331,50 @@ func TestClockMonotoneProperty(t *testing.T) {
 		if !end.Equal(epoch.Add(longest)) {
 			t.Fatalf("trial %d: end %v, want epoch+%v", trial, end, longest)
 		}
+	}
+}
+
+// TestNowFromOutsideNeverGoesBack polls Now from a goroutine outside the
+// cooperative schedule for a whole run — the race detector checks those
+// reads are synchronised with the sim thread's writes — and expects a
+// clock that only moves forward and ends where Run says.
+func TestNowFromOutsideNeverGoesBack(t *testing.T) {
+	e := New(epoch)
+	for i := 0; i < 8; i++ {
+		i := i
+		e.Go("p", func(p *Proc) {
+			for k := 0; k < 500; k++ {
+				p.Sleep(time.Duration(1+(i+k)%5) * time.Millisecond)
+			}
+		})
+	}
+	stop := make(chan struct{})
+	result := make(chan string, 1)
+	go func() {
+		last, polls := e.Now(), 0
+		for {
+			select {
+			case <-stop:
+				result <- ""
+				return
+			default:
+			}
+			now := e.Now()
+			if now.Before(last) {
+				result <- fmt.Sprintf("poll %d read %v after %v", polls, now, last)
+				return
+			}
+			last = now
+			polls++
+			runtime.Gosched()
+		}
+	}()
+	end := e.Run()
+	close(stop)
+	if msg := <-result; msg != "" {
+		t.Fatalf("clock went backwards: %s", msg)
+	}
+	if !e.Now().Equal(end) {
+		t.Fatalf("Now %v after Run returned %v", e.Now(), end)
 	}
 }

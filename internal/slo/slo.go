@@ -272,26 +272,47 @@ func (e *Engine) Report() []ObjectiveReport {
 	now := e.clock.Now()
 	out := make([]ObjectiveReport, 0, len(e.objs))
 	for i := range e.objs {
-		o := e.objs[i]
-		kept := prune(e.samples[o.Name], now, o.Window)
-		e.samples[o.Name] = kept
-		met := 0
-		for _, s := range kept {
-			if s.met {
-				met++
-			}
-		}
-		r := ObjectiveReport{Objective: o, Samples: len(kept), Met: met, Attainment: 1}
-		if len(kept) > 0 {
-			r.Attainment = float64(met) / float64(len(kept))
-		}
-		r.BudgetRemaining = 1 - (1-r.Attainment)/o.budget()
-		rate, _ := missRate(kept, now.Add(-o.BurnWindow))
-		r.BurnRate = rate / o.budget()
-		r.Firing = e.firing[o.Name]
-		out = append(out, r)
+		out = append(out, e.reportLocked(&e.objs[i], now))
 	}
 	return out
+}
+
+// Objective returns the named objective's current state, as Report does
+// for every objective, without building the rest. Unknown objectives (and
+// a nil engine) report false.
+func (e *Engine) Objective(name string) (ObjectiveReport, bool) {
+	if e == nil {
+		return ObjectiveReport{}, false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range e.objs {
+		if o := &e.objs[i]; o.Name == name {
+			return e.reportLocked(o, e.clock.Now()), true
+		}
+	}
+	return ObjectiveReport{}, false
+}
+
+// reportLocked prunes the objective's window at now and evaluates it.
+func (e *Engine) reportLocked(o *Objective, now time.Time) ObjectiveReport {
+	kept := prune(e.samples[o.Name], now, o.Window)
+	e.samples[o.Name] = kept
+	met := 0
+	for _, s := range kept {
+		if s.met {
+			met++
+		}
+	}
+	r := ObjectiveReport{Objective: *o, Samples: len(kept), Met: met, Attainment: 1}
+	if len(kept) > 0 {
+		r.Attainment = float64(met) / float64(len(kept))
+	}
+	r.BudgetRemaining = 1 - (1-r.Attainment)/o.budget()
+	rate, _ := missRate(kept, now.Add(-o.BurnWindow))
+	r.BurnRate = rate / o.budget()
+	r.Firing = e.firing[o.Name]
+	return r
 }
 
 // BurnState returns the named objective's current burn rate and whether

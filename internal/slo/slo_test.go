@@ -258,4 +258,34 @@ func TestNilEngine(t *testing.T) {
 	if e.Report() != nil || e.Alerts() != nil {
 		t.Fatal("nil engine must report empty state")
 	}
+	if _, ok := e.Objective("transfer_success"); ok {
+		t.Fatal("nil engine must know no objective")
+	}
+}
+
+// TestObjectiveMatchesReport: the per-objective read is Report's entry
+// for that objective, at every point of a window that fills, burns and
+// drains, and reading one objective allocates nothing.
+func TestObjectiveMatchesReport(t *testing.T) {
+	clk := newFakeClock()
+	objs := PaperObjectives()
+	e := NewEngine(clk, nil, objs...)
+	ctx := context.Background()
+	for i := 0; i < 200; i++ {
+		e.Record(ctx, "flow:streaming_recon", time.Duration(i%13)*time.Second, i%17 != 0)
+		e.Record(ctx, "transfer", 0, i%5 != 0)
+		clk.advance(time.Duration(1+i%7) * time.Minute)
+		for k, want := range e.Report() {
+			got, ok := e.Objective(objs[k].Name)
+			if !ok || got != want {
+				t.Fatalf("step %d: Objective(%q) = %+v, %v; Report has %+v", i, objs[k].Name, got, ok, want)
+			}
+		}
+	}
+	if _, ok := e.Objective("no_such_objective"); ok {
+		t.Fatal("an unknown objective reads as known")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Objective("transfer_success") }); allocs != 0 {
+		t.Fatalf("Objective allocates %v times, want 0", allocs)
+	}
 }

@@ -91,9 +91,9 @@ func (pl *Plane) ProbeStats() []ProbeStat {
 	out := make([]ProbeStat, 0, len(pl.probes))
 	for _, pr := range pl.probes {
 		st := ProbeStat{Name: pr.Name, Facility: pr.Facility, Runs: pr.runs, Failures: pr.failures}
-		sorted := make([]float64, len(pr.seconds.pts))
-		for i, p := range pr.seconds.pts {
-			sorted[i] = p.Value
+		sorted := make([]float64, pr.seconds.n)
+		for i := range sorted {
+			sorted[i] = pr.seconds.at(i).Value
 		}
 		sort.Float64s(sorted)
 		st.P50 = exactQuantile(sorted, 0.50)

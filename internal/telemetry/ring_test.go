@@ -13,10 +13,13 @@ import (
 // equal: filter every retained point by time into a fresh slice, then
 // reduce the slice.
 func scanWindow(s *series, now time.Time, window time.Duration) []Point {
-	var out []Point
+	var out, flat []Point
+	for _, c := range s.chunks {
+		flat = append(flat, c...)
+	}
 	cut := now.Add(-window)
-	for i := 0; i < len(s.pts); i++ {
-		p := s.pts[(s.start+i)%len(s.pts)]
+	for i := 0; i < s.n; i++ {
+		p := flat[(s.start+i)%len(flat)]
 		if window > 0 && (!p.At.After(cut) || p.At.After(now)) {
 			continue
 		}
@@ -103,6 +106,45 @@ func TestReduceEqualsAggregateOfWindow(t *testing.T) {
 				t.Fatalf("trial %d: cap %d, %d added, reduce(%v, %v)\n got %+v\nwant %+v", trial, capacity, n, now.Sub(epoch), window, got, want)
 			}
 		}
+	}
+}
+
+// TestSeriesSpansChunks runs a ring of two and a half chunks through
+// filling, wrapping and late arrivals: every window equals the scanned
+// copy, and the ring allocates its chunks once, however often it wraps.
+func TestSeriesSpansChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	capacity := 2*seriesChunk + seriesChunk/2
+	s := &series{capacity: capacity}
+	at := epoch
+	for i := 0; i < 4*capacity; i++ {
+		at = at.Add(time.Duration(rng.Intn(3)) * time.Second)
+		late := at.Add(-time.Duration(rng.Intn(2)) * 5 * time.Second)
+		s.add(Point{At: late, Value: float64(i)})
+		if i%97 != 0 {
+			continue
+		}
+		for _, window := range []time.Duration{0, time.Minute, 10 * time.Minute} {
+			want := scanWindow(s, at, window)
+			got := s.window(at, window)
+			if len(got) != len(want) {
+				t.Fatalf("after %d adds window(%v) has %d points, scan has %d", i+1, window, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("after %d adds window(%v) point %d is %v, scan has %v", i+1, window, k, got[k], want[k])
+				}
+			}
+			if got, want := s.reduce(at, window), aggregate(want); got != want {
+				t.Fatalf("after %d adds reduce(%v) = %+v, want %+v", i+1, window, got, want)
+			}
+		}
+	}
+	if s.n != capacity || len(s.chunks) != 3 || len(s.chunks[2]) != seriesChunk/2 {
+		t.Fatalf("ring holds %d points in %d chunks, want %d in 3 (the last half size)", s.n, len(s.chunks), capacity)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.add(Point{At: at, Value: 1}) }); allocs != 0 {
+		t.Fatalf("adding to a full ring allocates %v times, want 0", allocs)
 	}
 }
 

@@ -80,17 +80,47 @@ type Point struct {
 type series struct {
 	name     string
 	facility string
-	pts      []Point
-	start    int // index of the oldest point once the ring is full
+	chunks   [][]Point // seriesChunk-point chunks, added on demand up to capacity
+	n        int       // retained points
+	start    int       // ring index of the oldest point once the ring is full
 	capacity int
 }
 
-// phys maps a logical index (0 = oldest) to its position in pts.
-func (s *series) phys(i int) int {
-	if i += s.start; i >= len(s.pts) {
-		i -= len(s.pts)
+// seriesChunk is how many points a ring grows by. Chunks are allocated as
+// points arrive and never move, so a series costs what it retains rather
+// than its bound, and growing it leaves no copies behind.
+const seriesChunk = 256
+
+// phys maps a logical index (0 = oldest) to its ring index.
+func (s *series) phys(i int) uint {
+	if i += s.start; i >= s.capacity {
+		i -= s.capacity
 	}
-	return i
+	return uint(i) // unsigned: the chunk and offset are a shift and a mask
+}
+
+// at returns the point at logical index i.
+func (s *series) at(i int) *Point {
+	j := s.phys(i)
+	return &s.chunks[j/seriesChunk][j%seriesChunk]
+}
+
+// run returns the points from logical index i up to hi that lie in one
+// chunk: the chunks cover the ring index range in order, so a run ends at
+// hi, at its chunk's end, or where the ring wraps, which is the last
+// chunk's end.
+func (s *series) run(i, hi int) []Point {
+	j := s.phys(i)
+	c := s.chunks[j/seriesChunk][j%seriesChunk:]
+	return c[:min(len(c), hi-i)]
+}
+
+// runBefore is run backwards: the points up to logical index i
+// (exclusive) that lie in one chunk, stopping at the oldest point.
+func (s *series) runBefore(i int) []Point {
+	j := s.phys(i - 1)
+	off := int(j % seriesChunk)
+	return s.chunks[j/seriesChunk][max(0, off+1-i) : off+1]
 }
 
 // add stores p, evicting the oldest point once the ring is full. Points
@@ -101,24 +131,19 @@ func (s *series) phys(i int) int {
 // moved back to its time-sorted position, behind any point with an equal
 // At, so the order holds for every caller.
 func (s *series) add(p Point) {
-	newest := s.start
-	if len(s.pts) < s.capacity {
-		newest = len(s.pts)
-		s.pts = append(s.pts, p)
-	} else {
-		s.pts[newest] = p
-		if s.start++; s.start == s.capacity {
-			s.start = 0
+	if s.n < s.capacity {
+		if have := len(s.chunks) * seriesChunk; s.n == have {
+			s.chunks = append(s.chunks, make([]Point, min(seriesChunk, s.capacity-have)))
 		}
+		s.n++
+	} else if s.start++; s.start == s.capacity {
+		s.start = 0
 	}
-	for i := len(s.pts) - 1; i > 0; i-- {
-		prev := s.phys(i - 1)
-		if !s.pts[prev].At.After(p.At) {
-			break
-		}
-		s.pts[newest], s.pts[prev] = s.pts[prev], s.pts[newest]
-		newest = prev
+	i := s.n - 1
+	for ; i > 0 && s.at(i-1).At.After(p.At); i-- {
+		*s.at(i) = *s.at(i - 1)
 	}
+	*s.at(i) = p
 }
 
 // bounds returns the logical index range [lo, hi) of the retained points
@@ -129,17 +154,24 @@ func (s *series) add(p Point) {
 //
 //perf:hot
 func (s *series) bounds(now time.Time, window time.Duration) (lo, hi int) {
-	hi = len(s.pts)
+	hi = s.n
 	if window <= 0 {
 		return 0, hi
 	}
-	for hi > 0 && s.pts[s.phys(hi-1)].At.After(now) {
+	for hi > 0 && s.at(hi-1).At.After(now) {
 		hi--
 	}
 	cut := now.Add(-window)
 	lo = hi
-	for lo > 0 && s.pts[s.phys(lo-1)].At.After(cut) {
-		lo--
+	for lo > 0 {
+		run := s.runBefore(lo)
+		k := len(run)
+		for k > 0 && run[k-1].At.After(cut) {
+			k--
+		}
+		if lo -= len(run) - k; k > 0 {
+			break
+		}
 	}
 	return lo, hi
 }
@@ -149,8 +181,10 @@ func (s *series) bounds(now time.Time, window time.Duration) (lo, hi int) {
 func (s *series) window(now time.Time, window time.Duration) []Point {
 	lo, hi := s.bounds(now, window)
 	out := make([]Point, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, s.pts[s.phys(i)])
+	for i := lo; i < hi; {
+		run := s.run(i, hi)
+		out = append(out, run...)
+		i += len(run)
 	}
 	return out
 }
@@ -166,21 +200,22 @@ func (s *series) reduce(now time.Time, window time.Duration) Aggregate {
 	if lo == hi {
 		return Aggregate{}
 	}
-	first, last := s.pts[s.phys(lo)], s.pts[s.phys(hi-1)]
+	first, last := *s.at(lo), *s.at(hi - 1)
 	a := Aggregate{Count: hi - lo, Min: first.Value, Max: first.Value, Last: last.Value}
 	sum := 0.0
-	for i, j := lo, s.phys(lo); i < hi; i++ {
-		v := s.pts[j].Value
-		if v < a.Min {
-			a.Min = v
+	for i := lo; i < hi; {
+		run := s.run(i, hi)
+		for k := range run {
+			v := run[k].Value
+			if v < a.Min {
+				a.Min = v
+			}
+			if v > a.Max {
+				a.Max = v
+			}
+			sum += v
 		}
-		if v > a.Max {
-			a.Max = v
-		}
-		sum += v
-		if j++; j == len(s.pts) {
-			j = 0
-		}
+		i += len(run)
 	}
 	a.Mean = sum / float64(a.Count)
 	if dt := last.At.Sub(first.At).Seconds(); dt > 0 {
@@ -293,7 +328,7 @@ func (pl *Plane) Series() []SeriesKey {
 	out := make([]SeriesKey, 0, len(pl.order))
 	for _, k := range pl.order {
 		s := pl.store[k]
-		out = append(out, SeriesKey{Name: s.name, Facility: s.facility, Count: len(s.pts)})
+		out = append(out, SeriesKey{Name: s.name, Facility: s.facility, Count: s.n})
 	}
 	return out
 }

@@ -5,7 +5,8 @@
 # vet/tests/smoke run, a fuzz smoke pass over the codec round-trip
 # targets, the socket framing under split reads and deadlines, the FFT
 # convolution's differential target, the preview and zarr readers under
-# hostile bytes, the streaming scan lifecycle, and per-package coverage
+# hostile bytes, the streaming scan lifecycle, the sim kernel's timers
+# against a process-only reference, and per-package coverage
 # floors on the layers the tracing work leans on.
 set -eu
 
@@ -199,6 +200,7 @@ go test -run '^$' -fuzz '^FuzzDecodePreview$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzScanTracker$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzZarrOpen$' -fuzztime 5s ./internal/zarr
 go test -run '^$' -fuzz '^FuzzZarrChunk$' -fuzztime 5s ./internal/zarr
+go test -run '^$' -fuzz '^FuzzEngineTimers$' -fuzztime 5s ./internal/sim
 
 echo "== coverage floors =="
 # floor() fails the gate when a package's statement coverage drops below
