@@ -148,6 +148,30 @@ func BenchmarkReconAlgorithms(b *testing.B) {
 			b.ReportMetric(circleRMSE(rec.Pix, truth.Pix, 64), "rmse")
 		})
 	}
+	// SIRT ×10 as the file branch runs it: ReconstructVolume on one
+	// worker, over four rows that all hold the noisy sinogram, so one
+	// four-lane solve. Each slice is == sirt10's.
+	b.Run("sirt10_volume4", func(b *testing.B) {
+		const rows = 4
+		ps := tomo.NewProjectionSet(noisy.Theta, rows, noisy.NCols)
+		for a := 0; a < ps.NAngles; a++ {
+			for r := 0; r < rows; r++ {
+				copy(ps.Data[(a*rows+r)*ps.NCols:][:ps.NCols], noisy.Row(a))
+			}
+		}
+		opts := tomo.ReconOptions{Algorithm: tomo.AlgSIRT, Iterations: 10, Workers: 1}
+		var v *vol.Volume
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if v, err = tomo.ReconstructVolume(context.Background(), ps, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/slice")
+		b.ReportMetric(circleRMSE(v.Slice(rows-1).Pix, truth.Pix, 64), "rmse")
+	})
 }
 
 func circleRMSE(a, b []float64, n int) float64 {

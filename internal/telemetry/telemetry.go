@@ -5,7 +5,7 @@
 // per-facility health score with a Healthy/Degraded/Down verdict, and
 // synthetic end-to-end probes running as named sim procs. It is the live
 // "how healthy is NERSC right now?" view that multi-facility brokering
-// (ROADMAP #2) selects facilities from, in the spirit of Bicer et al.'s
+// (ROADMAP item 13) selects facilities from, in the spirit of Bicer et al.'s
 // federated runtime facility selection.
 //
 // Everything is driven by an injected clock and journals only through

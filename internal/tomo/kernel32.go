@@ -174,7 +174,7 @@ func (p *ReconPlan) sirtInto32(dst *vol.Image, s *Sinogram, sc *Scratch) {
 	bpScale := float32(math.Pi) / float32(p.NAngles)
 	for it := 0; it < p.Iterations; it++ {
 		for a := 0; a < p.NAngles; a++ {
-			walkRays(sc.ax32[a*p.NCols:(a+1)*p.NCols], x, n, p.cosT[a], p.sinT[a])
+			walkRays[[1]float32](sc.ax32[a*p.NCols:(a+1)*p.NCols], x, n, p.cosT[a], p.sinT[a])
 		}
 		for i := range sc.res32 {
 			r := sc.sino32[i] - sc.ax32[i]
@@ -221,7 +221,7 @@ func (p *ReconPlan) sartInto32(dst *vol.Image, s *Sinogram, sc *Scratch) {
 	scale := float32(relax / math.Pi)
 	for it := 0; it < p.Iterations; it++ {
 		for a := 0; a < p.NAngles; a++ {
-			walkRays(sc.ax32, x, n, p.cosT[a], p.sinT[a])
+			walkRays[[1]float32](sc.ax32, x, n, p.cosT[a], p.sinT[a])
 			brow := sc.sino32[a*p.NCols : (a+1)*p.NCols]
 			wrow := p.rowSum32[a*p.NCols : (a+1)*p.NCols]
 			for c := 0; c < p.NCols; c++ {

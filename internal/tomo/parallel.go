@@ -92,8 +92,10 @@ func ReconstructSlice(s *Sinogram, opts ReconOptions) (*vol.Image, error) {
 // fanning slices out over a bounded worker pool — the same decomposition
 // the paper's 128-core NERSC node exploits. One plan is built for the
 // whole volume; each worker holds one pooled scratch, so the steady-state
-// per-slice path — preprocessing included — performs no allocations. ctx
-// cancels outstanding work.
+// per-slice path — preprocessing included — performs no allocations.
+// Float64 SIRT and SART workers take blocks of laneCount rows and solve
+// them together (reconLanes); the rows left over, and every other
+// algorithm and width, go one row at a time. ctx cancels outstanding work.
 func ReconstructVolume(ctx context.Context, ps *ProjectionSet, opts ReconOptions) (*vol.Volume, error) {
 	if err := ps.Validate(); err != nil {
 		return nil, err
@@ -116,12 +118,21 @@ func ReconstructVolume(ctx context.Context, ps *ProjectionSet, opts ReconOptions
 	}
 	out := vol.NewVolume(plan.Size, plan.Size, ps.NRows)
 
+	// Work items are row blocks: laneCount rows each for the lane-batched
+	// solvers, then one row at a time for whatever is left.
+	block := 1
+	if plan.laned() {
+		block = laneCount
+	}
+	laned := ps.NRows - ps.NRows%block // rows [0, laned) go in blocks
+	items := laned/block + ps.NRows - laned
+
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > ps.NRows {
-		workers = ps.NRows
+	if workers > items {
+		workers = items
 	}
 
 	rows := make(chan int)
@@ -134,6 +145,10 @@ func ReconstructVolume(ctx context.Context, ps *ProjectionSet, opts ReconOptions
 			sc := plan.GetScratch()
 			defer plan.PutScratch(sc)
 			for r := range rows {
+				if r < laned && block > 1 {
+					plan.reconLanes(out, ps, r, mid, opts.Preprocess, sc)
+					continue
+				}
 				work := mid
 				if mid == nil || r != ps.NRows/2 {
 					ps.SinogramForRowInto(sc.rowIn, r)
@@ -155,11 +170,16 @@ func ReconstructVolume(ctx context.Context, ps *ProjectionSet, opts ReconOptions
 	}
 
 feed:
-	for r := 0; r < ps.NRows; r++ {
+	for r := 0; r < ps.NRows; {
 		select {
 		case rows <- r:
 		case <-ctx.Done():
 			break feed
+		}
+		if r < laned {
+			r += block
+		} else {
+			r++
 		}
 	}
 	close(rows)
@@ -173,6 +193,78 @@ feed:
 		return nil, err
 	}
 	return out, nil
+}
+
+// laneCount is how many slices a lane-batched solve reconstructs at once:
+// the [laneCount]float64 instantiation of the iterative kernels.
+const laneCount = 4
+
+// laned reports whether ReconstructVolume hands p's workers blocks of
+// laneCount rows: float64 SIRT and SART. The float32 tier, FBP and
+// gridrec run one row at a time.
+func (p *ReconPlan) laned() bool {
+	return p.Precision == Float64 && (p.Algorithm == AlgSIRT || p.Algorithm == AlgSART)
+}
+
+// reconLanes reconstructs rows [r, r+laneCount) of ps into their slices
+// of out with one lane-batched solve. Each lane's sinogram is prepared as
+// ReconstructVolume prepares a single row — AutoCOR's mid row as given,
+// any other through preprocessing when that is on — then written into
+// lane k of the interleaved input by gatherLane, recentred on the way
+// when the plan has a COR shift; the solved lanes go straight into the
+// volume. Allocation-free once sc is sized.
+//
+//perf:hot
+func (p *ReconPlan) reconLanes(out *vol.Volume, ps *ProjectionSet, r int, mid *Sinogram, pre PreprocessOptions, sc *Scratch) {
+	sc.sizeSolver(p, laneCount)
+	for k := 0; k < laneCount; k++ {
+		// By default the row is read straight out of the projection set:
+		// angle a's samples start at (a·NRows + row)·NCols.
+		src, off, stride := ps.Data, (r+k)*ps.NCols, ps.NRows*ps.NCols
+		switch {
+		case mid != nil && r+k == ps.NRows/2:
+			src, off, stride = mid.Data, 0, ps.NCols
+		case pre != (PreprocessOptions{}):
+			ps.SinogramForRowInto(sc.rowIn, r+k)
+			src, off, stride = sc.preprocessed(sc.rowIn, pre).Data, 0, ps.NCols
+		}
+		gatherLane(sc.sino, k, src, off, stride, p.NAngles, p.NCols, p.CORShift)
+	}
+	switch p.Algorithm {
+	case AlgSIRT:
+		sirtInto[[laneCount]float64](p, sc.x, sc.sino, sc)
+	case AlgSART:
+		sartInto[[laneCount]float64](p, sc.x, sc.sino, sc)
+	}
+	n := p.Size * p.Size
+	for k := 0; k < laneCount; k++ {
+		dst := out.Data[(r+k)*n : (r+k+1)*n]
+		for i := range dst {
+			dst[i] = sc.x[i*laneCount+k]
+		}
+	}
+}
+
+// gatherLane writes one sinogram into lane k of the interleaved buffer
+// dst: angle a's row is src[off+a·stride:][:ncols]. A non-zero shift
+// resamples each row as ShiftSinogramInto does, so lane k holds exactly
+// the sinogram the one-row path would reconstruct. Allocation-free.
+//
+//perf:hot
+func gatherLane(dst []float64, k int, src []float64, off, stride, nang, ncols int, shift float64) {
+	for a := 0; a < nang; a++ {
+		row := src[off+a*stride : off+a*stride+ncols]
+		lane := dst[a*ncols*laneCount+k:]
+		if shift == 0 {
+			for c, v := range row {
+				lane[c*laneCount] = v
+			}
+			continue
+		}
+		for c := range row {
+			lane[c*laneCount] = sampleShift(row, float64(c)+shift)
+		}
+	}
 }
 
 // QuickPreview reconstructs only the three orthogonal preview slices the

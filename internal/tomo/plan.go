@@ -101,12 +101,14 @@ type Scratch struct {
 	grid     []complex128 // gridrec: accumulated spectrum, rows 0…gm/2
 	rim      []complex128 // gridrec: Nyquist rim accumulators
 	band     []float64    // gridrec: the inverted grid's central band
-	ax       *Sinogram    // SIRT: forward projection of the iterate
-	res      *Sinogram    // SIRT: normalized residual
-	axOne    *Sinogram    // SART: single-angle forward projection
-	resOne   *Sinogram    // SART: single-angle residual
-	upd      *vol.Image   // SIRT/SART: backprojected update
 	out      *vol.Image   // volume/preview workers: per-slice output
+
+	// Float64 SIRT/SART, sized on first use by sizeSolver for the most
+	// lanes solved so far; a one-lane solve uses their prefixes.
+	ax   []float64 // forward projection (SART: of one angle), then the residual over it
+	upd  []float64 // backprojected update
+	sino []float64 // lane-batched: the gathered, interleaved sinograms
+	x    []float64 // lane-batched: the interleaved iterate
 
 	// Preprocessing (sized on first use, see sizePreprocess).
 	pre   *Sinogram    // volume/preview workers: preprocessed rowIn
@@ -375,10 +377,6 @@ func (p *ReconPlan) NewScratch() *Scratch {
 			sc.ax32 = make([]float32, p.NAngles*p.NCols)
 			sc.res32 = make([]float32, p.NAngles*p.NCols)
 			sc.upd32 = make([]float32, p.Size*p.Size)
-		} else {
-			sc.ax = NewSinogram(p.theta, p.NCols)
-			sc.res = NewSinogram(p.theta, p.NCols)
-			sc.upd = vol.NewImage(p.Size, p.Size)
 		}
 	case AlgSART:
 		if p.Precision == Float32 {
@@ -387,13 +385,26 @@ func (p *ReconPlan) NewScratch() *Scratch {
 			sc.ax32 = make([]float32, p.NCols)
 			sc.res32 = make([]float32, p.NCols)
 			sc.upd32 = make([]float32, p.Size*p.Size)
-		} else {
-			sc.axOne = NewSinogram(p.theta[:1], p.NCols)
-			sc.resOne = NewSinogram(p.theta[:1], p.NCols)
-			sc.upd = vol.NewImage(p.Size, p.Size)
 		}
 	}
 	return sc
+}
+
+// sizeSolver makes the float64 SIRT/SART work space fit nl lanes: the
+// cold, allocating half of sirtInto, sartInto and reconLanes. Nothing is
+// allocated up front, so a volume worker that batches lanes never holds
+// one-lane buffers beside its lane-sized ones, and solves its remainder
+// rows in prefixes of the same memory.
+func (sc *Scratch) sizeSolver(p *ReconPlan, nl int) {
+	if len(sc.upd) >= nl*p.Size*p.Size {
+		return
+	}
+	sc.ax = make([]float64, nl*p.axLen())
+	sc.upd = make([]float64, nl*p.Size*p.Size)
+	if nl > 1 {
+		sc.sino = make([]float64, nl*p.NAngles*p.NCols)
+		sc.x = make([]float64, nl*p.Size*p.Size)
+	}
 }
 
 // GetScratch borrows a scratch from the plan's pool (allocating on a cold
@@ -456,16 +467,16 @@ func (p *ReconPlan) reconInto(dst *vol.Image, s *Sinogram, sc *Scratch) {
 	case AlgGridrec:
 		p.gridrecInto(dst, work, sc)
 	case AlgSIRT:
-		p.sirtInto(dst, work, sc)
+		sirtInto[[1]float64](p, dst.Pix, work.Data, sc)
 	case AlgSART:
-		p.sartInto(dst, work, sc)
+		sartInto[[1]float64](p, dst.Pix, work.Data, sc)
 	}
 }
 
 //perf:hot
 func (p *ReconPlan) fbpInto(dst *vol.Image, s *Sinogram, sc *Scratch) {
 	p.filterInto(sc.filtered, s, sc.fbatch)
-	p.backProjectInto(dst, sc.filtered)
+	backProjectInto[[1]float64](p, dst.Pix, sc.filtered.Data)
 }
 
 // backProjectInto is the all-angle float64 backprojection of FBP and
@@ -473,12 +484,12 @@ func (p *ReconPlan) fbpInto(dst *vol.Image, s *Sinogram, sc *Scratch) {
 // walk wherever the plan's stride tables license it.
 //
 //perf:hot
-func (p *ReconPlan) backProjectInto(dst *vol.Image, s *Sinogram) {
+func backProjectInto[L lanes[float64]](p *ReconPlan, dst, data []float64) {
 	dTab, invD := p.dTab, p.invD
 	if !p.stepOK {
 		dTab, invD = nil, nil
 	}
-	backProjectKernel(dst, s, p.cosT, p.sinT, p.xs, p.loPx, p.hiPx,
+	backProjectKernel[L](dst, p.Size, data, p.NCols, p.cosT, p.sinT, p.xs, p.loPx, p.hiPx,
 		math.Pi/float64(p.NAngles), true, dTab, invD)
 }
 
@@ -504,73 +515,104 @@ const (
 	sartRelax = 0.5
 )
 
+// sirtInto runs SIRT on the L-interleaved sinograms b into the iterate x,
+// with sc's ax and upd prefixes as its work space: the residual is
+// written over the forward projection it is taken from.
+//
 //perf:hot
-func (p *ReconPlan) sirtInto(x *vol.Image, s *Sinogram, sc *Scratch) {
-	for i := range x.Pix {
-		x.Pix[i] = 0
+func sirtInto[L lanes[float64]](p *ReconPlan, x, b []float64, sc *Scratch) {
+	var lane L
+	nl := len(lane)
+	sc.sizeSolver(p, nl)
+	ax, upd := sc.ax[:nl*p.axLen()], sc.upd[:nl*p.Size*p.Size]
+	for i := range x {
+		x[i] = 0
 	}
+	stride := p.NCols * nl
 	for it := 0; it < p.Iterations; it++ {
 		for a := 0; a < p.NAngles; a++ {
-			walkRays(sc.ax.Row(a), x.Pix, p.Size, p.cosT[a], p.sinT[a])
+			walkRays[L](ax[a*stride:(a+1)*stride], x, p.Size, p.cosT[a], p.sinT[a])
 		}
-		for i := range sc.res.Data {
-			r := s.Data[i] - sc.ax.Data[i]
-			if w := p.rowSum.Data[i]; w > 1e-9 {
-				r /= w
-			} else {
-				r = 0
+		for i, w := range p.rowSum.Data {
+			res, bi := window(ax, i*nl, nl), window(b, i*nl, nl)
+			for k := 0; k < nl; k++ {
+				r := bi[k] - res[k]
+				if w > 1e-9 {
+					r /= w
+				} else {
+					r = 0
+				}
+				res[k] = r
 			}
-			sc.res.Data[i] = r
 		}
-		p.backProjectInto(sc.upd, sc.res)
-		for i := range x.Pix {
-			c := p.colSum.Pix[i]
+		backProjectInto[L](p, upd, ax)
+		for i, c := range p.colSum.Pix {
 			if c <= 1e-9 {
 				continue
 			}
-			x.Pix[i] += sirtRelax * sc.upd.Pix[i] / c
-			if x.Pix[i] < 0 {
-				x.Pix[i] = 0
+			xi, ui := window(x, i*nl, nl), window(upd, i*nl, nl)
+			for k := 0; k < nl; k++ {
+				xi[k] += sirtRelax * ui[k] / c
+				if xi[k] < 0 {
+					xi[k] = 0
+				}
 			}
 		}
 	}
 }
 
+// sartInto runs SART on the L-interleaved sinograms b into the iterate x,
+// one angle per update, with sc's ax and upd prefixes as its work space.
+//
 //perf:hot
-func (p *ReconPlan) sartInto(x *vol.Image, s *Sinogram, sc *Scratch) {
-	for i := range x.Pix {
-		x.Pix[i] = 0
+func sartInto[L lanes[float64]](p *ReconPlan, x, b []float64, sc *Scratch) {
+	var lane L
+	nl := len(lane)
+	sc.sizeSolver(p, nl)
+	ax, upd := sc.ax[:nl*p.axLen()], sc.upd[:nl*p.Size*p.Size]
+	for i := range x {
+		x[i] = 0
 	}
 	relax := sartRelax // a float64 variable, so relax/π rounds at run time
 	scale := relax / math.Pi
+	stride := p.NCols * nl
 	for it := 0; it < p.Iterations; it++ {
 		for a := 0; a < p.NAngles; a++ {
-			axRow := sc.axOne.Row(0)
-			walkRays(axRow, x.Pix, p.Size, p.cosT[a], p.sinT[a])
-			brow := s.Row(a)
-			wrow := p.rowSum.Row(a)
-			resRow := sc.resOne.Row(0)
-			for c := 0; c < p.NCols; c++ {
-				r := brow[c] - axRow[c]
-				if wrow[c] > 1e-9 {
-					r /= wrow[c]
-				} else {
-					r = 0
+			walkRays[L](ax, x, p.Size, p.cosT[a], p.sinT[a])
+			brow := b[a*stride : (a+1)*stride]
+			for c, w := range p.rowSum.Row(a) {
+				res, bc := window(ax, c*nl, nl), window(brow, c*nl, nl)
+				for k := 0; k < nl; k++ {
+					r := bc[k] - res[k]
+					if w > 1e-9 {
+						r /= w
+					} else {
+						r = 0
+					}
+					res[k] = r
 				}
-				resRow[c] = r
 			}
 			// Single-angle backprojection scales by π/1; the relax/π
 			// step compensates, exactly as the one-shot SART did.
-			backProjectKernel(sc.upd, sc.resOne, p.cosT[a:a+1], p.sinT[a:a+1],
+			backProjectKernel[L](upd, p.Size, ax, p.NCols, p.cosT[a:a+1], p.sinT[a:a+1],
 				p.xs, p.loPx, p.hiPx, math.Pi, false, nil, nil)
-			for i := range x.Pix {
-				x.Pix[i] += scale * sc.upd.Pix[i]
-				if x.Pix[i] < 0 {
-					x.Pix[i] = 0
+			for i := range x {
+				x[i] += scale * upd[i]
+				if x[i] < 0 {
+					x[i] = 0
 				}
 			}
 		}
 	}
+}
+
+// axLen is the one-lane length of the iterative solvers' forward
+// projection: the whole sinogram for SIRT, one angle's row for SART.
+func (p *ReconPlan) axLen() int {
+	if p.Algorithm == AlgSART {
+		return p.NCols
+	}
+	return p.NAngles * p.NCols
 }
 
 // trigTables evaluates cos θ and sin θ per angle — the same per-angle

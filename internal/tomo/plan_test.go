@@ -809,7 +809,7 @@ func BenchmarkBackProjectKernel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				backProjectKernel(dst, s, p.cosT, p.sinT, p.xs, p.loPx, p.hiPx, 1, affine, p.dTab, p.invD)
+				backProjectKernel[[1]float64](dst.Pix, dst.W, s.Data, s.NCols, p.cosT, p.sinT, p.xs, p.loPx, p.hiPx, 1, affine, p.dTab, p.invD)
 			}
 		})
 	}

@@ -228,7 +228,7 @@ func TestProjectRow32MatchesFloat64(t *testing.T) {
 	for _, th := range []float64{0, 0.3, math.Pi / 2, 2.2, math.Pi, 5.9} {
 		ct, st := math.Cos(th), math.Sin(th)
 		projectRow(row64, im, ct, st)
-		walkRays(row32, pix32, n, ct, st)
+		walkRays[[1]float32](row32, pix32, n, ct, st)
 		for c := range row64 {
 			if d := math.Abs(row64[c] - float64(row32[c])); d > 1e-4 {
 				t.Errorf("theta %.2f col %d: |f64 − f32| = %g > 1e-4", th, c, d)

@@ -220,28 +220,53 @@ func widthEps[F float32 | float64]() float64 {
 	return float64(e)
 }
 
+// lanes is the lane type of the iterative kernels: [1]F reconstructs one
+// slice, [4]F four slices at once from pixel-major interleaved buffers,
+// where sample i of lane k sits at index i·len(L)+k (image pixels and
+// sinogram bins alike). A kernel instantiated at [4]F computes each
+// sample's position, taps and weights once and then does, lane by lane,
+// exactly the arithmetic of the [1]F instantiation, so every lane is ==
+// the one-lane result for its slice.
+//
+// The lane loops that run once per ray sample or pixel are written
+// do-while with a masked index,
+//
+//	for e := 0; ; { k := e & (nl - 1); …; if e++; e == nl { break } }
+//
+// so that at one lane the compiler drops the loop and folds k to 0 — the
+// [1]F instantiation compiles to the straight-line one-slice kernel — and
+// at four lanes the mask, with window's constant-length slices, proves
+// every lane index in bounds. A plain `for k := 0; k < nl; k++` there
+// cost the one-lane walker about a tenth of its speed; it stays on the
+// colder paths (ray ends, edge pixels, the solvers' per-bin updates).
+type lanes[F float32 | float64] interface{ [1]F | [4]F }
+
 // walkRays is the forward projector of the iterative solvers in both
-// float widths: one sinogram row for the angle with cosine ct and sine st,
-// integrating over the square image pix (side n). It integrates exactly
-// projectRow's samples, in projectRow's order, and differs from it only in
-// rounding: pixel coordinates advance in multiply form p0 + j·Δ from the
-// ray's first sample instead of being mapped from object coordinates one
-// by one, and the bilinear weights are applied as two lerps. The samples
-// rayWalk.ray places in the interior box are read with no clamps and no
-// range tests; the few at either end of a ray go through clampedSamples.
-// Allocation-free.
+// float widths and at every lane count: one sinogram row for the angle
+// with cosine ct and sine st, integrating over the square image pix (side
+// n). It integrates exactly projectRow's samples, in projectRow's order,
+// and differs from it only in rounding: pixel coordinates advance in
+// multiply form p0 + j·Δ from the ray's first sample instead of being
+// mapped from object coordinates one by one, and the bilinear weights are
+// applied as two lerps. The samples rayWalk.ray places in the interior box
+// are read with no clamps and no range tests; the few at either end of a
+// ray go through clampedSamples. Allocation-free.
 //
 //perf:hot
-func walkRays[F float32 | float64](row, pix []F, n int, ct, st float64) {
+func walkRays[L lanes[F], F float32 | float64](row, pix []F, n int, ct, st float64) {
+	var lane L
+	nl := len(lane)
 	w := newRayWalk(n, ct, st, widthEps[F]())
 	dpx, dpy := F(w.dpx), F(w.dpy)
 	step := F(w.step)
-	ncols := len(row)
+	ncols := len(row) / nl
+	down := n * nl // one image row further
 	for c := 0; c < ncols; c++ {
 		sc := -1 + (2*float64(c)+1)/float64(ncols)
 		m, x0, y0, j0, j1 := w.ray(sc)
 		px0, py0 := F(x0), F(y0)
-		sum := clampedSamples(0, pix, n, px0, py0, dpx, dpy, 0, j0)
+		var sum L
+		sum = clampedSamples(sum, pix, n, px0, py0, dpx, dpy, 0, j0)
 		jf := F(j0) // == F(j) throughout; converting j per sample read 7–13 % slower
 		for j := j0; j < j1; j++ {
 			qx := px0 + jf*dpx
@@ -249,21 +274,39 @@ func walkRays[F float32 | float64](row, pix []F, n int, ct, st float64) {
 			jf++
 			ix, iy := int(qx), int(qy)
 			fx, fy := qx-F(ix), qy-F(iy)
-			base := iy*n + ix
-			p00, p01 := pix[base], pix[base+1]
-			p10, p11 := pix[base+n], pix[base+n+1]
-			top := p00 + fx*(p01-p00)
-			bot := p10 + fx*(p11-p10)
-			sum += top + fy*(bot-top)
+			base := (iy*n + ix) * nl
+			top, bot := window(pix, base, 2*nl), window(pix, base+down, 2*nl)
+			for e := 0; ; {
+				k := e & (nl - 1)
+				p00, p01 := top[k], top[nl+k]
+				p10, p11 := bot[k], bot[nl+k]
+				t := p00 + fx*(p01-p00)
+				b := p10 + fx*(p11-p10)
+				sum[k] += t + fy*(b-t)
+				if e++; e == nl {
+					break
+				}
+			}
 		}
-		row[c] = clampedSamples(sum, pix, n, px0, py0, dpx, dpy, j1, m) * step
+		sum = clampedSamples(sum, pix, n, px0, py0, dpx, dpy, j1, m)
+		for k := 0; k < nl; k++ {
+			row[c*nl+k] = sum[k] * step
+		}
 	}
+}
+
+// window returns the w elements of s from index i with length and
+// capacity w, so that the lane loops over it index without bounds checks
+// (w is a constant multiple of the lane count in every caller).
+func window[F float32 | float64](s []F, i, w int) []F {
+	return s[i : i+w : i+w]
 }
 
 // clampedSamples adds to sum the bilinear samples at offsets [ja, jb) of
 // the ray starting at (px0, py0), clamping coordinates and taps to the
 // image border like vol.Image.Bilinear, and returns the new sum.
-func clampedSamples[F float32 | float64](sum F, pix []F, n int, px0, py0, dpx, dpy F, ja, jb int) F {
+func clampedSamples[L lanes[F], F float32 | float64](sum L, pix []F, n int, px0, py0, dpx, dpy F, ja, jb int) L {
+	nl := len(sum)
 	last := n - 1
 	lastF := F(last)
 	for j := ja; j < jb; j++ {
@@ -288,11 +331,15 @@ func clampedSamples[F float32 | float64](sum F, pix []F, n int, px0, py0, dpx, d
 			iy1 = last
 		}
 		fx, fy := qx-F(ix), qy-F(iy)
-		p00, p01 := pix[iy*n+ix], pix[iy*n+ix1]
-		p10, p11 := pix[iy1*n+ix], pix[iy1*n+ix1]
-		top := p00 + fx*(p01-p00)
-		bot := p10 + fx*(p11-p10)
-		sum += top + fy*(bot-top)
+		t0, t1 := window(pix, (iy*n+ix)*nl, nl), window(pix, (iy*n+ix1)*nl, nl)
+		b0, b1 := window(pix, (iy1*n+ix)*nl, nl), window(pix, (iy1*n+ix1)*nl, nl)
+		for k := 0; k < nl; k++ {
+			p00, p01 := t0[k], t1[k]
+			p10, p11 := b0[k], b1[k]
+			top := p00 + fx*(p01-p00)
+			bot := p10 + fx*(p11-p10)
+			sum[k] += top + fy*(bot-top)
+		}
 	}
 	return sum
 }
@@ -361,14 +408,18 @@ func BackProject(s *Sinogram, n int) *vol.Image {
 	cosT, sinT := trigTables(s.Theta)
 	xs := pixelCenters(n)
 	lo, hi := circleBounds(xs)
-	backProjectKernel(im, s, cosT, sinT, xs, lo, hi, math.Pi/float64(s.NAngles), false, nil, nil)
+	backProjectKernel[[1]float64](im.Pix, n, s.Data, s.NCols, cosT, sinT, xs, lo, hi,
+		math.Pi/float64(s.NAngles), false, nil, nil)
 	return im
 }
 
-// backProjectKernel accumulates the backprojection of s into dst (zeroing
-// it first), restricted per image row to the reconstruction-circle pixel
-// range [lo, hi), then applies the final scale. cosT/sinT must have one
-// entry per sinogram row. Allocation-free.
+// backProjectKernel accumulates the backprojection of the sinogram data
+// (one row of ncols bins per entry of cosT/sinT) into the n×n image dst
+// (zeroing it first), restricted per image row to the reconstruction-
+// circle pixel range [lo, hi), then applies the final scale. Both buffers
+// are L-interleaved (see lanes): each lane is backprojected from its own
+// sinogram with the detector coordinates, columns and interpolation
+// weights computed once for all of them. Allocation-free.
 //
 // The affine form exploits that along an image row the detector
 // coordinate fc is affine in the pixel index, replacing the two
@@ -396,39 +447,40 @@ func BackProject(s *Sinogram, n int) *vol.Image {
 // The walk takes four angles per pixel pass: their interpolation chains
 // are data-independent, so their floor/load/lerp latencies overlap instead
 // of serialising on the accumulator. The angles left over, and every angle
-// when the walk is not licensed, go one at a time through angleWalk.
+// when the walk is not licensed, go one at a time through angleWalkLanes.
 //
 //perf:hot
-func backProjectKernel(dst *vol.Image, s *Sinogram, cosT, sinT, xs []float64, lo, hi []int, scale float64, affine bool, dTab, invD []float64) {
-	n := dst.W
-	pix := dst.Pix
-	for i := range pix {
-		pix[i] = 0
+func backProjectKernel[L lanes[float64]](dst []float64, n int, data []float64, ncols int,
+	cosT, sinT, xs []float64, lo, hi []int, scale float64, affine bool, dTab, invD []float64) {
+	var lane L
+	nl := len(lane)
+	for i := range dst {
+		dst[i] = 0
 	}
-	ncolsF := float64(s.NCols)
+	ncolsF := float64(ncols)
 	halfC := ncolsF / 2
 	dx := 2.0 / float64(n) // pixel pitch in object units
-	lastCol := s.NCols - 1
+	lastCol := ncols - 1
 	lastColF := float64(lastCol)
 	nang := len(cosT)
+	stride := ncols * nl // one detector row of every lane
 	for py := 0; py < n; py++ {
 		l, h := lo[py], hi[py]
 		if l >= h {
 			continue
 		}
 		y := xs[py]
-		out := pix[py*n : (py+1)*n]
+		out := dst[py*n*nl : (py+1)*n*nl]
 		if affine {
 			x0 := xs[l]
-			row := out[l:h]
-			m := len(row)
-			ncols := s.NCols
+			row := out[l*nl : h*nl]
+			m := h - l
 			a := 0
 			for ; dTab != nil && a+3 < nang; a += 4 {
-				src0 := s.Data[a*ncols : (a+1)*ncols]
-				src1 := s.Data[(a+1)*ncols : (a+2)*ncols]
-				src2 := s.Data[(a+2)*ncols : (a+3)*ncols]
-				src3 := s.Data[(a+3)*ncols : (a+4)*ncols]
+				src0 := data[a*stride : (a+1)*stride]
+				src1 := data[(a+1)*stride : (a+2)*stride]
+				src2 := data[(a+2)*stride : (a+3)*stride]
+				src3 := data[(a+3)*stride : (a+4)*stride]
 				// fc(px) = (x·ct + y·st + 1)·ncols/2 − 0.5 with
 				// x = xs[l] + (px−l)·dx.
 				fc0 := (x0*cosT[a]+y*sinT[a]+1)*halfC - 0.5
@@ -450,140 +502,196 @@ func backProjectKernel(dst *vol.Image, s *Sinogram, cosT, sinT, xs []float64, lo
 					jLo, jHi = 0, 0
 				}
 				if jLo > 0 || jHi < m {
-					affineSpan(row, 0, jLo, src0, fc0, d0, lastCol, lastColF)
-					affineSpan(row, 0, jLo, src1, fc1, d1, lastCol, lastColF)
-					affineSpan(row, 0, jLo, src2, fc2, d2, lastCol, lastColF)
-					affineSpan(row, 0, jLo, src3, fc3, d3, lastCol, lastColF)
-					affineSpan(row, jHi, m, src0, fc0, d0, lastCol, lastColF)
-					affineSpan(row, jHi, m, src1, fc1, d1, lastCol, lastColF)
-					affineSpan(row, jHi, m, src2, fc2, d2, lastCol, lastColF)
-					affineSpan(row, jHi, m, src3, fc3, d3, lastCol, lastColF)
+					affineSpan[L](row, 0, jLo, src0, fc0, d0, lastCol, lastColF)
+					affineSpan[L](row, 0, jLo, src1, fc1, d1, lastCol, lastColF)
+					affineSpan[L](row, 0, jLo, src2, fc2, d2, lastCol, lastColF)
+					affineSpan[L](row, 0, jLo, src3, fc3, d3, lastCol, lastColF)
+					affineSpan[L](row, jHi, m, src0, fc0, d0, lastCol, lastColF)
+					affineSpan[L](row, jHi, m, src1, fc1, d1, lastCol, lastColF)
+					affineSpan[L](row, jHi, m, src2, fc2, d2, lastCol, lastColF)
+					affineSpan[L](row, jHi, m, src3, fc3, d3, lastCol, lastColF)
 				}
 				if jLo >= jHi {
 					continue
 				}
-				f0 := fc0 + float64(jLo)*d0
-				f1 := fc1 + float64(jLo)*d1
-				f2 := fc2 + float64(jLo)*d2
-				f3 := fc3 + float64(jLo)*d3
-				fl0, fl1 := math.Floor(f0), math.Floor(f1)
-				fl2, fl3 := math.Floor(f2), math.Floor(f3)
-				c0, c1, c2, c3 := int(fl0), int(fl1), int(fl2), int(fl3)
-				fr0, fr1, fr2, fr3 := f0-fl0, f1-fl1, f2-fl2, f3-fl3
-				for j := jLo; j < jHi; j++ {
-					v01 := src0[c0] + fr0*(src0[c0+1]-src0[c0])
-					v01 += src1[c1] + fr1*(src1[c1+1]-src1[c1])
-					v23 := src2[c2] + fr2*(src2[c2+1]-src2[c2])
-					v23 += src3[c3] + fr3*(src3[c3+1]-src3[c3])
-					row[j] += v01 + v23
-					fr0 += d0
-					if fr0 >= 1 {
-						fr0--
-						c0++
-					} else if fr0 < 0 {
-						fr0++
-						c0--
-					}
-					fr1 += d1
-					if fr1 >= 1 {
-						fr1--
-						c1++
-					} else if fr1 < 0 {
-						fr1++
-						c1--
-					}
-					fr2 += d2
-					if fr2 >= 1 {
-						fr2--
-						c2++
-					} else if fr2 < 0 {
-						fr2++
-						c2--
-					}
-					fr3 += d3
-					if fr3 >= 1 {
-						fr3--
-						c3++
-					} else if fr3 < 0 {
-						fr3++
-						c3--
-					}
-				}
+				quadWalk[L](row[jLo*nl:jHi*nl], src0, src1, src2, src3,
+					fc0+float64(jLo)*d0, fc1+float64(jLo)*d1,
+					fc2+float64(jLo)*d2, fc3+float64(jLo)*d3, d0, d1, d2, d3)
 			}
 			for ; a < nang; a++ {
 				ct, st := cosT[a], sinT[a]
-				src := s.Data[a*ncols : (a+1)*ncols]
+				src := data[a*stride : (a+1)*stride]
 				fc0 := (x0*ct+y*st+1)*halfC - 0.5
 				if dTab != nil {
-					angleWalk(row, src, fc0, dTab[a], invD[a], true, lastCol, lastColF)
+					angleWalkLanes[L](row, src, fc0, dTab[a], invD[a], true, lastCol, lastColF)
 				} else {
-					angleWalk(row, src, fc0, dx*ct*halfC, 0, false, lastCol, lastColF)
+					angleWalkLanes[L](row, src, fc0, dx*ct*halfC, 0, false, lastCol, lastColF)
 				}
 			}
 			continue
 		}
 		for a := 0; a < nang; a++ {
-			ct, st := cosT[a], sinT[a]
-			src := s.Data[a*s.NCols : (a+1)*s.NCols]
-			for px := l; px < h; px++ {
-				sc := xs[px]*ct + y*st
-				// Detector column with centers at -1+(2c+1)/ncols.
-				fc := (sc+1)/2*ncolsF - 0.5
-				c0 := int(math.Floor(fc))
-				if c0 < 0 || c0 >= lastCol {
-					if c0 == lastCol && fc <= lastColF {
-						out[px] += src[c0]
-					}
-					continue
-				}
-				f := fc - float64(c0)
-				out[px] += src[c0]*(1-f) + src[c0+1]*f
-			}
+			exactSpan[L](out[l*nl:h*nl], data[a*stride:(a+1)*stride], xs[l:h], y, cosT[a], sinT[a], ncolsF, lastCol, lastColF)
 		}
 	}
-	for i := range pix {
-		pix[i] *= scale
+	for i := range dst {
+		dst[i] *= scale
 	}
 }
 
-// affineSpan accumulates one angle into row[j0:j1) with the exact
-// multiply-form coordinate and the full naive predicate — used for the
-// edge pixels around an incremental interior, and by angleWalk for a whole
-// row when no interior walk is licensed.
-func affineSpan(row []float64, j0, j1 int, src []float64, fc, d float64, lastCol int, lastColF float64) {
+// quadWalk is the incremental interior walk of backProjectKernel: it
+// accumulates four angles into the L-interleaved pixels of row, the
+// first of which reads the four detector rows src0…src3 at f0…f3, each
+// next one d0…d3 further, every coordinate proven inside (0, lastCol).
+//
+//perf:hot
+func quadWalk[L lanes[float64]](row, src0, src1, src2, src3 []float64, f0, f1, f2, f3, d0, d1, d2, d3 float64) {
+	var lane L
+	nl := len(lane)
+	fl0, fl1 := math.Floor(f0), math.Floor(f1)
+	fl2, fl3 := math.Floor(f2), math.Floor(f3)
+	c0, c1, c2, c3 := int(fl0), int(fl1), int(fl2), int(fl3)
+	fr0, fr1, fr2, fr3 := f0-fl0, f1-fl1, f2-fl2, f3-fl3
+	for j := 0; j < len(row); j += nl {
+		s0, s1 := window(src0, c0*nl, 2*nl), window(src1, c1*nl, 2*nl)
+		s2, s3 := window(src2, c2*nl, 2*nl), window(src3, c3*nl, 2*nl)
+		o := window(row, j, nl)
+		for e := 0; ; {
+			k := e & (nl - 1)
+			v01 := s0[k] + fr0*(s0[nl+k]-s0[k])
+			v01 += s1[k] + fr1*(s1[nl+k]-s1[k])
+			v23 := s2[k] + fr2*(s2[nl+k]-s2[k])
+			v23 += s3[k] + fr3*(s3[nl+k]-s3[k])
+			o[k] += v01 + v23
+			if e++; e == nl {
+				break
+			}
+		}
+		fr0 += d0
+		if fr0 >= 1 {
+			fr0--
+			c0++
+		} else if fr0 < 0 {
+			fr0++
+			c0--
+		}
+		fr1 += d1
+		if fr1 >= 1 {
+			fr1--
+			c1++
+		} else if fr1 < 0 {
+			fr1++
+			c1--
+		}
+		fr2 += d2
+		if fr2 >= 1 {
+			fr2--
+			c2++
+		} else if fr2 < 0 {
+			fr2++
+			c2--
+		}
+		fr3 += d3
+		if fr3 >= 1 {
+			fr3--
+			c3++
+		} else if fr3 < 0 {
+			fr3++
+			c3--
+		}
+	}
+}
+
+// exactSpan accumulates one angle (cosine ct, sine st) into the
+// L-interleaved pixels of out, an image row's span at height y whose
+// pixel centres are xs, with the naive per-pixel arithmetic. It indexes
+// out and src directly: through window, the one-lane path read 2.6×
+// slower on a 2-vCPU Xeon, where the other kernels read level.
+//
+//perf:hot
+func exactSpan[L lanes[float64]](out, src, xs []float64, y, ct, st, ncolsF float64, lastCol int, lastColF float64) {
+	var lane L
+	nl := len(lane)
+	for px, x := range xs {
+		sc := x*ct + y*st
+		// Detector column with centers at -1+(2c+1)/ncols.
+		fc := (sc+1)/2*ncolsF - 0.5
+		c0 := int(math.Floor(fc))
+		if c0 < 0 || c0 >= lastCol {
+			if c0 == lastCol && fc <= lastColF {
+				for k := 0; k < nl; k++ {
+					out[px*nl+k] += src[c0*nl+k]
+				}
+			}
+			continue
+		}
+		f := fc - float64(c0)
+		for e := 0; ; {
+			k := e & (nl - 1)
+			out[px*nl+k] += src[c0*nl+k]*(1-f) + src[(c0+1)*nl+k]*f
+			if e++; e == nl {
+				break
+			}
+		}
+	}
+}
+
+// affineSpan accumulates one angle into the pixels [j0, j1) of the
+// L-interleaved image row span row with the exact multiply-form coordinate
+// and the full naive predicate — used for the edge pixels around an
+// incremental interior, and by angleWalkLanes for a whole row when no
+// interior walk is licensed.
+func affineSpan[L lanes[float64]](row []float64, j0, j1 int, src []float64, fc, d float64, lastCol int, lastColF float64) {
+	var lane L
+	nl := len(lane)
 	kf := float64(j0)
 	for j := j0; j < j1; j++ {
 		f := fc + kf*d
 		kf++
 		fl := math.Floor(f)
 		c := int(fl)
-		if c >= 0 && c < len(src)-1 {
+		o := window(row, j*nl, nl)
+		if c >= 0 && c < lastCol {
 			fr := f - fl
-			row[j] += src[c] + fr*(src[c+1]-src[c])
+			taps := window(src, c*nl, 2*nl)
+			for k := 0; k < nl; k++ {
+				o[k] += taps[k] + fr*(taps[nl+k]-taps[k])
+			}
 		} else if c == lastCol && f <= lastColF {
-			row[j] += src[lastCol]
+			edge := window(src, c*nl, nl)
+			for k := 0; k < nl; k++ {
+				o[k] += edge[k]
+			}
 		}
 	}
 }
 
-// angleWalk accumulates one angle's filtered detector row src into row, an
-// image row's span inside the circle, whose pixel j reads the detector at
-// fc + j·d. With walk set (|d| ≤ 1, inv = 1/d) the span stepSpan proves
-// interior is walked as backProjectKernel's four-angle loop walks it, one
-// add and a carry per pixel, and only the pixels at either end take
-// affineSpan's exact multiply form; without it — a grid coarser than the
-// detector — the whole span does. The tail angles of backProjectKernel and
-// IncrementalRecon's one angle at a time both run here.
+// angleWalk is angleWalkLanes at one lane, as IncrementalRecon accumulates
+// one angle at a time into its single image.
+func angleWalk(row, src []float64, fc, d, inv float64, walk bool, lastCol int, lastColF float64) {
+	angleWalkLanes[[1]float64](row, src, fc, d, inv, walk, lastCol, lastColF)
+}
+
+// angleWalkLanes accumulates one angle's filtered detector row src into
+// row, an image row's span inside the circle, whose pixel j reads the
+// detector at fc + j·d; both are L-interleaved. With walk set (|d| ≤ 1,
+// inv = 1/d) the span stepSpan proves interior is walked as
+// backProjectKernel's four-angle loop walks it, one add and a carry per
+// pixel, and only the pixels at either end take affineSpan's exact
+// multiply form; without it — a grid coarser than the detector — the
+// whole span does. The tail angles of backProjectKernel run here.
 //
 //perf:hot
-func angleWalk(row, src []float64, fc, d, inv float64, walk bool, lastCol int, lastColF float64) {
-	m := len(row)
+func angleWalkLanes[L lanes[float64]](row, src []float64, fc, d, inv float64, walk bool, lastCol int, lastColF float64) {
+	var lane L
+	nl := len(lane)
+	m := len(row) / nl
 	jLo, jHi := 0, 0
 	if walk {
 		jLo, jHi = stepSpan(fc, d, inv, m, lastColF)
 	}
-	affineSpan(row, 0, jLo, src, fc, d, lastCol, lastColF)
-	affineSpan(row, jHi, m, src, fc, d, lastCol, lastColF)
+	affineSpan[L](row, 0, jLo, src, fc, d, lastCol, lastColF)
+	affineSpan[L](row, jHi, m, src, fc, d, lastCol, lastColF)
 	if jLo >= jHi {
 		return
 	}
@@ -591,7 +699,14 @@ func angleWalk(row, src []float64, fc, d, inv float64, walk bool, lastCol int, l
 	fl := math.Floor(f)
 	c, fr := int(fl), f-fl
 	for j := jLo; j < jHi; j++ {
-		row[j] += src[c] + fr*(src[c+1]-src[c])
+		taps, o := window(src, c*nl, 2*nl), window(row, j*nl, nl)
+		for e := 0; ; {
+			k := e & (nl - 1)
+			o[k] += taps[k] + fr*(taps[nl+k]-taps[k])
+			if e++; e == nl {
+				break
+			}
+		}
 		fr += d
 		if fr >= 1 {
 			fr--

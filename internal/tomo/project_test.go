@@ -71,7 +71,8 @@ func allClampedRow[F float32 | float64](row, pix []F, n int, ct, st float64) {
 	for c := range row {
 		sc := -1 + (2*float64(c)+1)/float64(len(row))
 		m, x0, y0, _, _ := w.ray(sc)
-		row[c] = clampedSamples(0, pix, n, F(x0), F(y0), F(w.dpx), F(w.dpy), 0, m) * F(w.step)
+		var sum [1]F
+		row[c] = clampedSamples(sum, pix, n, F(x0), F(y0), F(w.dpx), F(w.dpy), 0, m)[0] * F(w.step)
 	}
 }
 
@@ -94,9 +95,9 @@ func TestWalkerMatchesClampedAndExact(t *testing.T) {
 			for _, th := range walkerAngles {
 				ct, st := math.Cos(th), math.Sin(th)
 				projectRow(exact, im, ct, st)
-				walkRays(got64, im.Pix, n, ct, st)
+				walkRays[[1]float64](got64, im.Pix, n, ct, st)
 				allClampedRow(want64, im.Pix, n, ct, st)
-				walkRays(got32, pix32, n, ct, st)
+				walkRays[[1]float32](got32, pix32, n, ct, st)
 				allClampedRow(want32, pix32, n, ct, st)
 				for c := range exact {
 					if got64[c] != want64[c] || got32[c] != want32[c] {

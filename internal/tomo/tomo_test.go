@@ -604,13 +604,22 @@ func BenchmarkGridrec64(b *testing.B) {
 	}
 }
 
-func BenchmarkSIRT64x10(b *testing.B) {
-	im := phantom.SheppLogan(64)
-	s := Project(im, UniformAngles(90), 64)
+// BenchmarkSIRTVolume64x4x96x10 is the file_sirt workload's float64
+// reconstruction (four rows of 96 angles × 64 columns, SIRT ×10) through
+// ReconstructVolume on one worker, so one four-lane solve. Its ns/slice
+// over BenchmarkSIRT64x96x10/float64's ns/op is what the lanes save.
+func BenchmarkSIRTVolume64x4x96x10(b *testing.B) {
+	const rows = 4
+	ps := ProjectVolume(phantom.SheppLogan3D(64, rows), UniformAngles(96), 64)
+	opts := ReconOptions{Algorithm: AlgSIRT, Iterations: 10, Workers: 1}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		recon(b, s, ReconOptions{Algorithm: AlgSIRT, Iterations: 10})
+		if _, err := ReconstructVolume(context.Background(), ps, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/slice")
 }
 
 func BenchmarkReconstructVolumeParallel(b *testing.B) {
