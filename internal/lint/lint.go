@@ -271,8 +271,6 @@ func DefaultConfig() *Config {
 			"repro/internal/tomo.Sinogram.Clone":              "fixture: tests copy a sinogram before poisoning it",
 			"repro/internal/tomo.ProjectionSet.At":            "observer: tests read single samples of a projection set",
 			"repro/internal/tomo.ProjectionSet.SizeBytes":     "observer: a test reads the raw footprint of a paper-sized scan",
-			"repro/internal/tomo.IncrementalRecon.Accumulate": "reference: tests compare the preview's XY slice against it",
-			"repro/internal/tomo.IncrementalRecon.badRow":     "reference: the cold panic path of Accumulate",
 			"repro/internal/trace.Span.Attrs":                 "observer: tracing tests read a span's attributes",
 			"repro/internal/trace.Span.StartTime":             "observer: tracing tests read a span's start stamp",
 			"repro/internal/trace.Span.Children":              "observer: tracing tests walk the span tree the product built",

@@ -8,23 +8,6 @@ import (
 	"repro/internal/vol"
 )
 
-// detectorTap maps a pixel's signed ray coordinate sc ∈ [-1, 1] to the
-// detector samples it interpolates between: columns c0 and c0+1 with
-// weights 1-f and f. c0 < 0 means the ray misses the detector; c0 ==
-// lastCol means it lands exactly on the last sample, which is taken
-// alone. This is the reference backprojector's expression, in its order.
-func detectorTap(sc, ncolsF float64, lastCol int) (c0 int, f float64) {
-	fc := (sc+1)/2*ncolsF - 0.5
-	c0 = int(math.Floor(fc))
-	if c0 < 0 || c0 >= lastCol {
-		if c0 == lastCol && fc <= float64(lastCol) {
-			return lastCol, 0
-		}
-		return -1, 0
-	}
-	return c0, fc - float64(c0)
-}
-
 // IncrementalRecon reconstructs a slice by filtered back projection one
 // projection at a time: each arriving detector row is ramp-filtered and
 // backprojected into a running accumulator the moment the streaming
@@ -168,34 +151,92 @@ func scaleInto(dst, acc []float64, n int) {
 	}
 }
 
+// crossBin is how many detector columns a cross-section column averages:
+// the largest k ≤ ncols/small that divides ncols, so the binned detector
+// of ncols/k columns is as coarse as the small grid it is shown on
+// without splitting a column. 1 leaves the detector as it is.
+func crossBin(ncols, small int) int {
+	k := max(ncols/small, 1)
+	for ncols%k != 0 {
+		k--
+	}
+	return k
+}
+
+// binColumns writes the mean of each run of k consecutive samples of src
+// to dst, len(src) = k·len(dst): rows of nb·k columns laid end to end —
+// a frame, or a whole ProjectionSet — become rows of nb. The streaming
+// preview and QuickPreview bin through it alike. Allocation-free.
+//
+//perf:hot
+func binColumns(dst, src []float64, k int) {
+	inv := 1 / float64(k)
+	for i := range dst {
+		s := 0.0
+		for _, v := range src[i*k : i*k+k] {
+			s += v
+		}
+		dst[i] = s * inv
+	}
+}
+
 // crossLine accumulates one line of pixels of a reduced-size
 // reconstruction — its centre row or its centre column — for every
 // detector row of a frame at once. All detector rows share one geometry,
 // so where a pixel's ray meets the detector is worked out once per angle
-// (aim) and applied to each filtered row (fold). Pixel for pixel this is
-// the arithmetic, in the angle order, of a dense IncrementalRecon of that
-// size per detector row, of which the preview reads this line only.
+// (aim) and applied to each filtered row (fold). Each pixel takes the
+// arithmetic backProjectKernel's edge pixels take (affineSpan): its image
+// row's first in-circle pixel projected, then j pixel pitches along, so
+// a ray that lands exactly on a detector edge is kept or dropped as the
+// plan's walk keeps or drops it.
 type crossLine struct {
-	x, y []float64 // pixel centres along the line
-	in   []bool    // pixel is inside the reconstruction circle
-	c0   []int     // this angle's detectorTap per pixel
-	f    []float64
-	acc  []float64 // nrows × len(x), unscaled
+	x0, y []float64 // per pixel: its image row's first in-circle pixel centre, and the row's y
+	j     []float64 // per pixel: its distance in pixels from x0
+	in    []bool    // pixel is inside the reconstruction circle
+	c0    []int     // this angle's detector column per pixel, -1 for none
+	f     []float64 // and the interpolation weight of column c0+1
+	acc   []float64 // nrows × len(x0), unscaled
 }
 
-func newCrossLine(nrows int, x, y []float64, in []bool) *crossLine {
-	m := len(x)
-	return &crossLine{x: x, y: y, in: in, c0: make([]int, m), f: make([]float64, m), acc: make([]float64, nrows*m)}
+func newCrossLine(nrows, m int) *crossLine {
+	return &crossLine{
+		x0: make([]float64, m), y: make([]float64, m), j: make([]float64, m), in: make([]bool, m),
+		c0: make([]int, m), f: make([]float64, m), acc: make([]float64, nrows*m),
+	}
 }
 
+// place makes pixel k of the line the pixel (px, py) of the grid whose
+// pixel centres are xs and whose per-row circle bounds are lo and hi.
+func (cl *crossLine) place(k, px, py int, xs []float64, lo, hi []int) {
+	l := lo[py]
+	if px < l || px >= hi[py] {
+		return
+	}
+	cl.in[k] = true
+	cl.x0[k], cl.y[k], cl.j[k] = xs[l], xs[py], float64(px-l)
+}
+
+// aim works out, for one angle (cosine ct, sine st), where each pixel's
+// ray meets a detector of lastCol+1 columns: halfC is half that width and
+// d the detector distance of one pixel pitch along an image row.
+//
 //perf:hot
-func (cl *crossLine) aim(ct, st, ncolsF float64, lastCol int) {
+func (cl *crossLine) aim(ct, st, halfC, d float64, lastCol int) {
+	lastColF := float64(lastCol)
 	for k, in := range cl.in {
+		cl.c0[k] = -1
 		if !in {
-			cl.c0[k] = -1
 			continue
 		}
-		cl.c0[k], cl.f[k] = detectorTap(cl.x[k]*ct+cl.y[k]*st, ncolsF, lastCol)
+		fc := (cl.x0[k]*ct+cl.y[k]*st+1)*halfC - 0.5
+		f := fc + cl.j[k]*d
+		fl := math.Floor(f)
+		switch c := int(fl); {
+		case c >= 0 && c < lastCol:
+			cl.c0[k], cl.f[k] = c, f-fl
+		case c == lastCol && f <= lastColF:
+			cl.c0[k] = c
+		}
 	}
 }
 
@@ -211,8 +252,7 @@ func (cl *crossLine) fold(r int, src []float64, lastCol int) {
 		case c0 == lastCol:
 			out[k] += src[c0]
 		default:
-			f := cl.f[k]
-			out[k] += src[c0]*(1-f) + src[c0+1]*f
+			out[k] += src[c0] + cl.f[k]*(src[c0+1]-src[c0])
 		}
 	}
 }
@@ -223,7 +263,8 @@ func (cl *crossLine) fold(r int, src []float64, lastCol int) {
 // at once after the last one, and paid only for the pixels the preview
 // shows: a full-resolution IncrementalRecon for the central XY slice, and
 // for the XZ/YZ cross sections the centre row and centre column of the
-// reduced-size grid, one crossLine each.
+// reduced-size grid, one crossLine each, read from a detector binned to
+// about that grid's pitch (crossBin).
 //
 // The XY slice is bit-identical to IncrementalRecon, and within 1e-12 of
 // the reference FBP. The cross sections take their filtered rows two to a
@@ -235,66 +276,68 @@ type IncrementalPreview struct {
 	FullSize  int // XY slice resolution
 	SmallSize int // XZ/YZ lateral resolution
 
-	full   *IncrementalRecon
-	order  []int        // filterPairs' order: the centre row alone, then the others paired off
-	batch  []complex128 // one transform per entry pair of order
-	filt   []float64    // NRows×NCols filtered frame
+	full   *IncrementalRecon // the XY slice: the centre row, filtered alone at full width
+	k      int               // crossBin: detector columns per binned column
+	nb     int               // binned detector width, NCols/k
+	fp     *fft.Plan         // the binned rows' filter
+	taps   []complex128
+	order  []int        // pairOrder(NRows)
+	bin    []float64    // NRows×nb binned frame; unused when k is 1
+	batch  []complex128 // one transform per binned row pair
+	filt   []float64    // NRows×nb filtered binned frame
 	xz, yz *crossLine   // centre row / centre column of the SmallSize grid
 }
 
 // NewIncrementalPreview builds the incremental counterpart of
 // QuickPreview for scans of nrows×ncols frames. size is the XY output
-// side (0 = ncols); the cross-section resolution is derived exactly as
-// QuickPreview derives it.
+// side (0 = ncols); the cross-section resolution and binning are derived
+// exactly as QuickPreview derives them.
 func NewIncrementalPreview(nrows, ncols, size int, filter Filter) (*IncrementalPreview, error) {
 	if nrows <= 0 {
 		return nil, fmt.Errorf("tomo: incremental preview needs ≥1 detector row (got %d)", nrows)
 	}
-	if size == 0 {
-		size = ncols
+	full, err := NewIncrementalRecon(ncols, size, filter)
+	if err != nil {
+		return nil, err
 	}
-	small := size / 4
-	if small < 16 {
-		small = min(16, size)
-	}
+	small := previewSmallSize(full.Size)
+	k := crossBin(ncols, small)
 	ip := &IncrementalPreview{
 		NRows:     nrows,
 		NCols:     ncols,
-		FullSize:  size,
+		FullSize:  full.Size,
 		SmallSize: small,
+		full:      full,
+		k:         k,
+		nb:        ncols / k,
+		order:     pairOrder(nrows),
 	}
-	var err error
-	if ip.full, err = NewIncrementalRecon(ncols, size, filter); err != nil {
-		return nil, err
+	ip.fp, ip.taps = rampSpectrum(ip.nb, filter)
+	if k > 1 {
+		ip.bin = make([]float64, nrows*ip.nb)
 	}
-	ip.order = []int{nrows / 2, -1}
-	for r := 0; r < nrows; r++ {
-		if r != nrows/2 {
-			ip.order = append(ip.order, r)
-		}
-	}
-	if len(ip.order)%2 == 1 {
-		ip.order = append(ip.order, -1)
-	}
-	ip.batch = make([]complex128, len(ip.order)/2*len(ip.full.taps))
-	ip.filt = make([]float64, nrows*ncols)
+	ip.batch = make([]complex128, len(ip.order)/2*len(ip.taps))
+	ip.filt = make([]float64, nrows*ip.nb)
 
-	// Pixel (i, small/2) of the reduced grid for XZ, (small/2, i) for YZ,
-	// inside the circle by the dense path's own row bounds.
+	// Pixel (i, small/2) of the reduced grid for XZ, (small/2, i) for YZ.
 	xs := pixelCenters(small)
 	lo, hi := circleBounds(xs)
 	mid := small / 2
-	midXs := make([]float64, small)
-	inRow := make([]bool, small)
-	inCol := make([]bool, small)
+	ip.xz, ip.yz = newCrossLine(nrows, small), newCrossLine(nrows, small)
 	for i := range xs {
-		midXs[i] = xs[mid]
-		inRow[i] = lo[mid] <= i && i < hi[mid]
-		inCol[i] = lo[i] <= mid && mid < hi[i]
+		ip.xz.place(i, i, mid, xs, lo, hi)
+		ip.yz.place(i, mid, i, xs, lo, hi)
 	}
-	ip.xz = newCrossLine(nrows, xs, midXs, inRow)
-	ip.yz = newCrossLine(nrows, midXs, xs, inCol)
 	return ip, nil
+}
+
+// previewSmallSize is the cross sections' lateral resolution for an XY
+// slice of side size: a quarter of it, but no less than 16 (or size).
+func previewSmallSize(size int) int {
+	if small := size / 4; small >= 16 {
+		return small
+	}
+	return min(16, size)
 }
 
 // Reset clears every accumulator for the next scan, keeping every buffer.
@@ -309,28 +352,35 @@ func (ip *IncrementalPreview) Angles() int { return ip.full.Angles() }
 
 // AddProjection folds one nrows×ncols projection frame (row-major line
 // integrals, post normalization and -log) taken at angle theta into every
-// preview accumulator. Each detector row is filtered once, all in one
-// padded batch convolution: the centre row alone — so the XY slice is
-// IncrementalRecon's, bit for bit — and the others two to a transform, the
-// last with a zero partner when their number is odd. Allocation-free.
+// preview accumulator. The centre row is filtered alone at full width —
+// so the XY slice is IncrementalRecon's, bit for bit. For the cross
+// sections every row is binned to nb columns and the binned rows are
+// filtered two to a transform, the last with a zero partner when their
+// number is odd. Allocation-free.
 //
 //perf:hot
 func (ip *IncrementalPreview) AddProjection(theta float64, frame []float64) {
 	if len(frame) != ip.NRows*ip.NCols {
 		ip.badFrame(len(frame))
 	}
-	nc := ip.NCols
-	filt := ip.filt
-	filterPairs(ip.full.fp, ip.full.taps, ip.batch, filt, frame, nc, ip.order)
+	ip.full.Accumulate(theta, rowOf(frame, ip.NRows/2, ip.NCols))
 
-	ip.full.backproject(theta, rowOf(filt, ip.order[0], nc))
+	binned := frame
+	if ip.k > 1 {
+		binColumns(ip.bin, frame, ip.k)
+		binned = ip.bin
+	}
+	nb := ip.nb
+	filterPairs(ip.fp, ip.taps, ip.batch, ip.filt, binned, nb, ip.order)
 	ct, st := math.Cos(theta), math.Sin(theta)
-	lastCol := nc - 1
-	ip.xz.aim(ct, st, float64(nc), lastCol)
-	ip.yz.aim(ct, st, float64(nc), lastCol)
+	halfC := float64(nb) / 2
+	d := 2.0 / float64(ip.SmallSize) * ct * halfC // backProjectKernel's pixel pitch on the detector
+	lastCol := nb - 1
+	ip.xz.aim(ct, st, halfC, d, lastCol)
+	ip.yz.aim(ct, st, halfC, d, lastCol)
 	for r := 0; r < ip.NRows; r++ {
-		ip.xz.fold(r, rowOf(filt, r, nc), lastCol)
-		ip.yz.fold(r, rowOf(filt, r, nc), lastCol)
+		ip.xz.fold(r, rowOf(ip.filt, r, nb), lastCol)
+		ip.yz.fold(r, rowOf(ip.filt, r, nb), lastCol)
 	}
 }
 

@@ -3,8 +3,10 @@ package tomo
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/phantom"
 	"repro/internal/vol"
 )
 
@@ -172,43 +174,51 @@ func testFrames(nangles, nrows, ncols int) [][]float64 {
 }
 
 // TestSparseCrossSectionsEqualDense is what makes the sparse accumulators
-// a cost change and not a numerical one: handed the filtered rows the
-// preview itself computed, a dense reduced-size backprojection per
-// detector row with the per-pixel detectorTap arithmetic — refBackProject
-// of that row's filtered sinogram — holds, on its centre row and centre
-// column, exactly the values the two cross-section lines hold.
+// a cost change and not a numerical one: handed the binned filtered rows
+// the preview itself computed, a dense reduced-size backprojection per
+// detector row on the plan's exact multiply-form arithmetic —
+// backProjectKernel with no interior walk, every pixel through
+// affineSpan — holds, on its centre row and centre column, exactly the
+// values the two cross-section lines hold.
 func TestSparseCrossSectionsEqualDense(t *testing.T) {
-	for _, g := range []struct{ ncols, nrows int }{
-		{40, 4}, {40, 5}, // SmallSize 16
-		{128, 4}, {128, 5}, // SmallSize 32
+	for _, g := range []struct{ ncols, nrows, small, k int }{
+		{20, 3, 16, 1}, // nothing to bin
+		{40, 4, 16, 2}, {40, 5, 16, 2},
+		{50, 4, 16, 2}, // 50/16 rounds down to 3, which does not divide 50
+		{128, 4, 32, 4}, {128, 5, 32, 4},
 	} {
 		for _, f := range []Filter{RamLak, SheppLoganFilter, Hann} {
 			ip, err := NewIncrementalPreview(g.nrows, g.ncols, 0, f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := ip.SmallSize
-			if want := map[int]int{40: 16, 128: 32}[g.ncols]; m != want {
-				t.Fatalf("%d columns: SmallSize %d, want %d", g.ncols, m, want)
+			m, nb := ip.SmallSize, ip.nb
+			if m != g.small || ip.k != g.k || nb*g.k != g.ncols {
+				t.Fatalf("%d columns: SmallSize %d, bin %d, %d binned columns; want %d, %d", g.ncols, m, ip.k, nb, g.small, g.k)
 			}
-			theta := UniformAngles(23)
+			theta := UniformAngles(24) // angle 12 is π/2
 			filtered := make([]*Sinogram, g.nrows)
 			for r := range filtered {
-				filtered[r] = NewSinogram(theta, g.ncols)
+				filtered[r] = NewSinogram(theta, nb)
 			}
 			for a, frame := range testFrames(len(theta), g.nrows, g.ncols) {
 				ip.AddProjection(theta[a], frame)
 				for r, fs := range filtered {
-					copy(fs.Row(a), rowOf(ip.filt, r, g.ncols))
+					copy(fs.Row(a), rowOf(ip.filt, r, nb))
 				}
 			}
 			_, xz, yz, err := ip.Finalize()
 			if err != nil {
 				t.Fatal(err)
 			}
+			xs := pixelCenters(m)
+			lo, hi := circleBounds(xs)
+			cosT, sinT := trigTables(theta)
 			nonzero := 0
 			for r, fs := range filtered {
-				tmp := refBackProject(fs, m)
+				tmp := vol.NewImage(m, m)
+				backProjectKernel[[1]float64](tmp.Pix, m, fs.Data, nb, cosT, sinT, xs, lo, hi,
+					math.Pi/float64(len(theta)), true, nil, nil)
 				for i := 0; i < m; i++ {
 					if got, want := xz.At(i, r), tmp.At(i, m/2); got != want {
 						t.Fatalf("%dx%d %v: XZ(%d,%d) = %g, dense centre row has %g", g.ncols, g.nrows, f, i, r, got, want)
@@ -519,6 +529,29 @@ func BenchmarkIncrementalPreviewAdd128x32(b *testing.B) {
 	}
 }
 
+// BenchmarkIncrementalPreviewPaperWidth is one frame of a 216-row band of
+// the paper's 2 560-column detector through AddProjection, in ms a frame:
+// the XY slice at 2 560², the cross sections at 640 pixels. Its per-row
+// part scales to the full 2 160 rows (DESIGN §14).
+func BenchmarkIncrementalPreviewPaperWidth(b *testing.B) {
+	const rows, cols = 216, 2560
+	ip, err := NewIncrementalPreview(rows, cols, 0, SheppLoganFilter)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame := make([]float64, rows*cols)
+	for i := range frame {
+		frame[i] = math.Abs(math.Sin(0.0013 * float64(i)))
+	}
+	theta := UniformAngles(1969)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ip.AddProjection(theta[i%len(theta)], frame)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/frame")
+}
+
 // BenchmarkIncrementalBackproject128 is the XY slice's share of one frame
 // at the stream workload's geometry: one filtered 128-column row
 // backprojected onto the 128² grid.
@@ -538,4 +571,176 @@ func BenchmarkIncrementalBackproject128(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ir.backproject(theta[i%len(theta)], row)
 	}
+}
+
+// TestCrossSectionAccuracy pins the declared accuracy change of filtering
+// the cross sections on a binned detector. A Shepp–Logan volume of
+// 128 × 128 × 32 is scanned over 180 angles, noise-free and at two
+// photon doses; each cross section's in-circle RMSE is taken against the
+// k×k block mean of the phantom it shows, for the streamed preview and
+// for the unbinned path it replaced: each detector row reconstructed at
+// SmallSize from all 128 columns, as QuickPreview's plan did before it
+// binned. Binning may not cost more than a tenth noise-free, and may not
+// cost anything when there is photon noise, which it averages down.
+func TestCrossSectionAccuracy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 128-column scans")
+	}
+	const n, depth, nang = 128, 32, 180
+	truth := phantom.SheppLogan3D(n, depth)
+	theta := UniformAngles(nang)
+	clean := ProjectVolume(truth, theta, n)
+	// scan is what a detector of i0 photons a pixel records, normalized
+	// and logged: counts, one flat and one dark frame drawn as Acquire
+	// draws them with unit gain and no dark level (Poisson, approximated
+	// as Gaussian), from the one clean projection all three doses share.
+	scan := func(i0 float64) *ProjectionSet {
+		if i0 == 0 {
+			return clean
+		}
+		rng := rand.New(rand.NewSource(45))
+		raw := NewProjectionSet(theta, depth, n)
+		for i, p := range clean.Data {
+			mean := i0 * math.Exp(-p)
+			raw.Data[i] = max(mean+math.Sqrt(max(mean, 1))*rng.NormFloat64(), 0)
+		}
+		flat, dark := make([]float64, depth*n), make([]float64, depth*n)
+		for i := range flat {
+			flat[i] = i0 + math.Sqrt(i0)*rng.NormFloat64()
+			dark[i] = rng.NormFloat64()
+		}
+		return MinusLog(Normalize(raw, flat, dark))
+	}
+	for _, dose := range []struct {
+		name string
+		i0   float64 // 0: noise-free line integrals
+	}{{"noise-free", 0}, {"I0 = 5e4", 5e4}, {"I0 = 2e3", 2e3}} {
+		li := scan(dose.i0)
+
+		ip, err := NewIncrementalPreview(depth, n, 0, SheppLoganFilter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a, th := range theta {
+			ip.AddProjection(th, li.Projection(a))
+		}
+		_, xz, yz, err := ip.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := ip.SmallSize
+		k := n / m
+		unXZ, unYZ := vol.NewImage(m, depth), vol.NewImage(m, depth)
+		for r := 0; r < depth; r++ {
+			im, err := ReconstructSlice(li.SinogramForRow(r), ReconOptions{Algorithm: AlgFBP, Filter: SheppLoganFilter, Size: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < m; i++ {
+				unXZ.Set(i, r, im.At(i, m/2))
+				unYZ.Set(i, r, im.At(m/2, i))
+			}
+		}
+
+		// rmse compares the two cross sections with the phantom's k×k
+		// block means along the small grid's centre row (XZ) and column
+		// (YZ), over the pixels inside the reconstruction circle.
+		xs := pixelCenters(m)
+		rmse := func(xz, yz *vol.Image) float64 {
+			var sum float64
+			var cnt int
+			for r := 0; r < depth; r++ {
+				for i := 0; i < m; i++ {
+					for _, c := range [...]struct {
+						cs     *vol.Image
+						px, py int
+					}{{xz, i, m / 2}, {yz, m / 2, i}} {
+						if xs[c.px]*xs[c.px]+xs[c.py]*xs[c.py] > 1 {
+							continue
+						}
+						var ref float64
+						for y := c.py * k; y < (c.py+1)*k; y++ {
+							for x := c.px * k; x < (c.px+1)*k; x++ {
+								ref += truth.At(x, y, r)
+							}
+						}
+						d := c.cs.At(i, r) - ref/float64(k*k)
+						sum += d * d
+						cnt++
+					}
+				}
+			}
+			return math.Sqrt(sum / float64(cnt))
+		}
+		binned, unbinned := rmse(xz, yz), rmse(unXZ, unYZ)
+		t.Logf("%-10s in-circle RMSE: unbinned %.4f, binned %.4f (%.3f×)", dose.name, unbinned, binned, binned/unbinned)
+		bound := unbinned
+		if dose.i0 == 0 {
+			bound *= 1.1
+		}
+		if binned > bound {
+			t.Errorf("%s: binned cross sections' RMSE %.4f > %.4f (unbinned %.4f)", dose.name, binned, bound, unbinned)
+		}
+	}
+}
+
+// FuzzIncrementalPreview drives the streamed preview and QuickPreview over
+// random geometry — 16 to 200 columns, bin factors that divide the width
+// and widths no factor above 1 divides, 1 to 9 rows, every filter — with
+// an even angle count and π/2 among the angles, where pixel centres on
+// the small grid fall exactly on binned-column edges. The cross sections
+// must agree within 1e-12. The XY slice, IncrementalRecon's against the
+// plan's FBP, must agree within 1e-12 of its peak: white-noise frames
+// filter to XY values of ±50 and more, and the two FBPs' rounding grows
+// with them (1.3e-12 at a peak of 56 on one input).
+func FuzzIncrementalPreview(f *testing.F) {
+	f.Add(uint8(112), uint8(31), uint8(29), uint8(1), int64(1)) // 128 × 32 × 60: k = 4
+	f.Add(uint8(32), uint8(4), uint8(11), uint8(0), int64(2))   // 48 columns: k = 3
+	f.Add(uint8(34), uint8(2), uint8(5), uint8(2), int64(3))    // 50 columns: k = 2
+	f.Add(uint8(181), uint8(0), uint8(8), uint8(1), int64(4))   // 197 columns: prime, k = 1
+	f.Fuzz(func(t *testing.T, cols, rows, halfAngles, filter uint8, seed int64) {
+		ncols := 16 + int(cols)%185
+		nrows := 1 + int(rows)%9
+		nang := 2 * (1 + int(halfAngles)%40)
+		flt := [...]Filter{RamLak, SheppLoganFilter, Hann}[int(filter)%3]
+		theta := UniformAngles(nang)
+		theta[nang/2] = math.Pi / 2
+
+		rng := rand.New(rand.NewSource(seed))
+		ps := NewProjectionSet(theta, nrows, ncols)
+		for i := range ps.Data {
+			ps.Data[i] = 3 * rng.Float64()
+		}
+		xy, xz, yz, err := QuickPreview(context.Background(), ps, ReconOptions{Filter: flt, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ip, err := NewIncrementalPreview(nrows, ncols, 0, flt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a, th := range theta {
+			ip.AddProjection(th, ps.Projection(a))
+		}
+		ixy, ixz, iyz, err := ip.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want *vol.Image
+		}{{"XY", ixy, xy}, {"XZ", ixz, xz}, {"YZ", iyz, yz}} {
+			if c.got.W != c.want.W || c.got.H != c.want.H {
+				t.Fatalf("%d × %d × %d %v, %s: %d×%d, QuickPreview %d×%d", ncols, nrows, nang, flt, c.name, c.got.W, c.got.H, c.want.W, c.want.H)
+			}
+			tol := 1e-12
+			if c.name == "XY" {
+				lo, hi := c.want.MinMax()
+				tol *= max(1, -lo, hi)
+			}
+			if d := maxAbsDiff(c.got.Pix, c.want.Pix); d > tol {
+				t.Errorf("%d × %d × %d %v (bin %d), %s: max |Δ| = %g > %g", ncols, nrows, nang, flt, ip.k, c.name, d, tol)
+			}
+		}
+	})
 }

@@ -147,7 +147,9 @@ func FuzzIterativeLanes(f *testing.F) {
 }
 
 // TestReconLanesZeroAlloc: once its scratch is sized, a lane-batched
-// block — gather with COR shift, solve, scatter — allocates nothing.
+// block — gather with COR shift, solve, scatter — allocates nothing, and
+// without preprocessing never sizes the scratch's row staging or slice
+// image: it reads rows from the projection set and writes the volume.
 func TestReconLanesZeroAlloc(t *testing.T) {
 	ps := ProjectVolume(phantom.SheppLogan3D(24, laneCount), UniformAngles(16), 24)
 	out := vol.NewVolume(24, 24, laneCount)
@@ -160,6 +162,9 @@ func TestReconLanesZeroAlloc(t *testing.T) {
 		// AllocsPerRun's untimed warm-up run sizes the scratch.
 		if allocs := testing.AllocsPerRun(5, func() { p.reconLanes(out, ps, 0, nil, PreprocessOptions{}, sc) }); allocs != 0 {
 			t.Errorf("%s: %v allocations per lane-batched block", alg, allocs)
+		}
+		if sc.rowIn != nil || sc.out != nil {
+			t.Errorf("%s: a lane-batched block sized the one-row staging (rowIn %v, out %v)", alg, sc.rowIn != nil, sc.out != nil)
 		}
 	}
 }

@@ -151,20 +151,20 @@ func ReconstructVolume(ctx context.Context, ps *ProjectionSet, opts ReconOptions
 				}
 				work := mid
 				if mid == nil || r != ps.NRows/2 {
-					ps.SinogramForRowInto(sc.rowIn, r)
-					work = sc.rowIn
+					work = sc.row(plan, ps, r)
 					if opts.Preprocess != (PreprocessOptions{}) {
 						work = sc.preprocessed(work, opts.Preprocess)
 					}
 				}
-				if err := plan.ReconstructInto(sc.out, work, sc); err != nil {
+				im := sc.image(plan)
+				if err := plan.ReconstructInto(im, work, sc); err != nil {
 					select {
 					case errc <- err:
 					default:
 					}
 					return
 				}
-				out.SetSlice(r, sc.out) // disjoint slices: no lock needed
+				out.SetSlice(r, im) // disjoint slices: no lock needed
 			}
 		}()
 	}
@@ -225,8 +225,7 @@ func (p *ReconPlan) reconLanes(out *vol.Volume, ps *ProjectionSet, r int, mid *S
 		case mid != nil && r+k == ps.NRows/2:
 			src, off, stride = mid.Data, 0, ps.NCols
 		case pre != (PreprocessOptions{}):
-			ps.SinogramForRowInto(sc.rowIn, r+k)
-			src, off, stride = sc.preprocessed(sc.rowIn, pre).Data, 0, ps.NCols
+			src, off, stride = sc.preprocessed(sc.row(p, ps, r+k), pre).Data, 0, ps.NCols
 		}
 		gatherLane(sc.sino, k, src, off, stride, p.NAngles, p.NCols, p.CORShift)
 	}
@@ -272,10 +271,12 @@ func gatherLane(dst []float64, k int, src []float64, off, stride, nang, ncols in
 // reconstructed from its sinogram; the XZ and YZ previews are assembled
 // from FBP reconstructions of every row restricted to the central column —
 // to keep the sub-10-second budget this uses the fast FBP path at reduced
-// lateral resolution. The reduced-size pass shares one cached plan across
-// all rows (it used to re-derive the ramp filter and trig tables per row)
-// and the workers stride the row range with pooled scratches, keeping the
-// steady-state call nearly allocation-free.
+// lateral resolution, on the detector binned to about that resolution
+// (crossBin, binColumns: as IncrementalPreview bins it), with any COR
+// shift scaled to the binned columns and preprocessing applied to the
+// binned rows. The reduced-size pass shares one cached plan across all
+// rows and the workers stride the row range with pooled scratches,
+// keeping the steady-state call nearly allocation-free.
 func QuickPreview(ctx context.Context, ps *ProjectionSet, opts ReconOptions) (xy, xz, yz *vol.Image, err error) {
 	if err := ps.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -293,14 +294,17 @@ func QuickPreview(ctx context.Context, ps *ProjectionSet, opts ReconOptions) (xy
 		return nil, nil, nil, err
 	}
 
-	// Cross sections: reconstruct each row at reduced size in parallel
-	// and take the central row/column of each slice.
+	// Cross sections: reconstruct each binned row at reduced size in
+	// parallel and take the central row/column of each slice.
 	small := opts
-	small.Size = n / 4
-	if small.Size < 16 {
-		small.Size = min(16, n)
+	small.Size = previewSmallSize(n)
+	binned := ps
+	if k := crossBin(ps.NCols, small.Size); k > 1 {
+		binned = NewProjectionSet(ps.Theta, ps.NRows, ps.NCols/k)
+		binColumns(binned.Data, ps.Data, k)
+		small.CORShift /= float64(k)
 	}
-	plan, err := PlanRecon(ps.Theta, ps.NCols, small)
+	plan, err := PlanRecon(binned.Theta, binned.NCols, small)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -313,7 +317,7 @@ func QuickPreview(ctx context.Context, ps *ProjectionSet, opts ReconOptions) (xy
 		workers = ps.NRows
 	}
 	pv := &previewPass{
-		ps:     ps,
+		ps:     binned,
 		plan:   plan,
 		pre:    small.Preprocess,
 		m:      small.Size,
@@ -362,12 +366,12 @@ func (pv *previewPass) run(ctx context.Context, start int) {
 		if ctx.Err() != nil {
 			return
 		}
-		pv.ps.SinogramForRowInto(sc.rowIn, r)
-		work := sc.rowIn
+		work := sc.row(pv.plan, pv.ps, r)
 		if pv.pre != (PreprocessOptions{}) {
 			work = sc.preprocessed(work, pv.pre)
 		}
-		if err := pv.plan.ReconstructInto(sc.out, work, sc); err != nil {
+		im := sc.image(pv.plan)
+		if err := pv.plan.ReconstructInto(im, work, sc); err != nil {
 			pv.mu.Lock()
 			if pv.err == nil {
 				pv.err = err
@@ -376,8 +380,8 @@ func (pv *previewPass) run(ctx context.Context, start int) {
 			return
 		}
 		for i := 0; i < pv.m; i++ {
-			pv.xz.Set(i, r, sc.out.At(i, pv.m/2))
-			pv.yz.Set(i, r, sc.out.At(pv.m/2, i))
+			pv.xz.Set(i, r, im.At(i, pv.m/2))
+			pv.yz.Set(i, r, im.At(pv.m/2, i))
 		}
 	}
 }

@@ -93,7 +93,7 @@ type ReconPlan struct {
 // slices against a plan. The zero-allocation steady state depends on
 // reusing one Scratch across calls; never share one between goroutines.
 type Scratch struct {
-	rowIn    *Sinogram    // staging for ProjectionSet rows
+	rowIn    *Sinogram    // staging for ProjectionSet rows (sized on first use, see row)
 	shifted  *Sinogram    // COR-recentred copy (lazy: only if CORShift ≠ 0)
 	filtered *Sinogram    // FBP: ramp-filtered sinogram
 	fbatch   []complex128 // FBP: all padded row-pairs, batch-filtered in one pass
@@ -101,7 +101,7 @@ type Scratch struct {
 	grid     []complex128 // gridrec: accumulated spectrum, rows 0…gm/2
 	rim      []complex128 // gridrec: Nyquist rim accumulators
 	band     []float64    // gridrec: the inverted grid's central band
-	out      *vol.Image   // volume/preview workers: per-slice output
+	out      *vol.Image   // volume/preview workers: per-slice output (sized on first use, see image)
 
 	// Float64 SIRT/SART, sized on first use by sizeSolver for the most
 	// lanes solved so far; a one-lane solve uses their prefixes.
@@ -348,10 +348,7 @@ func (p *ReconPlan) WithCOR(shift float64) *ReconPlan {
 // reconstruct many slices on one goroutine (workers, benchmarks) should
 // hold one; transient callers can borrow from the pool instead.
 func (p *ReconPlan) NewScratch() *Scratch {
-	sc := &Scratch{
-		rowIn: NewSinogram(p.theta, p.NCols),
-		out:   vol.NewImage(p.Size, p.Size),
-	}
+	sc := &Scratch{}
 	switch p.Algorithm {
 	case AlgFBP:
 		if p.Precision == Float32 {
@@ -405,6 +402,27 @@ func (sc *Scratch) sizeSolver(p *ReconPlan, nl int) {
 		sc.sino = make([]float64, nl*p.NAngles*p.NCols)
 		sc.x = make([]float64, nl*p.Size*p.Size)
 	}
+}
+
+// row stages detector row r of ps in the scratch's own sinogram and
+// returns it; the next call overwrites it. It is sized on first use: a
+// lane-batched solve that preprocesses nothing gathers its rows straight
+// from ps and never needs it.
+func (sc *Scratch) row(p *ReconPlan, ps *ProjectionSet, r int) *Sinogram {
+	if sc.rowIn == nil {
+		sc.rowIn = NewSinogram(p.theta, p.NCols)
+	}
+	ps.SinogramForRowInto(sc.rowIn, r)
+	return sc.rowIn
+}
+
+// image is the scratch's per-slice output image, sized on first use: a
+// lane-batched solve writes its slices straight into the volume.
+func (sc *Scratch) image(p *ReconPlan) *vol.Image {
+	if sc.out == nil {
+		sc.out = vol.NewImage(p.Size, p.Size)
+	}
+	return sc.out
 }
 
 // GetScratch borrows a scratch from the plan's pool (allocating on a cold

@@ -7,7 +7,8 @@
 # convolution's differential target, the preview and zarr readers under
 # hostile bytes, the streaming scan lifecycle, the sim kernel's timers
 # against a process-only reference, the lane-batched iterative solvers
-# against their one-lane selves, and per-package coverage floors on the
+# against their one-lane selves, the streamed preview's binned cross
+# sections against QuickPreview, and per-package coverage floors on the
 # layers the tracing work leans on.
 set -eu
 
@@ -203,6 +204,7 @@ go test -run '^$' -fuzz '^FuzzZarrOpen$' -fuzztime 5s ./internal/zarr
 go test -run '^$' -fuzz '^FuzzZarrChunk$' -fuzztime 5s ./internal/zarr
 go test -run '^$' -fuzz '^FuzzEngineTimers$' -fuzztime 5s ./internal/sim
 go test -run '^$' -fuzz '^FuzzIterativeLanes$' -fuzztime 5s ./internal/tomo
+go test -run '^$' -fuzz '^FuzzIncrementalPreview$' -fuzztime 5s ./internal/tomo
 
 echo "== coverage floors =="
 # floor() fails the gate when a package's statement coverage drops below
